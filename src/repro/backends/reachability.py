@@ -22,9 +22,10 @@ Queries bisect the breakpoint arrays:
 
 The *reverse* structure (Definition 14) is the same construction run on
 the time-reversed trace; both directions are built lazily and
-independently (at most one ``O(|E| + |M|·|P|)`` pass each per execution
-version), so past-only consumers never pay for the future side —
-matching the laziness contract of the vector substrate.
+independently (at most one ``O(|M|·|P|)`` pass over the message
+anchors each per execution version), so past-only consumers never pay
+for the future side — matching the laziness contract of the vector
+substrate.
 
 Total storage is ``O(|P|² + Σ breakpoints)`` with at most one
 breakpoint per (receive, column): ``O(|P|² + |M|·|P|)`` worst case,
@@ -37,12 +38,12 @@ from __future__ import annotations
 # repro: dtype-strict
 
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..events.clocks import CyclicTraceError
+from ..events.clocks import anchor_schedule, message_dependencies
 from ..events.event import EventId
 from .base import CausalityBackend, register_backend
 from .stats import CutStats, flatten_extrema
@@ -107,20 +108,20 @@ class _SparseClosure:
         )
 
 
-def _build_closure(
-    lengths: Sequence[int],
-    cross_deps: Mapping[EventId, tuple[EventId, ...]],
-) -> _SparseClosure:
-    """One worklist topological pass recording breakpoints only.
+def _build_closure(execution: "Execution", reverse: bool = False) -> _SparseClosure:
+    """One topological pass over the anchors, recording breakpoints only.
 
-    Mirrors the scheduling of the dense clock pass
-    (:func:`repro.events.clocks._run_clock_pass`) but keeps a single
-    rolling row per node: events without cross dependencies cost O(1)
-    (only the implicit own component moves), and each dependency-bearing
-    event folds its predecessors' reconstructed rows and records a
-    breakpoint per column that actually advanced.
+    Walks the anchor order of the dense clock pass
+    (:func:`repro.events.clocks.anchor_schedule`), on the time-reversed
+    trace with ``reverse``, but keeps a single rolling row per node:
+    events without cross dependencies are never visited (only the
+    implicit own component moves), and each anchor folds its
+    predecessors' reconstructed rows and records a breakpoint per
+    column that actually advanced.
     """
+    lengths = execution.lengths
     num_nodes = len(lengths)
+    cross_deps = message_dependencies(execution.trace, reverse)
     # During the build, breakpoints live in per-node dicts of Python
     # lists (appended in ascending index order by construction) and are
     # frozen to arrays at the end; only columns that actually advance
@@ -140,55 +141,21 @@ def _build_closure(
                 row[col] = vl[pos]
         return row
 
-    done = [0] * num_nodes
-    waiters: dict[EventId, list[int]] = {}
-    stack = list(range(num_nodes))
-    processed = 0
-    total = sum(lengths)
-
-    while stack:
-        node = stack.pop()
-        k = lengths[node]
-        while done[node] < k:
-            idx = done[node] + 1
-            eid = (node, idx)
-            deps = cross_deps.get(eid, ())
-            blocked_on = None
-            for dep_node, dep_idx in deps:
-                if done[dep_node] < dep_idx:
-                    blocked_on = (dep_node, dep_idx)
-                    break
-            if blocked_on is not None:
-                waiters.setdefault(blocked_on, []).append(node)
-                break
-            if deps:
-                row = cur[node]
-                for dep_node, dep_idx in deps:
-                    np.maximum(row, row_at(dep_node, dep_idx), out=row)
-                per = bp_l[node]
-                for col in map(int, np.flatnonzero(row)):
-                    if col == node:
-                        continue
-                    v = int(row[col])
-                    ent = per.get(col)
-                    if ent is None:
-                        per[col] = ([idx], [v])
-                    elif v > ent[1][-1]:
-                        ent[0].append(idx)
-                        ent[1].append(v)
-            done[node] = idx
-            processed += 1
-            woken = waiters.pop(eid, None)
-            if woken:
-                stack.extend(woken)
-
-    if processed != total:
-        stuck = [
-            (i, done[i] + 1) for i in range(num_nodes) if done[i] < lengths[i]
-        ]
-        raise CyclicTraceError(
-            f"trace has a causal cycle; events stuck at {stuck[:5]}"
-        )
+    for node, idx, deps in anchor_schedule(num_nodes, cross_deps):
+        row = cur[node]
+        for dep_node, dep_idx in deps:
+            np.maximum(row, row_at(dep_node, dep_idx), out=row)
+        per = bp_l[node]
+        for col in map(int, np.flatnonzero(row)):
+            if col == node:
+                continue
+            v = int(row[col])
+            ent = per.get(col)
+            if ent is None:
+                per[col] = ([idx], [v])
+            elif v > ent[1][-1]:
+                ent[0].append(idx)
+                ent[1].append(v)
     bp = [
         {
             col: (
@@ -247,11 +214,7 @@ class ReachabilityBackend(CausalityBackend):
             self.invalidate()
         fwd = self._fwd
         if fwd is None:
-            trace = self._execution.trace
-            deps: dict[EventId, tuple[EventId, ...]] = {}
-            for msg in trace.messages:
-                deps[msg.recv] = deps.get(msg.recv, ()) + (msg.send,)
-            fwd = self._fwd = _build_closure(self._execution.lengths, deps)
+            fwd = self._fwd = _build_closure(self._execution)
         return fwd
 
     def _reverse(self) -> _SparseClosure:
@@ -261,18 +224,7 @@ class ReachabilityBackend(CausalityBackend):
             self.invalidate()
         rev = self._rev
         if rev is None:
-            trace = self._execution.trace
-            lengths = self._execution.lengths
-
-            def flip(eid: EventId) -> EventId:
-                node, idx = eid
-                return (node, lengths[node] - idx + 1)
-
-            deps: dict[EventId, tuple[EventId, ...]] = {}
-            for msg in trace.messages:
-                r_send = flip(msg.send)
-                deps[r_send] = deps.get(r_send, ()) + (flip(msg.recv),)
-            rev = self._rev = _build_closure(lengths, deps)
+            rev = self._rev = _build_closure(self._execution, reverse=True)
         return rev
 
     # ------------------------------------------------------------------

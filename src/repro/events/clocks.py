@@ -16,9 +16,15 @@ Implements the timestamping machinery of Section 2.3 of the paper:
   be established"* — we compute it by running the forward algorithm on
   the time-reversed trace.
 
-Both computations run in a single topological pass over the trace using
-a work-list (no transitive closure), with per-event cost ``O(|P|)`` from
-the componentwise ``max``.
+Both computations run one topological work-list pass (no transitive
+closure) over the *anchors* only: the events with a cross-node
+dependency, i.e. the message receives (forward) or sends (reverse).
+Between two anchors of a node a timestamp changes in its own component
+alone, so each node's block is then filled from its anchor rows by one
+vectorized gather.  The cost is ``O(|M|)`` interpreter steps, each an
+``O(|P|)`` componentwise ``max``, plus an ``O(|E|·|P|)`` vectorized
+fill.  :func:`anchor_schedule` is the shared scheduler; the
+reachability backend walks the same anchor order.
 
 Storage layout
 --------------
@@ -47,7 +53,8 @@ from __future__ import annotations
 # repro: hot, dtype-strict
 
 import os
-from collections.abc import Mapping, Sequence
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,6 +72,8 @@ __all__ = [
     "compute_forward_clocks",
     "compute_reverse_clocks",
     "extend_forward_clocks",
+    "anchor_schedule",
+    "message_dependencies",
     "clock_pass_counts",
     "reset_clock_pass_counts",
 ]
@@ -332,21 +341,78 @@ class GrowableClockTable:
         )
 
 
-def _run_clock_pass(
-    lengths: Sequence[int],
+def anchor_schedule(
+    num_nodes: int,
     cross_deps: Mapping[EventId, tuple[EventId, ...]],
-    prior: "ClockTable | None" = None,
+    start: Sequence[int] | None = None,
+) -> Iterator[tuple[int, int, tuple[EventId, ...]]]:
+    """Yield every *anchor* once its dependencies are done.
+
+    The anchors are the keys ``(node, idx)`` of ``cross_deps`` with
+    ``idx > start[node]`` (events up to ``start[node]`` are done
+    already).  Each is yielded as ``(node, idx, deps)``, a node's in
+    ascending order.  A dependency ``(m, d)`` is done once every anchor
+    of node ``m`` at or before ``d`` has been yielded: the events
+    between anchors depend on their local predecessor alone.
+
+    Raises
+    ------
+    CyclicTraceError
+        If some anchor can never be scheduled (a causal cycle); the
+        message names each stuck node's first unscheduled anchor.
+    """
+    anchors: list[list[int]] = [[] for _ in range(num_nodes)]
+    for node, idx in sorted(cross_deps):
+        if start is None or idx > start[node]:
+            anchors[node].append(idx)
+    ptr = [0] * num_nodes  # anchors yielded per node
+    # waiters[a] = nodes whose next anchor is blocked until anchor a is done
+    waiters: dict[EventId, list[int]] = {}
+    stack = list(range(num_nodes))
+    while stack:
+        node = stack.pop()
+        mine = anchors[node]
+        while ptr[node] < len(mine):
+            eid = (node, mine[ptr[node]])
+            deps = cross_deps[eid]
+            blocked_on = None
+            for dep_node, dep_idx in deps:
+                theirs = anchors[dep_node]
+                if ptr[dep_node] < len(theirs) and theirs[ptr[dep_node]] <= dep_idx:
+                    # wait for the dependency node's last anchor <= dep_idx
+                    blocked_on = (dep_node, theirs[bisect_right(theirs, dep_idx) - 1])
+                    break
+            if blocked_on is not None:
+                waiters.setdefault(blocked_on, []).append(node)
+                break
+            yield node, eid[1], deps
+            ptr[node] += 1
+            stack.extend(waiters.pop(eid, ()))
+    stuck = [(i, a[ptr[i]]) for i, a in enumerate(anchors) if ptr[i] < len(a)]
+    if stuck:
+        raise CyclicTraceError(f"trace has a causal cycle; events stuck at {stuck[:5]}")
+
+
+def _run_clock_pass(
+    trace: Trace, reverse: bool = False, prior: "ClockTable | None" = None
 ) -> ClockTable:
-    """Generic forward vector-clock pass over the columnar matrix.
+    """Generic vector-clock pass over the columnar matrix.
+
+    The work-list visits only the anchors of :func:`anchor_schedule`:
+    ``O(|M|)`` interpreter steps of one ``O(|P|)`` ``max`` each.  An
+    anchor's row is the max of its node's previous anchor row and each
+    dependency ``(m, d)``'s row: node ``m``'s last anchor row at or
+    before ``d``, with component ``m`` raised to ``d``.  Each node block
+    is then filled by one vectorized gather of its anchor rows plus its
+    own column: ``O(|E|·|P|)``, with no temporary of that size.
 
     Parameters
     ----------
-    lengths:
-        ``lengths[i]`` is the number of events to process on node ``i``;
-        events are ``(i, 1) .. (i, lengths[i])`` in processing order.
-    cross_deps:
-        Maps an event id to the cross-node events it directly depends on
-        (its message predecessors).  Local predecessors are implicit.
+    trace:
+        The trace; the dependencies are :func:`message_dependencies`.
+    reverse:
+        Run on the time-reversed trace, writing the row of reversed
+        index ``j`` of node ``i`` straight to local index ``k_i - j + 1``.
     prior:
         Optional :class:`ClockTable` of already-computed timestamp rows
         (an append-only per-node prefix of the new computation).  Its
@@ -354,81 +420,71 @@ def _run_clock_pass(
         only events beyond them are processed — the incremental path
         used by :func:`extend_forward_table`.
 
-    Returns
-    -------
-    ClockTable
-        The filled ``(sum(lengths), P)`` matrix.
-
     Raises
     ------
     CyclicTraceError
         If the dependency structure cannot be scheduled (a causal cycle).
     """
-    num_nodes = len(lengths)
-    lens = np.asarray(lengths, dtype=np.int64)
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    total = int(offsets[-1])
-    data = np.zeros((total, num_nodes), dtype=CLOCK_DTYPE)
-    done = [0] * num_nodes  # events completed per node
+    num_nodes = trace.num_nodes
+    lengths = [trace.num_real(i) for i in range(num_nodes)]
+    data = np.zeros((sum(lengths), num_nodes), dtype=CLOCK_DTYPE)
+    # blocks[i][j - 1] is the row of processing index j on node i (a view)
+    blocks = np.split(data, np.cumsum(lengths[:-1]))
+    if reverse:
+        blocks = [blk[::-1] for blk in blocks]
+    start = [0] * num_nodes  # rows taken from prior, per node
     if prior is not None:
         for i in range(num_nodes):
-            block = prior.node_view(i)
-            k = block.shape[0]
-            data[offsets[i]:offsets[i] + k] = block
-            done[i] = k
-    # waiters[(m, d)] = nodes whose next event is blocked until node m
-    # has completed d events.
-    waiters: dict[EventId, list[int]] = {}
-    stack = list(range(num_nodes))
-    processed = sum(done)
+            k = start[i] = int(prior.lengths[i])
+            blocks[i][:k] = prior.node_view(i)
+    marks: list[list[int]] = [[] for _ in range(num_nodes)]  # anchors done
 
-    while stack:
-        node = stack.pop()
-        k = lengths[node]
-        base = offsets[node]
-        while done[node] < k:
-            idx = done[node] + 1
-            eid = (node, idx)
-            deps = cross_deps.get(eid, ())
-            blocked_on = None
-            for dep_node, dep_idx in deps:
-                if done[dep_node] < dep_idx:
-                    blocked_on = (dep_node, dep_idx)
-                    break
-            if blocked_on is not None:
-                waiters.setdefault(blocked_on, []).append(node)
-                break
-            row = data[base + idx - 1]
-            if idx > 1:
-                row[:] = data[base + idx - 2]
-            for dep_node, dep_idx in deps:
-                np.maximum(
-                    row, data[offsets[dep_node] + dep_idx - 1], out=row
-                )
-            row[node] = idx
-            done[node] = idx
-            processed += 1
-            woken = waiters.pop(eid, None)
-            if woken:
-                stack.extend(woken)
+    schedule = anchor_schedule(num_nodes, message_dependencies(trace, reverse), start)
+    for node, idx, deps in schedule:
+        blk = blocks[node]
+        row = blk[idx - 1]
+        prev = marks[node][-1] if marks[node] else start[node]
+        if prev:
+            row[:] = blk[prev - 1]
+        for dep_node, dep_idx in deps:
+            base = dep_idx
+            if dep_idx > start[dep_node]:
+                pos = bisect_right(marks[dep_node], dep_idx)
+                base = marks[dep_node][pos - 1] if pos else start[dep_node]
+            if base:
+                np.maximum(row, blocks[dep_node][base - 1], out=row)
+            if row[dep_node] < dep_idx:
+                row[dep_node] = dep_idx
+        row[node] = idx
+        marks[node].append(idx)
 
-    if processed != total:
-        stuck = [
-            (i, done[i] + 1) for i in range(num_nodes) if done[i] < lengths[i]
-        ]
-        raise CyclicTraceError(
-            f"trace has a causal cycle; events stuck at {stuck[:5]}"
-        )
+    for node, blk in enumerate(blocks):
+        done = start[node]
+        bases = ([done] if done else []) + marks[node]
+        if bases:  # every row from the first base on copies its last base's
+            src = np.asarray(bases, dtype=np.int64)
+            src = np.repeat(src, np.diff(src, append=lengths[node] + 1))
+            blk[bases[0] - 1:] = blk[src - 1]
+        blk[done:, node] = np.arange(done + 1, lengths[node] + 1, dtype=CLOCK_DTYPE)
     return ClockTable(data, lengths)
 
 
-def _forward_cross_deps(trace: Trace) -> dict[EventId, tuple[EventId, ...]]:
-    """Cross-node dependencies for the forward pass: recv depends on send."""
-    deps: dict[EventId, tuple[EventId, ...]] = {}
-    for msg in trace.messages:
-        deps[msg.recv] = deps.get(msg.recv, ()) + (msg.send,)
-    return deps
+def message_dependencies(
+    trace: Trace, reverse: bool = False
+) -> dict[EventId, tuple[EventId, ...]]:
+    """The cross-node dependencies of a clock pass, keyed by anchor.
+
+    Forward, every receive depends on its send.  With ``reverse``, on
+    the time-reversed trace (local index ``j`` of node ``i`` becomes
+    ``k_i - j + 1``), every send depends on its receive.
+    """
+    if not reverse:
+        return {msg.recv: (msg.send,) for msg in trace.messages}
+    k = [trace.num_real(i) for i in range(trace.num_nodes)]
+    return {
+        (s[0], k[s[0]] - s[1] + 1): ((r[0], k[r[0]] - r[1] + 1),)
+        for s, r in ((msg.send, msg.recv) for msg in trace.messages)
+    }
 
 
 def compute_forward_table(trace: Trace) -> ClockTable:
@@ -440,8 +496,7 @@ def compute_forward_table(trace: Trace) -> ClockTable:
         If the trace's happened-before relation is cyclic.
     """
     _PASS_COUNTS["forward"] += 1
-    lengths = [trace.num_real(i) for i in range(trace.num_nodes)]
-    return _run_clock_pass(lengths, _forward_cross_deps(trace))
+    return _run_clock_pass(trace)
 
 
 def extend_forward_table(trace: Trace, prior: ClockTable) -> ClockTable:
@@ -463,8 +518,7 @@ def extend_forward_table(trace: Trace, prior: ClockTable) -> ClockTable:
         If the extension's happened-before relation is cyclic.
     """
     _PASS_COUNTS["extend"] += 1
-    lengths = [trace.num_real(i) for i in range(trace.num_nodes)]
-    return _run_clock_pass(lengths, _forward_cross_deps(trace), prior=prior)
+    return _run_clock_pass(trace, prior=prior)
 
 
 def compute_reverse_table(trace: Trace) -> ClockTable:
@@ -474,30 +528,10 @@ def compute_reverse_table(trace: Trace) -> ClockTable:
     Computed by running the forward algorithm on the time-reversed
     execution: local orders are flipped and every message edge
     ``send → recv`` becomes a dependency of (reversed) ``send`` on
-    (reversed) ``recv``.
+    (reversed) ``recv``.  Rows go straight to their unreversed place.
     """
     _PASS_COUNTS["reverse"] += 1
-    num_nodes = trace.num_nodes
-    lengths = [trace.num_real(i) for i in range(num_nodes)]
-
-    def rev(eid: EventId) -> EventId:
-        node, idx = eid
-        return (node, lengths[node] - idx + 1)
-
-    cross: dict[EventId, tuple[EventId, ...]] = {}
-    for msg in trace.messages:
-        r_send = rev(msg.send)
-        cross[r_send] = cross.get(r_send, ()) + (rev(msg.recv),)
-
-    table = _run_clock_pass(lengths, cross)
-
-    # Row j-1 of the output must be T^R((node, j)) which the reversed
-    # pass computed at reversed index k - j + 1; flip each node block.
-    data = np.empty_like(table.data)
-    for node in range(num_nodes):
-        lo, hi = table.offsets[node], table.offsets[node + 1]
-        data[lo:hi] = table.data[lo:hi][::-1]
-    return ClockTable(data, lengths)
+    return _run_clock_pass(trace, reverse=True)
 
 
 def _table_from_node_matrices(matrices: Sequence[np.ndarray]) -> ClockTable:

@@ -108,7 +108,7 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
         num_nodes = int(data["num_nodes"])
         raw_events: list[list[dict[str, Any]]] = data["events"]
         raw_messages = data["messages"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed trace payload: {exc}") from exc
     if len(raw_events) != num_nodes:
         raise TraceError(
@@ -116,33 +116,29 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
         )
     events: list[list[Event]] = []
     for node, per_node in enumerate(raw_events):
-        row: list[Event] = []
-        for pos, rec in enumerate(per_node):
-            try:
-                kind = EventKind(rec.get("kind", "internal"))
-            except ValueError as exc:
-                raise TraceError(f"unknown event kind: {rec.get('kind')!r}") from exc
-            row.append(
-                Event(
-                    node=node,
-                    index=pos + 1,
-                    kind=kind,
-                    label=rec.get("label"),
-                    time=rec.get("time"),
-                    payload=rec.get("payload"),
-                )
-            )
-        events.append(row)
+        try:
+            events.append([
+                Event(node, pos, _KINDS[rec.get("kind", "internal")],
+                      rec.get("label"), rec.get("time"), rec.get("payload"))
+                for pos, rec in enumerate(per_node, 1)
+            ])
+        except KeyError as exc:
+            raise TraceError(f"unknown event kind: {exc.args[0]!r}") from exc
+        except (AttributeError, TypeError) as exc:  # a value of the wrong type
+            raise TraceError(f"malformed event record on node {node}: {exc}") from exc
     messages = []
     for pair in raw_messages:
         try:
             (s_node, s_idx), (r_node, r_idx) = pair
+            send, recv = (int(s_node), int(s_idx)), (int(r_node), int(r_idx))
         except (TypeError, ValueError) as exc:
             raise TraceError(f"malformed message record: {pair!r}") from exc
-        messages.append(
-            Message(send=(int(s_node), int(s_idx)), recv=(int(r_node), int(r_idx)))
-        )
+        messages.append(Message(send, recv))
     return Trace(events, messages)
+
+
+#: Event kinds by their serialised value: one dict lookup per event.
+_KINDS: dict[str, EventKind] = {kind.value: kind for kind in EventKind}
 
 
 def dumps(trace: Trace, **json_kwargs: Any) -> str:
@@ -175,11 +171,12 @@ def loads(text: str | bytes, *, max_bytes: int | None = None) -> Trace:
         input, which is reported as a malformed payload rather than a
         bare ``json.JSONDecodeError``).
     """
-    size = len(text) if isinstance(text, bytes) else len(text.encode("utf-8"))
-    if max_bytes is not None and size > max_bytes:
-        raise PayloadTooLargeError(
-            f"serialised trace is {size} bytes, over the {max_bytes}-byte limit"
-        )
+    if max_bytes is not None:
+        size = len(text) if isinstance(text, bytes) else len(text.encode("utf-8"))
+        if size > max_bytes:
+            raise PayloadTooLargeError(
+                f"serialised trace is {size} bytes, over the {max_bytes}-byte limit"
+            )
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -92,21 +92,9 @@ class Trace:
     # ------------------------------------------------------------------
     def _validate_events(self) -> None:
         for i, per_node in enumerate(self._events):
-            for j, ev in enumerate(per_node):
-                if ev.node != i:
-                    raise TraceError(
-                        f"event {ev} stored under node {i} but claims node {ev.node}"
-                    )
-                if ev.index != j + 1:
-                    raise TraceError(
-                        f"event {ev} at position {j} of node {i} must have "
-                        f"index {j + 1}, got {ev.index}"
-                    )
-                if ev.is_dummy:
-                    raise TraceError(
-                        f"dummy event {ev} may not appear in a trace; dummies "
-                        "are synthesised by Execution"
-                    )
+            for j, ev in enumerate(per_node, 1):
+                if ev.node != i or ev.index != j or ev.kind not in _REAL_KINDS:
+                    raise _bad_event(i, j, ev)
 
     def _validate_messages(self) -> None:
         for msg in self._messages:
@@ -213,6 +201,28 @@ class Trace:
             f"Trace(nodes={self._num_nodes}, events={self.total_events}, "
             f"messages={len(self._messages)})"
         )
+
+
+#: The kinds a trace event may have: no ``⊥``/``⊤`` dummy, and nothing
+#: that is not an :class:`EventKind`.
+_REAL_KINDS = frozenset(kind for kind in EventKind if not kind.is_dummy)
+
+
+def _bad_event(node: int, index: int, ev: Event) -> TraceError:
+    """Why event ``ev``, stored as ``(node, index)``, is rejected."""
+    if ev.node != node:
+        return TraceError(
+            f"event {ev} stored under node {node} but claims node {ev.node}"
+        )
+    if ev.index != index:
+        return TraceError(
+            f"event {ev} at position {index - 1} of node {node} must have "
+            f"index {index}, got {ev.index}"
+        )
+    return TraceError(
+        f"dummy event {ev} may not appear in a trace; dummies "
+        "are synthesised by Execution"
+    )
 
 
 def _node_lengths(trace: Trace) -> list[int]:

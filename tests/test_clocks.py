@@ -6,15 +6,22 @@ The ground truth is the transitive closure of the covering digraph
 fixed posets and property-based on random ones.
 """
 
+import re
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.events.builder import TraceBuilder
 from repro.events.clocks import (
     CyclicTraceError,
+    anchor_schedule,
+    clock_pass_counts,
     compute_forward_clocks,
     compute_reverse_clocks,
+    message_dependencies,
+    reset_clock_pass_counts,
 )
 from repro.events.event import Event, EventKind
 from repro.events.poset import Execution
@@ -39,6 +46,60 @@ def closure_counts(ex: Execution):
             sum(1 for (n, _j) in above if n == i) for i in range(ex.num_nodes)
         ]
     return fwd, rev
+
+
+def assert_matches_closure(ex: Execution) -> None:
+    fwd, rev = closure_counts(ex)
+    for eid in ex.iter_ids():
+        assert list(ex.clock(eid)) == fwd[eid], eid
+        assert list(ex.rclock(eid)) == rev[eid], eid
+
+
+def ops_trace(num_nodes: int, ops) -> Trace:
+    """A trace from ``(node, action, aux)`` ops, one event per op.
+
+    ``action`` 1 sends to node ``aux % num_nodes`` (self-sends
+    allowed), 2 delivers in-flight message ``aux`` (modulo the count)
+    addressed to ``node`` (an internal event if there is none), anything
+    else is an internal event.  The trace of a prefix of ``ops`` is an
+    append-only prefix of the trace of ``ops``; nodes may stay empty.
+    """
+    b = TraceBuilder(num_nodes)
+    in_flight: list[list] = [[] for _ in range(num_nodes)]
+    for node, action, aux in ops:
+        if action == 1:
+            in_flight[aux % num_nodes].append(b.send(node))
+        elif action == 2 and in_flight[node]:
+            b.recv(node, in_flight[node].pop(aux % len(in_flight[node])))
+        else:
+            b.internal(node)
+    return b.build()
+
+
+@st.composite
+def grown_traces(draw, max_nodes: int = 4, max_ops: int = 40):
+    """``(prefix, full)``: a random trace and an append-only prefix of it."""
+    num_nodes = draw(st.integers(1, max_nodes))
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_nodes - 1), st.integers(0, 2), st.integers(0, 7)
+            ),
+            max_size=max_ops,
+        )
+    )
+    cut = draw(st.integers(0, len(ops)))
+    return ops_trace(num_nodes, ops[:cut]), ops_trace(num_nodes, ops)
+
+
+def cyclic_trace() -> Trace:
+    """Each node receives (at index 2) what the other sends at index 3."""
+    kinds = (EventKind.INTERNAL, EventKind.RECV, EventKind.SEND)
+    events = [
+        [Event(node, j, kind=kind) for j, kind in enumerate(kinds, 1)]
+        for node in (0, 1)
+    ]
+    return Trace(events, [Message((0, 3), (1, 2)), Message((1, 3), (0, 2))])
 
 
 class TestForwardClocks:
@@ -123,6 +184,118 @@ class TestCycleDetection:
         msgs = [Message((0, 2), (1, 1)), Message((1, 2), (0, 1))]
         with pytest.raises(CyclicTraceError, match="stuck"):
             compute_forward_clocks(Trace(events, msgs))
+
+    def test_stuck_ids_name_the_blocked_anchors(self):
+        # the internal events before each blocked receive are not stuck
+        trace = cyclic_trace()
+        stuck = re.escape("events stuck at [(0, 2), (1, 2)]")
+        with pytest.raises(CyclicTraceError, match=stuck):
+            compute_forward_clocks(trace)
+        with pytest.raises(CyclicTraceError, match=stuck):
+            list(anchor_schedule(2, message_dependencies(trace)))
+        # the reverse pass names time-reversed indices
+        with pytest.raises(CyclicTraceError, match=re.escape("[(0, 1), (1, 1)]")):
+            compute_reverse_clocks(trace)
+
+
+class TestAnchoredPass:
+    """Edge cases of the anchor-only work-list and the per-node fill."""
+
+    def test_node_with_zero_events(self):
+        b = TraceBuilder(3)
+        m = b.send(0)   # (0,1)
+        b.internal(0)   # (0,2)
+        b.recv(2, m)    # (2,1)
+        b.internal(2)   # (2,2)
+        ex = b.execute()
+        assert ex.num_real(1) == 0
+        assert ex.forward_table.data.shape == (4, 3)
+        assert list(ex.clock((2, 2))) == [1, 0, 2]
+        assert list(ex.rclock((0, 1))) == [2, 0, 2]
+        assert_matches_closure(ex)
+
+    def test_no_messages(self):
+        b = TraceBuilder(3)
+        for node in (0, 0, 1, 2, 2, 2):
+            b.internal(node)
+        ex = b.execute()
+        assert list(ex.clock((2, 3))) == [0, 0, 3]
+        assert list(ex.rclock((2, 1))) == [0, 0, 3]
+        assert_matches_closure(ex)
+
+    def test_receive_is_first_event_of_its_node(self):
+        b = TraceBuilder(2)
+        b.internal(0)   # (0,1)
+        m = b.send(0)   # (0,2)
+        b.recv(1, m)    # (1,1)
+        b.internal(1)   # (1,2)
+        ex = b.execute()
+        assert list(ex.clock((1, 1))) == [2, 1]
+        assert list(ex.clock((1, 2))) == [2, 2]
+        assert list(ex.rclock((0, 1))) == [2, 2]
+        assert_matches_closure(ex)
+
+    def test_self_message(self):
+        b = TraceBuilder(2)
+        own = b.send(0)     # (0,1)
+        other = b.send(1)   # (1,1)
+        b.recv(0, other)    # (0,2)
+        b.recv(0, own)      # (0,3): receives its own node's send
+        b.internal(0)       # (0,4)
+        ex = b.execute()
+        assert list(ex.clock((0, 3))) == [3, 1]
+        assert list(ex.clock((0, 4))) == [4, 1]
+        assert list(ex.rclock((0, 1))) == [4, 0]
+        assert_matches_closure(ex)
+
+    def test_chain_of_receives_on_one_node(self):
+        b = TraceBuilder(4)
+        handles = [b.send(node) for node in (1, 2, 3)]  # (1,1) (2,1) (3,1)
+        b.internal(2)                                    # (2,2)
+        for h in reversed(handles):
+            b.recv(0, h)                                 # (0,1) (0,2) (0,3)
+        b.internal(0)                                    # (0,4)
+        ex = b.execute()
+        assert [list(ex.clock((0, j))) for j in range(1, 5)] == [
+            [1, 0, 0, 1], [2, 0, 1, 1], [3, 1, 1, 1], [4, 1, 1, 1],
+        ]
+        assert list(ex.rclock((2, 1))) == [3, 0, 2, 0]
+        assert_matches_closure(ex)
+
+    def test_extend_with_new_receives_after_prior(self):
+        ops = [
+            (0, 1, 1), (1, 0, 0), (0, 1, 2), (1, 2, 0),  # prefix: (0,1) -> (1,2)
+            (2, 2, 0),  # (2,1) receives (0,2), a prefix send
+            (1, 1, 0),  # (1,3) sends to node 0
+            (0, 2, 0),  # (0,3) receives it
+            (0, 0, 0),  # (0,4)
+        ]
+        prefix, full = ops_trace(3, ops[:4]), ops_trace(3, ops)
+        grown = Execution(prefix)
+        reset_clock_pass_counts()
+        grown.extend(full)
+        assert clock_pass_counts() == {"forward": 0, "reverse": 0, "extend": 1}
+        fresh = Execution(full)
+        assert (grown.forward_table.data == fresh.forward_table.data).all()
+        assert list(grown.clock((2, 1))) == [2, 0, 1]
+        assert list(grown.clock((0, 4))) == [4, 3, 0]
+        assert_matches_closure(grown)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=grown_traces())
+    def test_tables_match_transitive_closure(self, pair):
+        prefix, full = pair
+        fresh = Execution(full)
+        grown = Execution(prefix)
+        # built now, so extend must drop it
+        assert grown.reverse_table.total_events == prefix.total_events
+        grown.extend(full)
+        fwd, rev = closure_counts(fresh)
+        for eid in fresh.iter_ids():
+            assert list(fresh.clock(eid)) == fwd[eid], eid
+            assert list(fresh.rclock(eid)) == rev[eid], eid
+            assert list(grown.clock(eid)) == fwd[eid], eid
+            assert list(grown.rclock(eid)) == rev[eid], eid
 
 
 class TestClockFunctions:

@@ -94,6 +94,26 @@ class TestMalformedInput:
         with pytest.raises(TraceError, match="malformed message"):
             trace_from_dict(data)
 
+    def test_non_object_event_record(self):
+        data = {"version": 1, "num_nodes": 1, "events": [[1]], "messages": []}
+        with pytest.raises(TraceError, match="malformed event record"):
+            trace_from_dict(data)
+
+    def test_non_integer_num_nodes(self):
+        data = {"version": 1, "num_nodes": "x", "events": [], "messages": []}
+        with pytest.raises(TraceError, match="malformed"):
+            trace_from_dict(data)
+
+    def test_non_integer_message_endpoint(self):
+        data = {
+            "version": 1,
+            "num_nodes": 2,
+            "events": [[{"kind": "send"}], [{"kind": "recv"}]],
+            "messages": [[[0, 1], ["b", 1]]],
+        }
+        with pytest.raises(TraceError, match="malformed message"):
+            trace_from_dict(data)
+
     def test_inconsistent_message_becomes_trace_error(self):
         data = {
             "version": 1,

@@ -28,6 +28,11 @@ class TestTraceValidation:
         with pytest.raises(TraceError, match="dummy"):
             Trace([[Event(0, 1, kind=EventKind.BOTTOM)]])
 
+    def test_kind_must_be_a_real_event_kind(self):
+        for kind in (EventKind.TOP, "send"):
+            with pytest.raises(TraceError):
+                Trace([[Event(0, 1, kind=kind)]])
+
     def test_message_endpoints_must_exist(self):
         events = [[_ev(0, 1, EventKind.SEND)], []]
         with pytest.raises(TraceError, match="no such event"):
