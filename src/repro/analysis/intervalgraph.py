@@ -18,8 +18,7 @@ relations to that level:
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.pairwise import IntervalSetMatrices
 from ..core.relations import Relation, RelationSpec, parse_spec
@@ -31,6 +30,9 @@ __all__ = [
     "concurrent_pairs",
     "serialization_layers",
 ]
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 _DEFAULT_ORDER = RelationSpec(Relation.R1, Proxy.U, Proxy.L)
 
@@ -58,6 +60,8 @@ def interval_order_graph(
     names = _names(intervals)
     if len(set(names)) != len(names):
         raise ValueError("interval names must be unique")
+    import networkx as nx
+
     g = nx.DiGraph()
     for name, iv in zip(names, intervals, strict=True):
         g.add_node(name, interval=iv)
@@ -108,6 +112,8 @@ def serialization_layers(
     relation produces a cyclic graph (possible for symmetric relations
     such as R4 — use an asymmetric one like the default).
     """
+    import networkx as nx
+
     g = interval_order_graph(intervals, spec)
     try:
         return [sorted(layer) for layer in nx.topological_generations(g)]

@@ -27,13 +27,18 @@ instance must respect the hierarchy) and the *pruned batch evaluation*
 of Problem 4(ii) (when a strong relation holds, the relations it implies
 need no test; when a weak one fails, the ones implying it fail too) —
 ablation A-3 in DESIGN.md.
+
+Reachability (:func:`implies`, :func:`maximal_true`) is a plain-Python
+walk over the implication edges; networkx is imported only by the
+functions that build or sort a graph (:func:`base_dag`,
+:func:`family_dag` and the pruned evaluation order), so importing the
+analyzer does not pay for it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-
-import networkx as nx
+from collections.abc import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from ..nonatomic.proxies import Proxy
 from .relations import BASE_RELATIONS, FAMILY32, Relation, RelationSpec
@@ -46,6 +51,9 @@ __all__ = [
     "maximal_true",
     "evaluate_all_pruned",
 ]
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 RelLike = Relation | RelationSpec
 
@@ -70,10 +78,27 @@ def base_dag() -> "nx.DiGraph":
     Synonym pairs (R1/R1', R4/R4') appear as 2-cycles; the graph is a
     DAG on the equivalence classes.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(BASE_RELATIONS)
     g.add_edges_from(BASE_IMPLICATIONS)
     return g
+
+
+def _family_implications() -> Iterator[tuple[RelationSpec, RelationSpec]]:
+    """Direct implication edges of the 32-relation family: the base
+    hierarchy per proxy combination, plus the proxy monotonicity
+    edges."""
+    for a, b in BASE_IMPLICATIONS:
+        for px in (Proxy.L, Proxy.U):
+            for py in (Proxy.L, Proxy.U):
+                yield RelationSpec(a, px, py), RelationSpec(b, px, py)
+    for rel in BASE_RELATIONS:
+        for py in (Proxy.L, Proxy.U):
+            yield RelationSpec(rel, Proxy.U, py), RelationSpec(rel, Proxy.L, py)
+        for px in (Proxy.L, Proxy.U):
+            yield RelationSpec(rel, px, Proxy.L), RelationSpec(rel, px, Proxy.U)
 
 
 def family_dag() -> "nx.DiGraph":
@@ -84,21 +109,11 @@ def family_dag() -> "nx.DiGraph":
     """
     global _FAMILY_DAG
     if _FAMILY_DAG is None:
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(FAMILY32)
-        for a, b in BASE_IMPLICATIONS:
-            for px in (Proxy.L, Proxy.U):
-                for py in (Proxy.L, Proxy.U):
-                    g.add_edge(RelationSpec(a, px, py), RelationSpec(b, px, py))
-        for rel in BASE_RELATIONS:
-            for py in (Proxy.L, Proxy.U):
-                g.add_edge(
-                    RelationSpec(rel, Proxy.U, py), RelationSpec(rel, Proxy.L, py)
-                )
-            for px in (Proxy.L, Proxy.U):
-                g.add_edge(
-                    RelationSpec(rel, px, Proxy.L), RelationSpec(rel, px, Proxy.U)
-                )
+        g.add_edges_from(_family_implications())
         _FAMILY_DAG = g
     return _FAMILY_DAG
 
@@ -107,23 +122,52 @@ _FAMILY_DAG: "nx.DiGraph | None" = None
 _REACH_CACHE: dict[RelLike, frozenset[RelLike]] = {}
 _ANC_CACHE: dict[RelLike, frozenset[RelLike]] = {}
 _ORDER_CACHE: dict[tuple[RelLike, ...], tuple[RelLike, ...]] = {}
+_STEP_CACHE: dict[tuple[bool, bool], dict[RelLike, list[RelLike]]] = {}
+
+
+def _steps(family: bool, forward: bool) -> dict[RelLike, list[RelLike]]:
+    """Each relation's direct implication successors (``forward``) or
+    predecessors, built once per hierarchy and direction."""
+    key = (family, forward)
+    steps = _STEP_CACHE.get(key)
+    if steps is None:
+        steps = _STEP_CACHE[key] = {}
+        edges = _family_implications() if family else BASE_IMPLICATIONS
+        for u, v in edges:
+            if not forward:
+                u, v = v, u
+            steps.setdefault(u, []).append(v)
+    return steps
+
+
+def _reachable(a: RelLike, forward: bool) -> frozenset[RelLike]:
+    """Relations reachable from ``a`` along the implication edges
+    (reversed when not ``forward``), excluding ``a`` itself — what
+    ``nx.descendants`` / ``nx.ancestors`` return on the hierarchy
+    digraph."""
+    steps = _steps(not isinstance(a, Relation), forward)
+    seen: set[RelLike] = set()
+    stack = [a]
+    while stack:
+        for b in steps.get(stack.pop(), ()):
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    seen.discard(a)
+    return frozenset(seen)
 
 
 def _descendants(a: RelLike) -> frozenset[RelLike]:
     cached = _REACH_CACHE.get(a)
     if cached is None:
-        g = base_dag() if isinstance(a, Relation) else family_dag()
-        cached = frozenset(nx.descendants(g, a))
-        _REACH_CACHE[a] = cached
+        cached = _REACH_CACHE[a] = _reachable(a, forward=True)
     return cached
 
 
 def _ancestors(a: RelLike) -> frozenset[RelLike]:
     cached = _ANC_CACHE.get(a)
     if cached is None:
-        g = base_dag() if isinstance(a, Relation) else family_dag()
-        cached = frozenset(nx.ancestors(g, a))
-        _ANC_CACHE[a] = cached
+        cached = _ANC_CACHE[a] = _reachable(a, forward=False)
     return cached
 
 
@@ -137,6 +181,8 @@ def _topological_order(universe: tuple[RelLike, ...]) -> tuple[RelLike, ...]:
     """
     cached = _ORDER_CACHE.get(universe)
     if cached is None:
+        import networkx as nx
+
         g = base_dag() if isinstance(universe[0], Relation) else family_dag()
         condensation = nx.condensation(g.subgraph(universe))
         order: list[RelLike] = []

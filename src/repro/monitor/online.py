@@ -48,6 +48,23 @@ an interval when the application activity completes, and query
 as every interval they mention is closed (all watches decidable at one
 ``close`` are batch-evaluated in one NumPy pass over the stacked
 per-atom operand matrices).
+
+Watch cost model
+----------------
+Pending watches are indexed by the intervals they still wait on: an
+inverted index from each not-yet-closed interval name to its waiting
+watches, plus a per-watch count of intervals still open.
+
+* :meth:`~OnlineMonitor.watch` costs ``O(|names|)`` — the condition's
+  interval names are computed once, at registration;
+* :meth:`~OnlineMonitor.close` visits only the watches waiting on the
+  closed interval (``O(waiters)``), never the whole pending set;
+* :meth:`~OnlineMonitor.poll_watches` fires the ready watches — and
+  only those — in registration order.
+
+A relation between an interval and itself is rejected: the relations
+are defined for disjoint X and Y, and ``R(X, X)`` would otherwise read
+the irreflexive ``≺`` as ``⪯`` (a watch on ``R1(a, a)`` would pass).
 """
 
 from __future__ import annotations
@@ -261,6 +278,16 @@ class OnlineInterval:
         return self._first_stack, self._last_stack
 
 
+@dataclass(slots=True)
+class _PendingWatch:
+    """A registered watch: its condition and how many of the intervals
+    it names are still open."""
+
+    name: str
+    condition: Condition
+    open: int
+
+
 @dataclass(frozen=True, slots=True)
 class WatchNotification:
     """Emitted when a watched condition becomes decidable."""
@@ -280,8 +307,9 @@ class OnlineMonitor:
     """
 
     __slots__ = (
-        "_builder", "num_nodes", "_table", "_intervals", "_watches",
-        "notifications", "_now", "_finalized",
+        "_builder", "num_nodes", "_table", "_intervals", "_pending",
+        "_waiters", "_ready", "_next_watch", "notifications", "_now",
+        "_finalized",
     )
 
     def __init__(self, num_nodes: int) -> None:
@@ -289,7 +317,13 @@ class OnlineMonitor:
         self.num_nodes = num_nodes
         self._table = make_streaming_table(num_nodes)
         self._intervals: dict[str, OnlineInterval] = {}
-        self._watches: list[tuple[str, Condition]] = []
+        # watch id (registration order) → pending watch
+        self._pending: dict[int, _PendingWatch] = {}
+        # not-yet-closed interval name → ids of the watches waiting on it
+        self._waiters: dict[str, list[int]] = {}
+        # ids of pending watches with no open interval left
+        self._ready: list[int] = []
+        self._next_watch = 0
         self.notifications: list[WatchNotification] = []
         self._now = 0.0
         self._finalized: tuple[int, Execution] | None = None
@@ -387,9 +421,12 @@ class OnlineMonitor:
         """Mark an interval complete; fires any now-decidable watches.
 
         The interval's close-time folds (``T(∩⇓U_Y)`` and the stacked
-        clock matrices) are computed here, once; every watch that
-        became decidable is evaluated in one batched NumPy pass over
-        the stacked per-atom operand matrices.
+        clock matrices) are computed here, once.  Only the watches
+        waiting on ``name`` are visited (``O(waiters)``, independent of
+        how many other watches are pending); those left with no open
+        interval join the ready watches, which :meth:`poll_watches`
+        then fires in registration order, evaluated in one batched
+        NumPy pass over the stacked per-atom operand matrices.
 
         Raises
         ------
@@ -403,52 +440,81 @@ class OnlineMonitor:
             raise ValueError(f"cannot close empty interval {name!r}")
         iv.closed = True
         iv._finalize()
+        for wid in self._waiters.pop(name, ()):
+            pending = self._pending[wid]
+            pending.open -= 1
+            if pending.open == 0:
+                self._ready.append(wid)
         return self.poll_watches()
 
     def poll_watches(self) -> list[WatchNotification]:
-        """Fire every currently decidable watch.
+        """Fire every currently decidable watch, in registration order.
 
         Normally driven by :meth:`close`, but callable directly — e.g.
         when a watch is registered *after* all the intervals it
         mentions have already closed (the networked service accepts
-        watches at any point in a session).  Decidable watches are
-        batch-evaluated in one NumPy pass and removed; each fires at
-        most once.
+        watches at any point in a session).  Only the ready watches are
+        touched — ``O(ready)``, nothing when none is — so polling after
+        every registration stays cheap however many watches are
+        pending.  They are batch-evaluated in one NumPy pass and
+        removed; each fires at most once.
         """
-        fired: list[WatchNotification] = []
-        remaining: list[tuple[str, Condition]] = []
-        decidable: list[tuple[str, Condition]] = []
-        for wname, cond in self._watches:
-            needed = cond.names()
-            if all(
-                n in self._intervals and self._intervals[n].closed for n in needed
-            ):
-                decidable.append((wname, cond))
-            else:
-                remaining.append((wname, cond))
-        if decidable:
-            verdicts = self._batch_eval_atoms([c for _, c in decidable])
-            for wname, cond in decidable:
-                note = WatchNotification(
-                    name=wname,
-                    condition=cond,
-                    passed=cond.evaluate(lambda atom: verdicts[atom]),
-                    decided_at=self._now,
-                )
-                fired.append(note)
-                self.notifications.append(note)
-        self._watches = remaining
+        if not self._ready:
+            return []
+        ready = sorted(self._ready)
+        watches = [self._pending[wid] for wid in ready]
+        verdicts = self._batch_eval_atoms([w.condition for w in watches])
+        fired = [
+            WatchNotification(
+                name=w.name,
+                condition=w.condition,
+                passed=w.condition.evaluate(verdicts.__getitem__),
+                decided_at=self._now,
+            )
+            for w in watches
+        ]
+        for wid in ready:
+            del self._pending[wid]
+        self._ready = []
+        self.notifications.extend(fired)
         return fired
 
     def watch(self, name: str, condition: str | Condition) -> None:
-        """Register a condition to evaluate once its intervals close."""
+        """Register a condition to evaluate once its intervals close.
+
+        Costs ``O(|names|)``: the watch is indexed under each interval
+        it names that is not closed yet (including intervals not
+        created yet).  A watch whose intervals are all closed already
+        is ready and fires at the next :meth:`poll_watches` or
+        :meth:`close`.
+
+        Raises
+        ------
+        ParseError
+            If ``condition`` is malformed text.
+        ValueError
+            If an atom relates an interval to itself.
+        """
         if isinstance(condition, str):
             condition = parse_condition(condition)
-        self._watches.append((name, condition))
+        for atom in _collect_atoms(condition):
+            _check_distinct(atom.left, atom.right)
+        wid = self._next_watch
+        self._next_watch += 1
+        waiting = 0
+        for n in condition.names():
+            iv = self._intervals.get(n)
+            if iv is None or not iv.closed:
+                self._waiters.setdefault(n, []).append(wid)
+                waiting += 1
+        self._pending[wid] = _PendingWatch(name, condition, waiting)
+        if waiting == 0:
+            self._ready.append(wid)
 
     def watch_names(self) -> tuple[str, ...]:
-        """Names of the watches still pending (not yet fired)."""
-        return tuple(name for name, _ in self._watches)
+        """Names of the watches still pending (not yet fired), in
+        registration order."""
+        return tuple(w.name for w in self._pending.values())
 
     # ------------------------------------------------------------------
     # past-only relation evaluation
@@ -470,6 +536,7 @@ class OnlineMonitor:
         proxy_x = proxy_y = None
         if isinstance(spec, RelationSpec):
             spec, proxy_x, proxy_y = spec.relation, spec.proxy_x, spec.proxy_y
+        _check_distinct(x_name, y_name)
         x = self._closed(x_name)
         y = self._closed(y_name)
         kind, y_op, x_op, reduce = _PAST_ROWS[spec]
@@ -498,6 +565,12 @@ class OnlineMonitor:
         incrementally maintained interval vectors, so each query is
         ``O(|P|)`` (R2'/R3': ``O(|N_Y|·|P|)``) regardless of how many
         events were tagged.
+
+        Raises
+        ------
+        ValueError
+            If ``x_name == y_name`` (the intervals are not disjoint) or
+            either interval is not closed yet.
         """
         return _decide(*self._row(spec, x_name, y_name))
 
@@ -572,6 +645,16 @@ class OnlineMonitor:
         from ..core.context import AnalysisContext
 
         return AnalysisContext.of(self.to_execution())
+
+
+def _check_distinct(x_name: str, y_name: str) -> None:
+    """Reject a relation between an interval and itself, as the offline
+    analyzer rejects intervals sharing atomic events."""
+    if x_name == y_name:
+        raise ValueError(
+            f"X and Y share atomic events: both are interval {x_name!r}; "
+            "the relations are defined for disjoint intervals"
+        )
 
 
 def _collect_atoms(cond: Condition) -> list[Atom]:

@@ -128,9 +128,9 @@ class MonitorCore:
         self.throttles = 0
         self._watch_seq = 0
         self._emitted: set[str] = set()
+        self._registered: set[str] = set()
         self._unconfirmed: dict[str, dict[str, Any]] = {}
         self._closes_applied = 0
-        self._watch_count = 0
         self._latency_count = 0
         self._latency_total = 0.0
         self._latency_max = 0.0
@@ -322,16 +322,16 @@ class MonitorCore:
         if self.has_watch(name):
             raise ValueError(f"watch {name!r} already registered")
         self._monitor.watch(name, condition)  # parse errors propagate
-        self._watch_count += 1
+        self._registered.add(name)
         self._append({"op": "watch", "name": name, "condition": condition})
         notes = self._monitor.poll_watches()
         return self._handle_notifications(notes, submitted_at=self._clock())
 
     def has_watch(self, name: str) -> bool:
-        """Whether ``name`` is already registered (or already decided);
-        lets a restarted service skip re-submitting startup watches that
-        the resumed log replayed."""
-        return name in self._emitted or name in self._monitor.watch_names()
+        """Whether ``name`` was ever registered — pending, fired or
+        decided; lets a restarted service skip re-submitting startup
+        watches that the resumed log replayed.  One set lookup."""
+        return name in self._registered
 
     def pending(self, session: int | None = None) -> int:
         """Unapplied (parked) operations — of one session, or total."""
@@ -480,7 +480,7 @@ class MonitorCore:
             self._handle_notifications(notes, submitted_at=self._clock())
         elif op == "watch":
             self._monitor.watch(rec["name"], rec["condition"])
-            self._watch_count += 1
+            self._registered.add(rec["name"])
             notes = self._monitor.poll_watches()
             self._handle_notifications(notes, submitted_at=self._clock())
         elif op == "verdict":
@@ -555,7 +555,7 @@ class MonitorCore:
             "num_shards": self.num_shards,
             "events_applied": sum(s.applied for s in self.shards),
             "closes_applied": self._closes_applied,
-            "watches_registered": self._watch_count,
+            "watches_registered": len(self._registered),
             "verdicts_emitted": self._watch_seq,
             "throttles": self.throttles,
             "parked": self.pending(),

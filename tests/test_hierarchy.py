@@ -1,8 +1,15 @@
 """Tests for the implication hierarchy and pruned batch evaluation."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from repro.core import hierarchy
 from repro.core.hierarchy import (
     BASE_IMPLICATIONS,
     base_dag,
@@ -152,3 +159,71 @@ class TestMaximalTrue:
         top = maximal_true(results)
         assert mid in top
         assert weak not in top
+
+
+class TestPlainReachability:
+    """The plain-Python reachability that keeps networkx off the import
+    path answers exactly what networkx answers on the hierarchy."""
+
+    @pytest.mark.parametrize("rel", [*BASE_RELATIONS, *FAMILY32], ids=str)
+    def test_matches_networkx(self, rel):
+        g = base_dag() if isinstance(rel, Relation) else family_dag()
+        assert hierarchy._descendants(rel) == nx.descendants(g, rel)
+        assert hierarchy._ancestors(rel) == nx.ancestors(g, rel)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=execution_with_pair())
+    def test_pruned_counts_unchanged(self, pair):
+        """Same results and the same number of evaluations as pruning
+        driven by networkx reachability."""
+        ex, x, y = pair
+        lin = LinearEvaluator(ex)
+
+        def evaluate(spec):
+            return lin.evaluate_spec(spec, x, y)
+
+        plain = evaluate_all_pruned(evaluate, FAMILY32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                hierarchy, "_descendants",
+                lambda a: frozenset(nx.descendants(family_dag(), a)),
+            )
+            mp.setattr(
+                hierarchy, "_ancestors",
+                lambda a: frozenset(nx.ancestors(family_dag(), a)),
+            )
+            reference = evaluate_all_pruned(evaluate, FAMILY32)
+        assert plain == reference
+
+
+def test_service_and_cli_imports_skip_networkx():
+    """Starting the CLI or the service, and the analyzer's strongest
+    relations, must not import networkx (a fresh interpreter)."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import repro.cli
+        import repro.service.server
+        from repro import AnalysisContext, SynchronizationAnalyzer, TraceBuilder
+
+        b = TraceBuilder(2)
+        a1 = b.internal(0)
+        h = b.send(0)
+        r = b.recv(1, h)
+        b2 = b.internal(1)
+        ctx = AnalysisContext.of(b.execute())
+        x = ctx.interval([a1, h.send], name="X")
+        y = ctx.interval([r, b2], name="Y")
+        strongest = SynchronizationAnalyzer(ctx).strongest_batch([(x, y), (y, x)])
+        assert strongest[0] and not strongest[1], strongest
+        assert "networkx" not in sys.modules
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

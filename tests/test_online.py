@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32
 from repro.monitor.online import OnlineMonitor
+from repro.monitor.predicates import Atom
+from repro.service.core import MonitorCore
 
 
 def replay_into_monitor(trace):
@@ -87,6 +89,14 @@ class TestIntervals:
         om.interval("X")
         with pytest.raises(ValueError, match="empty"):
             om.close("X")
+
+    def test_holds_same_interval_rejected(self):
+        om = OnlineMonitor(1)
+        om.internal(0, interval="X")
+        om.internal(0, interval="X")
+        om.close("X")
+        with pytest.raises(ValueError, match="share atomic events"):
+            om.holds("R1", "X", "X")
 
     def test_holds_requires_closed(self):
         om = OnlineMonitor(2)
@@ -181,3 +191,69 @@ class TestWatches:
         om.close("X")
         om.close("Y")
         assert {n.name for n in om.notifications} == {"w1", "w2"}
+
+    def test_same_interval_atom_rejected(self):
+        """``R1(a, a)`` would read the irreflexive ``≺`` as ``⪯`` and
+        pass; like the offline analyzer, the monitor refuses it."""
+        om = OnlineMonitor(1)
+        om.internal(0, interval="a")
+        om.close("a")
+        for cond in ("R1(a, a)", "R4(a, b) or not R2'(U,L)(b, b)"):
+            with pytest.raises(ValueError, match="share atomic events"):
+                om.watch("self", cond)
+        assert om.watch_names() == ()
+        assert om.poll_watches() == []
+
+    def test_ready_watches_fire_in_registration_order(self):
+        om = OnlineMonitor(2)
+        om.watch("first", "R4(X, Y)")
+        om.watch("dup", "R1(Y, X)")
+        om.watch("dup", "R4(Y, X)")  # duplicate names are allowed
+        om.internal(0, interval="Y")
+        om.internal(1, interval="X")
+        om.close("Y")
+        om.close("X")
+        assert [n.name for n in om.notifications] == ["first", "dup", "dup"]
+
+
+class TestWatchIndexScaling:
+    """Registration and close costs, counted rather than timed."""
+
+    @staticmethod
+    def _count_names(monkeypatch):
+        calls = [0]
+        names = Atom.names
+
+        def counted(self):
+            calls[0] += 1
+            return names(self)
+
+        monkeypatch.setattr(Atom, "names", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [10, 300])
+    def test_names_computed_once_per_registration(self, monkeypatch, n):
+        calls = self._count_names(monkeypatch)
+        om = OnlineMonitor(2)
+        for i in range(n):
+            om.watch(f"w{i}", f"R1(a{i}, b{i}) and not R4(b{i}, a{i})")
+            om.poll_watches()  # as the service does after each watch
+        assert calls[0] == 2 * n  # one names() per atom, whatever n is
+        core = MonitorCore(2)
+        calls[0] = 0
+        for i in range(n):
+            core.submit_watch(f"w{i}", f"R1(a{i}, b{i})")
+        assert calls[0] == n
+
+    def test_close_visits_only_its_waiters(self, monkeypatch):
+        om = OnlineMonitor(2)
+        for i in range(50):
+            om.watch(f"w{i}", f"R1(a{i % 10}, b{i % 10})")
+        om.internal(0, interval="a3")
+        before = {wid: w.open for wid, w in om._pending.items()}
+        calls = self._count_names(monkeypatch)
+        assert om.close("a3") == []
+        assert calls[0] == 0
+        after = {wid: w.open for wid, w in om._pending.items()}
+        touched = {wid for wid in before if before[wid] != after[wid]}
+        assert touched == {wid for wid in before if wid % 10 == 3}

@@ -172,7 +172,9 @@ class TestMonitorCore:
 
     def test_close_defers_until_expected_count(self):
         core = MonitorCore(1)
-        core.submit_watch("w", "R4(X, X)")
+        core.submit_watch("w", "R4(X, Y)")
+        core.submit_event(_ev(0, interval="Y"))
+        core.submit_close("Y", expected=1)
         core.submit_close("X", expected=2)
         assert core.pending() == 1
         core.submit_event(_ev(0, interval="X"))
@@ -183,15 +185,44 @@ class TestMonitorCore:
     def test_watch_after_close_fires_immediately(self):
         core = MonitorCore(1)
         core.submit_event(_ev(0, interval="X"))
+        core.submit_event(_ev(0, interval="Y"))
         core.submit_close("X", expected=1)
-        verdicts = core.submit_watch("late", "R4(X, X)")
+        core.submit_close("Y", expected=1)
+        verdicts = core.submit_watch("late", "R4(X, Y)")
         assert [v["name"] for v in verdicts] == ["late"]
 
     def test_duplicate_watch_rejected(self):
         core = MonitorCore(1)
-        core.submit_watch("w", "R4(X, X)")
+        core.submit_watch("w", "R4(X, Y)")
         with pytest.raises(ValueError, match="already registered"):
-            core.submit_watch("w", "R4(X, X)")
+            core.submit_watch("w", "R4(X, Y)")
+
+    def test_same_interval_watch_rejected(self):
+        """``R1(a, a)`` is irreflexive, not vacuously true: the core
+        refuses it before logging, so the name stays free."""
+        core = MonitorCore(1)
+        seq = core.last_seq
+        with pytest.raises(ValueError, match="share atomic events"):
+            core.submit_watch("w", "R1(X, Y) and R1(a, a)")
+        assert core.last_seq == seq
+        assert not core.has_watch("w")
+        core.submit_watch("w", "R1(X, Y)")
+        assert core.has_watch("w")
+
+    def test_restart_does_not_reregister_unconfirmed_watch(self):
+        """A watch that fired during replay but whose verdict was never
+        logged still counts as registered: re-submitting it at restart
+        would emit its verdict twice."""
+        primary = MonitorCore(1)
+        primary.submit_watch("w", "R4(X, Y)")
+        primary.submit_event(_ev(0, interval="X"))
+        primary.submit_event(_ev(0, interval="Y"))
+        primary.submit_close("X", expected=1)
+        primary.submit_close("Y", expected=1)
+        records = [r for r in primary.records_from(0) if r["op"] != "verdict"]
+        rebuilt = MonitorCore.from_records(records)
+        assert rebuilt.has_watch("w")
+        assert [v["name"] for v in rebuilt.promote()] == ["w"]
 
     def test_validation_errors(self):
         core = MonitorCore(2)
@@ -209,7 +240,9 @@ class TestMonitorCore:
     def test_watch_seq_monotone(self):
         core = MonitorCore(1)
         for i in range(3):
-            core.submit_watch(f"w{i}", "R4(X, X)")
+            core.submit_watch(f"w{i}", "R4(X, Y)")
+        core.submit_event(_ev(0, interval="Y"))
+        core.submit_close("Y", expected=1)
         core.submit_event(_ev(0, interval="X"))
         verdicts = core.submit_close("X", expected=1)
         assert [v["watch_seq"] for v in verdicts] == [1, 2, 3]
@@ -235,9 +268,11 @@ class TestMonitorCore:
         """A standby that saw the close but not the verdict record must
         emit the verdict exactly once — at promotion."""
         primary = MonitorCore(1)
-        primary.submit_watch("w", "R4(X, X)")
+        primary.submit_watch("w", "R4(X, Y)")
         primary.submit_event(_ev(0, interval="X"))
+        primary.submit_event(_ev(0, interval="Y"))
         primary.submit_close("X", expected=1)
+        primary.submit_close("Y", expected=1)
         records = primary.records_from(0)
         assert records[-1]["op"] == "verdict"
 
@@ -254,9 +289,11 @@ class TestMonitorCore:
 
     def test_replica_with_confirmed_verdict_does_not_reemit(self):
         primary = MonitorCore(1)
-        primary.submit_watch("w", "R4(X, X)")
+        primary.submit_watch("w", "R4(X, Y)")
         primary.submit_event(_ev(0, interval="X"))
+        primary.submit_event(_ev(0, interval="Y"))
         primary.submit_close("X", expected=1)
+        primary.submit_close("Y", expected=1)
         replica = MonitorCore(1, role="replica")
         replica._mem_records.clear()
         for rec in primary.records_from(0):  # verdict record included
@@ -350,6 +387,20 @@ class TestLiveService:
                     frames = dec.feed(sock.recv(4096))
                 assert frames[0]["type"] == "error"
                 assert frames[0]["code"] == "version"
+        finally:
+            handle.stop()
+
+    def test_same_interval_watch_answered_with_error_frame(self):
+        handle = _serve(num_nodes=1)
+        try:
+            host, port = handle.address
+            with MonitorClient(host, port, num_nodes=1) as client:
+                client.watch("self", "R1(a, a)")
+                with pytest.raises(ServiceError) as err:
+                    client.stats()
+            assert err.value.code == "rejected"
+            assert "share atomic events" in err.value.message
+            assert handle.stats()["watches_registered"] == 0
         finally:
             handle.stop()
 
@@ -563,9 +614,11 @@ class TestServiceRestart:
         its verdict, the restarted service emits (and logs) that verdict
         before accepting connections."""
         core = MonitorCore(1)
-        core.submit_watch("w", "R4(X, X)")
+        core.submit_watch("w", "R4(X, Y)")
         core.submit_event(_ev(0, interval="X"))
+        core.submit_event(_ev(0, interval="Y"))
         core.submit_close("X", expected=1)
+        core.submit_close("Y", expected=1)
         path = str(tmp_path / "log.jsonl")
         with EventLog(path, fsync_every=0) as log:
             for rec in core.records_from(0):
@@ -622,9 +675,11 @@ class TestStandbyRetry:
             )
             host, bound = primary.address
             with MonitorClient(host, bound, num_nodes=1) as client:
-                client.watch("w", "R4(X, X)")
+                client.watch("w", "R4(X, Y)")
                 client.send_event(0, interval="X")
+                client.send_event(0, interval="Y")
                 client.close_interval("X", expected=1)
+                client.close_interval("Y", expected=1)
                 client.wait_verdicts(1)
                 client.stats()  # barrier: replication flushed
             target = primary.stats()["last_seq"]
@@ -642,7 +697,7 @@ class TestStandbyRetry:
             assert standby.promote() == []  # verdict was confirmed
             stats = standby.stats()
             assert stats["role"] == "primary"
-            assert stats["events_applied"] == 1
+            assert stats["events_applied"] == 2
             assert stats["verdicts_emitted"] == 1
         finally:
             if primary is not None:
@@ -778,11 +833,12 @@ class TestFailover:
         )
         try:
             with MonitorClient(host, port, num_nodes=3) as client:
-                client.watch("early", "R4(phase0, phase0)")
+                client.watch("early", "R4(phase0, arrive0)")
                 client.watch("late", "R1(phase0, phase1)")
                 for frame in events:
                     client._send(frame)
-                client._send(closes["phase0"])  # decides only "early"
+                client._send(closes["phase0"])
+                client._send(closes["arrive0"])  # decides only "early"
                 early = client.wait_verdicts(1)[0]
                 assert early["name"] == "early"
                 client.stats()  # barrier: replication flushed
@@ -800,7 +856,7 @@ class TestFailover:
             host2, port2 = standby.address
             with MonitorClient(host2, port2, num_nodes=3) as c2:
                 for name, frame in closes.items():
-                    if name != "phase0":
+                    if name not in ("phase0", "arrive0"):
                         c2._send(frame)
                 late = c2.wait_verdicts(1)
                 # only the undecided watch fires, with the next seq
@@ -821,9 +877,11 @@ class TestFailover:
         its verdict, the standby must emit that verdict at promotion —
         once."""
         primary_core = MonitorCore(1)
-        primary_core.submit_watch("w", "R4(X, X)")
+        primary_core.submit_watch("w", "R4(X, Y)")
         primary_core.submit_event(_ev(0, interval="X"))
+        primary_core.submit_event(_ev(0, interval="Y"))
         primary_core.submit_close("X", expected=1)
+        primary_core.submit_close("Y", expected=1)
         records = primary_core.records_from(0)
         # the standby owns its own init record (seq 1); the verdict
         # record died with the primary
