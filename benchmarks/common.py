@@ -1,15 +1,18 @@
 """Shared interval/workload construction and timing helpers.
 
-The benchmark modules (and ``scripts/bench_report.py``) used to carry
-private copies of the same three idioms — partitioning an execution
-into disjoint intervals, sampling random interval sets, and best-of-N
-wall-clock timing.  They live here once; ``conftest.py`` keeps the
-pytest fixtures.
+Partitioning an execution into disjoint intervals, sampling random
+interval sets, and best-of-N wall-clock timing, shared by the
+experiment modules; ``conftest.py`` keeps the pytest fixtures.  These
+modules reproduce the paper's tables, theorems and figures.
+Performance claims are measured by the repository benchmark
+(``python -m benchmarks.suite``) and judged by
+``python -m benchmarks.suite.compare``.  The older per-revision JSON
+reports at the repository root are historical records that no code
+reads.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable
 
@@ -25,9 +28,6 @@ __all__ = [
     "spanning_interval",
     "family_pairs",
     "best_of",
-    "stream_schedule",
-    "stream_online",
-    "stream_rebuild_baseline",
 ]
 
 
@@ -76,10 +76,8 @@ def family_pairs(
     """The family-query benchmark workload: one execution plus ``pairs``
     random disjoint ordered interval pairs.
 
-    Shared by ``scripts/bench_report.py`` (the ``family_query`` section)
-    and the standalone ``benchmarks/bench_family32_batch.py`` gate so
-    both measure the identical surface.  Default seeds reproduce the
-    workload every recorded ``BENCH_PR*.json`` family section ran on.
+    Used by ``benchmarks/bench_family32_batch.py``; the default seeds
+    reproduce the family workload of the historical benchmark records.
     """
     from repro.nonatomic.selection import random_disjoint_pair
     from repro.simulation.workloads import random_trace
@@ -96,144 +94,11 @@ def family_pairs(
     ]
 
 
-def best_of(
-    fn: Callable, reps: int = 5, backend: "str | None" = None
-) -> tuple[float, object]:
-    """``(best wall-clock seconds, last result)`` over ``reps`` runs.
-
-    ``backend`` pins the process-default causality backend
-    (``$REPRO_BACKEND``) for the duration of the runs, so any
-    :class:`~repro.core.context.AnalysisContext` built inside ``fn``
-    answers through that backend; the prior environment is restored
-    afterwards.  None leaves the ambient default untouched.
-    """
-    prior = os.environ.get("REPRO_BACKEND")
-    if backend is not None:
-        os.environ["REPRO_BACKEND"] = backend
-    try:
-        best, result = float("inf"), None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-    finally:
-        if backend is not None:
-            if prior is None:
-                os.environ.pop("REPRO_BACKEND", None)
-            else:
-                os.environ["REPRO_BACKEND"] = prior
-
-
-# ----------------------------------------------------------------------
-# streaming-ingestion workloads (bench_online_monitor + bench_report)
-# ----------------------------------------------------------------------
-def stream_schedule(trace) -> list[tuple]:
-    """A causally valid global replay order for a recorded trace.
-
-    Returns ``(node, event, send_eid)`` triples — exactly what a
-    monitoring point would observe: per-node program order, every
-    receive after its send.  Thin alias of
-    :func:`repro.events.trace.causal_schedule` (the one shared
-    implementation, also behind the ``stream`` CLI command and the
-    networked service's trace replay).
-    """
-    from repro.events.trace import causal_schedule
-
-    return causal_schedule(trace)
-
-
-def _chunk_name(node: int, count: int, chunk: int) -> str:
-    return f"I{node}.{count // chunk}"
-
-
-def stream_online(trace, chunk: int, spec: str = "R2"):
-    """Stream a trace through :class:`~repro.monitor.online.OnlineMonitor`.
-
-    Each node's events are tagged into consecutive intervals of
-    ``chunk`` events, each interval is closed the moment its last event
-    arrives, and at every close (after the first) ``spec`` is evaluated
-    between the previously closed interval and the new one — the
-    monitor's zero-re-scan past-only path.  Returns
-    ``(verdicts, execution)`` with the execution finalised zero-copy
-    from the live clock table.
-    """
-    from repro.monitor.online import OnlineMonitor
-
-    om = OnlineMonitor(trace.num_nodes)
-    handles = {}
-    counts = [0] * trace.num_nodes
-    closed: list[str] = []
-    done = set()
-    verdicts: list[bool] = []
-    for node, ev, send in stream_schedule(trace):
-        iname = _chunk_name(node, counts[node], chunk)
-        if ev.kind.name == "SEND":
-            handles[ev.eid] = om.send(node, interval=iname)
-        elif send is not None:
-            om.recv(node, handles[send], interval=iname)
-        else:
-            om.internal(node, interval=iname)
-        counts[node] += 1
-        boundary = (
-            counts[node] % chunk == 0
-            or counts[node] == trace.num_real(node)
-        )
-        if boundary and iname not in done:
-            done.add(iname)
-            om.close(iname)
-            if closed:
-                verdicts.append(om.holds(spec, closed[-1], iname))
-            closed.append(iname)
-    return verdicts, om.to_execution()
-
-
-def stream_rebuild_baseline(trace, chunk: int, spec: str = "R2"):
-    """The rebuild-per-close baseline for :func:`stream_online`.
-
-    Identical observation stream and identical verdicts, but evaluated
-    the way the pre-streaming monitor had to: every close builds a cold
-    offline :class:`~repro.events.poset.Execution` from the trace so
-    far (a full forward clock pass over every event observed to date)
-    and queries the offline analyzer.
-    """
-    from repro.core.evaluator import SynchronizationAnalyzer
-    from repro.events.builder import TraceBuilder
-
-    b = TraceBuilder(trace.num_nodes)
-    handles = {}
-    counts = [0] * trace.num_nodes
-    tags: dict = {}
-    closed: list[str] = []
-    done = set()
-    verdicts: list[bool] = []
-    for node, ev, send in stream_schedule(trace):
-        iname = _chunk_name(node, counts[node], chunk)
-        if ev.kind.name == "SEND":
-            h = b.send(node)
-            handles[ev.eid] = h
-            eid = h.send
-        elif send is not None:
-            eid = b.recv(node, handles[send])
-        else:
-            eid = b.internal(node)
-        tags.setdefault(iname, []).append(eid)
-        counts[node] += 1
-        boundary = (
-            counts[node] % chunk == 0
-            or counts[node] == trace.num_real(node)
-        )
-        if boundary and iname not in done:
-            done.add(iname)
-            if closed:
-                ex = Execution(b.build())  # the per-close rebuild
-                an = SynchronizationAnalyzer(ex)
-                verdicts.append(an.holds(
-                    spec,
-                    an.interval(tags[closed[-1]]),
-                    an.interval(tags[iname]),
-                ))
-            closed.append(iname)
-    ex = Execution(b.build())
-    ex.forward_table  # the finalisation pass
-    return verdicts, ex
+def best_of(fn: Callable, reps: int = 5) -> tuple[float, object]:
+    """``(best wall-clock seconds, last result)`` over ``reps`` runs."""
+    best, result = float("inf"), None
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result

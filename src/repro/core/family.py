@@ -3,10 +3,10 @@
 Theorem 19/20 reduce every one of the 40 evaluable specs (8 base
 relations + the 32-member proxy family) to one of 24 distinct vector
 subtests per ordered pair (:data:`~repro.core.relations.SUBTEST_KEYS`).
-PR 4 exploited that factoring per pair, but still paid one Python
-dispatch per spec per pair — and the op-count win arrived with a
-wall-clock *loss* (BENCH_PR4: 0.80x).  This module removes the per-pair
-loop entirely:
+The per-pair verdict cache exploited that factoring, but still paid one
+Python dispatch per spec per pair — and its op-count win once arrived
+with a wall-clock *loss* (0.80x the per-spec loop).  This module removes
+the per-pair loop entirely:
 
 * :func:`operand_tensor` reshapes one batched
   :class:`~repro.backends.stats.CutStats` fill over the interleaved

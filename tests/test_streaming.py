@@ -23,32 +23,12 @@ from repro.core.cuts import cut_stats, cuts_of
 from repro.core.evaluator import SynchronizationAnalyzer
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32
+from repro.events.clocks import clock_pass_counts, reset_clock_pass_counts
 from repro.events.poset import Execution
+from repro.events.trace import causal_schedule
 from repro.monitor.online import OnlineMonitor
 from repro.nonatomic.event import NonatomicEvent
 from repro.simulation.workloads import random_trace
-
-
-def _causal_order(trace):
-    """A causally valid global replay order (send before its receive)."""
-    order = []
-    emitted = set()
-    pos = [0] * trace.num_nodes
-    progressed = True
-    while progressed:
-        progressed = False
-        for node in range(trace.num_nodes):
-            while pos[node] < trace.num_real(node):
-                ev = trace.events_of(node)[pos[node]]
-                send = trace.send_of(ev.eid)
-                if send is not None and send not in emitted:
-                    break
-                emitted.add(ev.eid)
-                order.append((node, ev, send))
-                pos[node] += 1
-                progressed = True
-    assert pos == [trace.num_real(i) for i in range(trace.num_nodes)]
-    return order
 
 
 def _feed(om, trace, steps, chunk, state):
@@ -101,7 +81,7 @@ class TestStreamedEqualsColdOffline:
                              seed=seed)
         om = OnlineMonitor(nodes)
         state = ({}, [0] * nodes, {}, [])
-        _feed(om, trace, _causal_order(trace), chunk, state)
+        _feed(om, trace, causal_schedule(trace), chunk, state)
         _handles, _counts, tags, closed = state
         assert sorted(e for ids in tags.values() for e in ids) == sorted(
             ev.eid for n in range(nodes) for ev in trace.events_of(n)
@@ -153,7 +133,7 @@ class TestStreamedEqualsColdOffline:
         matches a cold build of the full trace."""
         trace = random_trace(nodes, events_per_node=k, msg_prob=0.4,
                              seed=seed)
-        order = _causal_order(trace)
+        order = causal_schedule(trace)
         cut = max(1, len(order) // 2)  # prefix of a valid order: causal
         om = OnlineMonitor(nodes)
         state = ({}, [0] * nodes, {}, [])
@@ -188,3 +168,28 @@ class TestStreamedEqualsColdOffline:
         # conditions), but never because stale verdicts were served:
         del before
         _assert_quadruples_match(context, cold_ex, tags, closed)
+
+
+class TestStreamingClockPasses:
+    def test_per_close_verdicts_run_no_offline_clock_pass(self):
+        """Ingest, a ``holds`` after every close and the zero-copy
+        finalisation all run on the live clock table: no forward
+        rebuild, no extend copy, and the past-only per-close queries
+        never build the reverse table.  Only the full-family
+        finalisation pays for it, with exactly one reverse pass."""
+        trace = random_trace(8, events_per_node=60, msg_prob=0.3, seed=31)
+        om = OnlineMonitor(trace.num_nodes)
+        state = ({}, [0] * trace.num_nodes, {}, [])
+        closed = state[3]
+
+        reset_clock_pass_counts()
+        for step in causal_schedule(trace):
+            before = len(closed)
+            _feed(om, trace, [step], 6, state)
+            if before and len(closed) > before:
+                om.holds("R2", closed[-2], closed[-1])
+        assert len(closed) == 80
+        assert clock_pass_counts() == {"forward": 0, "reverse": 0, "extend": 0}
+
+        om.to_execution().reverse_table
+        assert clock_pass_counts() == {"forward": 0, "reverse": 1, "extend": 0}
