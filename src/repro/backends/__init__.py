@@ -33,7 +33,7 @@ from .base import (
 from .reachability import ReachabilityBackend
 from .reduction import CommutativityRules, TraceReduction, reduce_trace
 from .stats import CutStats, cut_stats_from_arrays, cut_stats_from_extrema
-from .vector import VectorClockBackend, vector_cut_stats
+from .vector import VectorClockBackend
 
 __all__ = [
     "BACKENDS",
@@ -51,5 +51,4 @@ __all__ = [
     "make_streaming_table",
     "reduce_trace",
     "register_backend",
-    "vector_cut_stats",
 ]

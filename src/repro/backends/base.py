@@ -45,7 +45,7 @@ from ..events.clocks import (
     reset_clock_pass_counts,
 )
 from ..events.event import EventId
-from .stats import CutStats
+from .stats import CutStats, flatten_extrema
 
 if TYPE_CHECKING:
     from ..events.poset import Execution
@@ -95,8 +95,9 @@ class CausalityBackend(ABC):
     * extremal-vector queries: :meth:`forward_rows` / :meth:`reverse_rows`
       return stacked timestamp rows for arbitrary event ids;
     * scalar cut fills: :meth:`cut_vector` computes one Table-2 cut;
-    * batched cut-stat fills: :meth:`cut_stats` fills all four cuts plus
-      extremal indices for a whole interval set.
+    * batched cut-stat fills: :meth:`cut_stats_arrays` fills all four
+      cuts plus extremal indices for a whole set of flattened per-node
+      extrema (:meth:`cut_stats` adapts interval objects to it).
 
     Derived structures must be keyed on ``execution.version``; callers
     may invoke any query after :meth:`Execution.extend` and expect
@@ -180,10 +181,39 @@ class CausalityBackend(ABC):
         vec.setflags(write=False)
         return vec
 
-    @abstractmethod
     def cut_stats(self, intervals: Sequence["NonatomicEvent"]) -> CutStats:
         """All four Table-2 cuts plus extremal vectors for a whole
-        interval set, rows aligned with the input order."""
+        interval set, rows aligned with the input order.
+
+        Flattens the intervals' per-node extrema
+        (:func:`~repro.backends.stats.flatten_extrema`) and hands them
+        to :meth:`cut_stats_arrays`.
+        """
+        ex = self._execution
+        for iv in intervals:
+            if iv.execution is not ex:
+                raise ValueError("interval does not belong to this execution")
+        return self.cut_stats_arrays(*flatten_extrema(intervals))
+
+    @abstractmethod
+    def cut_stats_arrays(
+        self,
+        nodes: np.ndarray,
+        first_idx: np.ndarray,
+        last_idx: np.ndarray,
+        counts: np.ndarray,
+    ) -> CutStats:
+        """The batched cut fill over flattened per-node extrema.
+
+        Row ``i`` of the result covers ``counts[i]`` consecutive entries
+        of ``nodes``/``first_idx``/``last_idx``: the nodes an interval
+        spans with its least and greatest component index on each.  A
+        cut depends on an interval only through these extrema, so
+        callers holding them (a Definition-2 proxy *is* one extremal
+        event per node) need no interval object.  Entries naming no
+        real event raise :class:`ValueError`
+        (:func:`~repro.backends.stats.check_extrema`).
+        """
 
     # ------------------------------------------------------------------
     # version discipline

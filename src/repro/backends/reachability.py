@@ -46,11 +46,10 @@ import numpy as np
 from ..events.clocks import anchor_schedule, message_dependencies
 from ..events.event import EventId
 from .base import CausalityBackend, register_backend
-from .stats import CutStats, flatten_extrema
+from .stats import CutStats, check_extrema
 
 if TYPE_CHECKING:
     from ..events.poset import Execution
-    from ..nonatomic.event import NonatomicEvent
 
 __all__ = ["ReachabilityBackend"]
 
@@ -270,7 +269,13 @@ class ReachabilityBackend(CausalityBackend):
     # ------------------------------------------------------------------
     # batched cut fill
     # ------------------------------------------------------------------
-    def cut_stats(self, intervals: Sequence["NonatomicEvent"]) -> CutStats:
+    def cut_stats_arrays(
+        self,
+        nodes: np.ndarray,
+        first_idx: np.ndarray,
+        last_idx: np.ndarray,
+        counts: np.ndarray,
+    ) -> CutStats:
         """All four Table-2 cuts via extremal-row reconstruction.
 
         Reconstructs the forward and reverse timestamp rows of every
@@ -279,11 +284,8 @@ class ReachabilityBackend(CausalityBackend):
         of the columnar fill on the *gathered* rows — the dense
         matrices are never materialised.
         """
-        ex = self._execution
-        for iv in intervals:
-            if iv.execution is not ex:
-                raise ValueError("interval does not belong to this execution")
-        nodes, first_idx, last_idx, counts = flatten_extrema(intervals)
+        lengths = np.asarray(self._execution.lengths, dtype=np.int64)
+        check_extrema(lengths, nodes, first_idx, last_idx, counts)
         total = int(counts.sum())
         extremal_ids = np.empty((2 * total, 2), dtype=np.int64)
         extremal_ids[:total, 0] = nodes
@@ -292,7 +294,6 @@ class ReachabilityBackend(CausalityBackend):
         extremal_ids[total:, 1] = last_idx
         fwd_rows = self.forward_rows(extremal_ids)
         rev_rows = self.reverse_rows(extremal_ids)
-        lengths = np.asarray(ex.lengths, dtype=np.int64)
         return self._stats_from_rows(
             fwd_rows[:total], fwd_rows[total:],
             rev_rows[:total], rev_rows[total:],

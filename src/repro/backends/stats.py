@@ -10,7 +10,9 @@ and therefore belong to the vector-clock substrate, but they are kept
 here — below :mod:`repro.core` — so both the
 :class:`~repro.backends.vector.VectorClockBackend` and callers holding
 raw matrices but no :class:`~repro.events.poset.Execution` can share
-one implementation.
+one implementation.  Every entry point checks its extrema first
+(:func:`check_extrema`); :func:`flatten_extrema` is the one adapter
+from interval objects to the flat arrays they take.
 
 Historically these lived in :mod:`repro.core.cuts`, which still
 re-exports them for compatibility.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,6 +36,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CutStats",
+    "check_extrema",
     "flatten_extrema",
     "cut_stats_from_arrays",
     "cut_stats_from_extrema",
@@ -68,32 +72,57 @@ def flatten_extrema(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flatten ``intervals``' per-node extremal events, interval-major.
 
-    Returns ``(nodes, first_idx, last_idx, counts)`` — the exact input
-    shape of the segmented kernel :func:`_stats_from_extrema`, with
-    ``counts[i]`` entries for interval ``i``.  This is the shared front
-    half of every backend's batched ``cut_stats`` entry point (the
-    vector backend follows it with dense-table gathers, the
-    reachability backend with closure-row reconstruction), kept here so
-    the flattening layout cannot drift between backends.
+    Returns ``(nodes, first_idx, last_idx, counts)`` — the input of
+    every backend's :meth:`~repro.backends.base.CausalityBackend.cut_stats_arrays`,
+    with ``counts[i]`` entries for interval ``i``.  This is the single
+    adapter from interval objects to that array entry point, so the
+    layout cannot drift between backends or callers.
     """
     k = len(intervals)
     counts = np.fromiter((iv.width for iv in intervals), np.intp, count=k)
     total = int(counts.sum())
-    nodes = np.empty(total, dtype=np.int64)
-    first_idx = np.empty(total, dtype=np.int64)
-    last_idx = np.empty(total, dtype=np.int64)
-    pos = 0
-    for iv in intervals:
-        for node, j in iv.first_ids():
-            nodes[pos] = node
-            first_idx[pos] = j
-            pos += 1
-    pos = 0
-    for iv in intervals:
-        for _node, j in iv.last_ids():
-            last_idx[pos] = j
-            pos += 1
+    nodes = np.fromiter(
+        chain.from_iterable(iv.node_set for iv in intervals), np.int64, count=total
+    )
+    first_idx = np.fromiter(
+        chain.from_iterable(iv.first_indices() for iv in intervals),
+        np.int64, count=total,
+    )
+    last_idx = np.fromiter(
+        chain.from_iterable(iv.last_indices() for iv in intervals),
+        np.int64, count=total,
+    )
     return nodes, first_idx, last_idx, counts
+
+
+def check_extrema(
+    lengths: np.ndarray,
+    nodes: np.ndarray,
+    first_idx: np.ndarray,
+    last_idx: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Reject flattened extrema that name no real event range.
+
+    Every entry must satisfy ``0 <= node < P`` and ``1 <= first_idx <=
+    last_idx <= lengths[node]``, and every interval needs at least one
+    entry.  One vectorised test; raises :class:`ValueError` naming the
+    first bad entry (a ``⊥`` index 0 or an index past ``k_node`` would
+    otherwise gather a neighbouring node's clock row).
+    """
+    if int(counts.sum()) != nodes.shape[0] or (counts.size and counts.min() < 1):
+        raise ValueError("counts must be positive and sum to the number of entries")
+    num_nodes = lengths.shape[0]
+    on_node = (nodes >= 0) & (nodes < num_nodes)
+    bad = ~on_node | (first_idx < 1) | (first_idx > last_idx)
+    bad |= last_idx > lengths[np.where(on_node, nodes, 0)]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"extremal entry {i}: node {int(nodes[i])}, indices "
+            f"{int(first_idx[i])}..{int(last_idx[i])} name no real events "
+            f"of the execution ({num_nodes} nodes)"
+        )
 
 
 def _stats_from_extrema(
@@ -114,7 +143,9 @@ def _stats_from_extrema(
     matrices and ``offsets`` the node-major row offsets.  All four
     Table-2 cut vectors for every interval come out of four gathers and
     four segmented min/max reductions — no per-interval Python loop.
+    Out-of-range extrema raise :class:`ValueError` (:func:`check_extrema`).
     """
+    check_extrema(lengths, nodes, first_idx, last_idx, counts)
     k = len(counts)
     num_nodes = fwd.shape[1]
     if k == 0:
@@ -159,16 +190,14 @@ def cut_stats_from_arrays(
     for g, ids in enumerate(id_groups):
         first: dict[int, int] = {}
         last: dict[int, int] = {}
-        for node, idx in ids:
-            if node not in first or idx < first[node]:
+        for node, idx in sorted(ids):
+            if node not in first:
                 first[node] = idx
-            if idx > last.get(node, 0):
-                last[node] = idx
+            last[node] = idx
         counts[g] = len(first)
-        for node in sorted(first):
-            nodes_l.append(node)
-            first_l.append(first[node])
-            last_l.append(last[node])
+        nodes_l.extend(first)
+        first_l.extend(first.values())
+        last_l.extend(last.values())
     return _stats_from_extrema(
         fwd, rev,
         np.asarray(offsets, dtype=np.int64),

@@ -7,10 +7,10 @@ own and inherits the substrate's version discipline for free —
 :meth:`Execution.extend` advances the forward table incrementally and
 the reverse table rebuilds lazily.
 
-:func:`vector_cut_stats` is the batched Table-2 cut fill over the dense
-matrices (four gathers + four segmented reductions); it is the
-implementation behind the long-standing
-:func:`repro.core.cuts.cut_stats` entry point, which now delegates here.
+:meth:`VectorClockBackend.cut_stats_arrays` is the batched Table-2 cut
+fill over the dense matrices (four gathers + four segmented
+reductions); it is the implementation behind the long-standing
+:func:`repro.core.cuts.cut_stats` entry point.
 """
 
 from __future__ import annotations
@@ -24,37 +24,12 @@ import numpy as np
 
 from ..events.event import EventId
 from .base import CausalityBackend, register_backend
-from .stats import CutStats, _stats_from_extrema, flatten_extrema
+from .stats import CutStats, _stats_from_extrema
 
 if TYPE_CHECKING:
     from ..events.poset import Execution
-    from ..nonatomic.event import NonatomicEvent
 
-__all__ = ["VectorClockBackend", "vector_cut_stats"]
-
-
-def vector_cut_stats(
-    execution: "Execution", intervals: Sequence["NonatomicEvent"]
-) -> CutStats:
-    """All four Table-2 cuts (plus extremal vectors) for a whole
-    interval set in one vectorized pass over the columnar clock tables.
-
-    Row ``i`` equals ``cuts_of(intervals[i])``'s vectors — the
-    equivalence is property-tested — but the fill is a single
-    gather-and-reduce over the ``(|E|, |P|)`` matrices instead of a
-    per-interval Python fold, which is what the ``≥5x`` cut-fill
-    speedup of ``benchmarks/bench_setup_amortization.py`` measures.
-    """
-    for iv in intervals:
-        if iv.execution is not execution:
-            raise ValueError("interval does not belong to this execution")
-    fwd = execution.forward_table
-    rev = execution.reverse_table
-    nodes, first_idx, last_idx, counts = flatten_extrema(intervals)
-    return _stats_from_extrema(
-        fwd.data, rev.data, fwd.offsets, fwd.lengths,
-        nodes, first_idx, last_idx, counts,
-    )
+__all__ = ["VectorClockBackend"]
 
 
 @register_backend
@@ -102,6 +77,18 @@ class VectorClockBackend(CausalityBackend):
     # ------------------------------------------------------------------
     # batched cut fill
     # ------------------------------------------------------------------
-    def cut_stats(self, intervals: Sequence["NonatomicEvent"]) -> CutStats:
-        """Delegate to the columnar gather-and-reduce fill."""
-        return vector_cut_stats(self._execution, intervals)
+    def cut_stats_arrays(
+        self,
+        nodes: np.ndarray,
+        first_idx: np.ndarray,
+        last_idx: np.ndarray,
+        counts: np.ndarray,
+    ) -> CutStats:
+        """Four gathers and four segmented reductions over the columnar
+        clock tables (:func:`~repro.backends.stats._stats_from_extrema`)."""
+        fwd = self._execution.forward_table
+        rev = self._execution.reverse_table
+        return _stats_from_extrema(
+            fwd.data, rev.data, fwd.offsets, fwd.lengths,
+            nodes, first_idx, last_idx, counts,
+        )

@@ -32,12 +32,14 @@ from __future__ import annotations
 # repro: dtype-strict
 
 import weakref
-from collections.abc import Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backends.base import CausalityBackend, make_backend
+from ..backends.base import CLOCK_DTYPE, CausalityBackend, make_backend
+from ..backends.stats import flatten_extrema
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
@@ -53,22 +55,104 @@ if TYPE_CHECKING:
 
 __all__ = ["AnalysisContext", "CutCache"]
 
-#: Cache key: the interval's component id set (its mathematical identity).
-_IntervalKey = frozenset[EventId]
+#: Cache key: :attr:`NonatomicEvent.key <repro.nonatomic.event.NonatomicEvent.key>`
+#: — the component id set (the interval's mathematical identity), or
+#: ``(x.ids, "L"|"U")`` for interval ``x``'s Definition-2 proxy.
+_Key = Hashable
+
+#: The six stacked rows of a :class:`CutStats`.
+_STATS = ("c1", "c2", "c3", "c4", "first", "last")
+
+#: Term part → code: the interval itself, its L proxy, its U proxy.
+_SIDE = {None: 0, "L": 1, "U": 2}
+
+#: Store column of each Table-2 cut name.
+_CUT_COLUMN = {"C1": "c1", "C2": "c2", "C3": "c3", "C4": "c4"}
+
+
+def _distinct_extrema(
+    nodes: np.ndarray,
+    first_idx: np.ndarray,
+    last_idx: np.ndarray,
+    counts: np.ndarray,
+    num_nodes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group flattened terms by their per-node extrema.
+
+    A term's cut row depends on nothing else, so terms with equal
+    extrema (an interval and an equal proxy, two intervals sharing one
+    proxy) share one computed row.  Returns ``(reps, rank)``: ``reps``
+    are the ascending indices of each group's first term, ``rank[t]``
+    the position of term ``t``'s group in ``reps``.
+    """
+    k = len(counts)
+    # local indices fit the clock dtype: half the int64 footprint
+    dense = np.zeros((k, 2 * num_nodes), dtype=CLOCK_DTYPE)
+    term_of = np.repeat(np.arange(k, dtype=np.intp), counts)
+    dense[term_of, nodes] = first_idx
+    dense[term_of, num_nodes + nodes] = last_idx
+    rows = dense.view(np.dtype((np.void, dense.itemsize * 2 * num_nodes))).ravel()
+    _, first_pos, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first_pos)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0], dtype=order.dtype)
+    return first_pos[order], rank[inverse.ravel()]
+
+
+def _terms(
+    intervals: Sequence[NonatomicEvent],
+    proxies: "Sequence[Proxy | None] | None",
+    proxy_definition: ProxyDefinition,
+) -> "tuple[Sequence[NonatomicEvent], list[str | None] | None]":
+    """``CutCache._locate`` arguments for ``intervals`` or their proxies.
+
+    A Definition-2 proxy stays a ``(interval, "L"|"U")`` term; a
+    Definition-3 proxy is built by :func:`proxy_of`, which may raise
+    :class:`~repro.nonatomic.proxies.ProxyUndefinedError`.
+    """
+    if proxies is None:
+        return intervals, None
+    if proxy_definition is ProxyDefinition.GLOBAL:
+        return [
+            x if p is None else proxy_of(x, p, proxy_definition)
+            for x, p in zip(intervals, proxies, strict=True)
+        ], None
+    return intervals, [
+        None if p is None else "L" if p is Proxy.L else "U" for p in proxies
+    ]
 
 
 @versioned_state(
     version="_version",
-    caches=("_cuts", "_extremal"),
+    caches=("_cuts", "_extremal", "_rows", "_store", "_size"),
     guards=("invalidate", "_fresh"),
 )
 class CutCache:
     """Memoized cut quadruples and extremal vectors for one execution.
 
-    Entries are keyed by the interval's component id set, so two
-    :class:`~repro.nonatomic.event.NonatomicEvent` objects denoting the
-    same set of atomic events share one cut fold — the cross-object
-    amortization the per-instance ``NonatomicEvent.cache`` cannot give.
+    Entries are keyed by :attr:`NonatomicEvent.key
+    <repro.nonatomic.event.NonatomicEvent.key>` — the component id set —
+    so two :class:`~repro.nonatomic.event.NonatomicEvent` objects
+    denoting the same set of atomic events share one cut fold, the
+    cross-object amortization the per-instance ``NonatomicEvent.cache``
+    cannot give.  A Definition-2 proxy is keyed ``(x.ids, "L"|"U")``
+    after its interval ``x``.
+
+    Cost model (Key Idea 1: pay once, reuse cheaply).  The batched
+    fills (:meth:`stats`, :meth:`family_operands`) keep their rows as
+    arrays: one growable :class:`~repro.core.cuts.CutStats` row store
+    and a key → row index, with no per-row Python object.  A per-node
+    proxy's row is filled from its interval's own extrema — ``L_X`` is
+    X's first event on each node, ``U_X`` its last — so no proxy object
+    is built.  A scalar :meth:`cut` / :meth:`quadruple` /
+    :meth:`extremal` read of a stored row counts as a hit and builds
+    its :class:`~repro.core.cuts.Cut` then, on first read.  A scalar
+    read of a row nobody stored computes just the cut asked for.  The
+    reuse runs one way only: cuts filled by scalar reads are not rows,
+    so a later batch asking for that term computes its row again (a
+    miss).  Keys are not merged either: a proxy from
+    :func:`~repro.nonatomic.proxies.proxy_of` and an interval with the
+    same ids are stored apart.
 
     The cache records the execution :attr:`~Execution.version` it was
     filled against and drops every entry the moment the execution has
@@ -78,12 +162,13 @@ class CutCache:
     Attributes
     ----------
     hits, misses:
-        Lookup counters.  ``hits`` counts cut requests served without a
-        fold; benchmarks and the acceptance tests assert on them.
+        Lookup counters.  ``misses`` counts rows or cuts the backend
+        computed; ``hits`` counts requests served without computing
+        one.  Benchmarks and the acceptance tests assert on them.
     """
 
     __slots__ = ("_execution", "_backend", "_version", "_cuts", "_extremal",
-                 "hits", "misses")
+                 "_rows", "_store", "_size", "hits", "misses")
 
     def __init__(
         self,
@@ -95,8 +180,13 @@ class CutCache:
             backend if backend is not None else make_backend(None, execution)
         )
         self._version = execution.version
-        self._cuts: dict[tuple[_IntervalKey, str], Cut] = {}
-        self._extremal: dict[_IntervalKey, tuple[np.ndarray, np.ndarray]] = {}
+        self._cuts: dict[tuple[_Key, str], Cut] = {}
+        self._extremal: dict[_Key, tuple[np.ndarray, np.ndarray]] = {}
+        # the batched row store: key -> row of _store, whose first
+        # _size rows are filled
+        self._rows: dict[_Key, int] = {}
+        self._store: CutStats | None = None
+        self._size = 0
         self.hits = 0
         self.misses = 0
 
@@ -111,12 +201,16 @@ class CutCache:
         return self._backend
 
     def __len__(self) -> int:
-        return len(self._cuts)
+        """Stored batch rows plus scalar-filled cuts."""
+        return len(self._rows) + len(self._cuts)
 
     def invalidate(self) -> None:
         """Drop every entry and re-arm against the current version."""
         self._cuts.clear()
         self._extremal.clear()
+        self._rows.clear()
+        self._store = None
+        self._size = 0
         self._backend.invalidate()
         self._version = self._execution.version
 
@@ -134,19 +228,27 @@ class CutCache:
     def cut(self, x: NonatomicEvent, which: str) -> Cut:
         """One Table-2 cut of ``x`` (``which`` in C1/C2/C3/C4), memoized.
 
-        Only the requested cut is computed: past-only consumers asking
+        A row a batched fill stored is read, not recomputed.  Otherwise
+        only the requested cut is computed: past-only consumers asking
         for C1/C2 never force the reverse clock pass that C3/C4 need.
         """
         self._check_interval(x)
         self._fresh()
-        key = (x.ids, which)
-        cached = self._cuts.get(key)
+        key = x.key
+        cached = self._cuts.get((key, which))
         if cached is not None:
             self.hits += 1
             return cached
-        self.misses += 1
-        result = Cut._trusted(self._execution, self._backend.cut_vector(x, which))
-        self._cuts[key] = result
+        row = self._rows.get(key)
+        column = _CUT_COLUMN.get(which)
+        if row is not None and column is not None and self._store is not None:
+            self.hits += 1
+            vec = getattr(self._store, column)[row].copy()
+            vec.setflags(write=False)
+        else:
+            self.misses += 1
+            vec = self._backend.cut_vector(x, which)
+        result = self._cuts[(key, which)] = Cut._trusted(self._execution, vec)
         return result
 
     def quadruple(self, x: NonatomicEvent) -> CutQuadruple:
@@ -168,18 +270,24 @@ class CutCache:
         """
         self._check_interval(x)
         self._fresh()
-        key = x.ids
+        key = x.key
         cached = self._extremal.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        self.misses += 1
-        num_nodes = self._execution.num_nodes
-        first = np.zeros(num_nodes, dtype=np.int64)
-        last = np.zeros(num_nodes, dtype=np.int64)
-        for node in x.node_set:
-            first[node] = x.first_at(node)
-            last[node] = x.last_at(node)
+        row = self._rows.get(key)
+        if row is not None and self._store is not None:
+            self.hits += 1
+            first = self._store.first[row].copy()
+            last = self._store.last[row].copy()
+        else:
+            self.misses += 1
+            num_nodes = self._execution.num_nodes
+            first = np.zeros(num_nodes, dtype=np.int64)
+            last = np.zeros(num_nodes, dtype=np.int64)
+            for node in x.node_set:
+                first[node] = x.first_at(node)
+                last[node] = x.last_at(node)
         first.setflags(write=False)
         last.setflags(write=False)
         self._extremal[key] = (first, last)
@@ -188,80 +296,141 @@ class CutCache:
     # ------------------------------------------------------------------
     # columnar batch fill
     # ------------------------------------------------------------------
-    def stats(self, intervals: Sequence[NonatomicEvent]) -> CutStats:
+    def _locate(
+        self,
+        intervals: Sequence[NonatomicEvent],
+        parts: "Iterable[str | None] | None",
+    ) -> tuple[CutStats, np.ndarray]:
+        """The row store and the store row of every requested term.
+
+        Term ``i`` is ``intervals[i]`` itself, or with ``parts[i]`` set
+        (``"L"``/``"U"``) its Definition-2 proxy.  Terms with no stored
+        row are filled by one :meth:`_fill`.
+        """
+        self._fresh()
+        ex = self._execution
+        stored = self._rows
+        found: list[int] = []
+        todo: dict[_Key, int] = {}
+        terms: list[NonatomicEvent] = []
+        term_parts: list[str | None] = []
+        hits = 0
+        if parts is None:
+            parts = repeat(None, len(intervals))
+        for x, part in zip(intervals, parts, strict=True):
+            if x.execution is not ex:
+                raise ValueError(
+                    "interval does not belong to this context's execution"
+                )
+            key = x.key if part is None else (x.ids, part)
+            row = stored.get(key)
+            if row is None:
+                t = todo.get(key)
+                if t is None:
+                    t = todo[key] = len(terms)
+                    terms.append(x)
+                    term_parts.append(part)
+                else:
+                    hits += 1
+                row = ~t  # negative: a pending term, resolved below
+            else:
+                hits += 1
+            found.append(row)
+        self.hits += hits
+        rows = np.fromiter(found, np.intp, count=len(found))
+        if terms:
+            filled = self._fill(terms, term_parts)
+            stored.update(zip(todo, filled.tolist(), strict=True))
+            pending = rows < 0
+            rows[pending] = filled[~rows[pending]]
+        store = self._store
+        if store is None:
+            empty = np.zeros((0, ex.num_nodes), dtype=np.int64)
+            store = CutStats(empty, empty, empty, empty, empty, empty)
+        return store, rows
+
+    def _fill(
+        self, terms: Sequence[NonatomicEvent], parts: Sequence[str | None]
+    ) -> np.ndarray:
+        """Compute the rows of ``terms`` (none stored yet) in one backend
+        pass, append them to the store and return their store rows."""
+        self._fresh()
+        nodes, first_idx, last_idx, counts = flatten_extrema(terms)
+        if any(parts):
+            # a proxy holds one event per node: L_X's is X's first, U_X's
+            # X's last, so it reads X's extrema with one side repeated
+            side = np.repeat(
+                np.fromiter((_SIDE[p] for p in parts), np.int8, count=len(parts)),
+                counts,
+            )
+            first_idx, last_idx = (
+                np.where(side == 2, last_idx, first_idx),
+                np.where(side == 1, first_idx, last_idx),
+            )
+        num_nodes = self._execution.num_nodes
+        reps, rank = _distinct_extrema(
+            nodes, first_idx, last_idx, counts, num_nodes
+        )
+        if reps.shape[0] < len(terms):
+            keep = np.zeros(len(terms), dtype=np.bool_)
+            keep[reps] = True
+            entries = np.repeat(keep, counts)
+            nodes, first_idx, last_idx = (
+                nodes[entries], first_idx[entries], last_idx[entries]
+            )
+            counts = counts[keep]
+        block = self._backend.cut_stats_arrays(nodes, first_idx, last_idx, counts)
+        self.misses += len(block)
+        self.hits += len(terms) - len(block)
+        base = self._size
+        size = self._size = base + len(block)
+        store = self._store
+        if store is None:
+            self._store = block  # adopted: the next fill reallocates
+        else:
+            if size > len(store):
+                capacity = max(size, 2 * len(store))
+                grown = []
+                for name in _STATS:
+                    mat = np.empty((capacity, num_nodes), dtype=np.int64)
+                    mat[:base] = getattr(store, name)[:base]
+                    grown.append(mat)
+                store = self._store = CutStats(*grown)
+            for name in _STATS:
+                getattr(store, name)[base:size] = getattr(block, name)
+        return base + rank
+
+    def stats(
+        self,
+        intervals: Sequence[NonatomicEvent],
+        proxies: "Sequence[Proxy | None] | None" = None,
+        proxy_definition: ProxyDefinition = ProxyDefinition.PER_NODE,
+    ) -> CutStats:
         """Stacked cut/extremal matrices for ``intervals``, rows aligned
         with the input order.
 
-        Rows already memoized (all four cuts plus the extremal pair)
-        are copied out of the cache; every *missing* interval is filled
-        by one batched backend pass
-        (:meth:`~repro.backends.base.CausalityBackend.cut_stats` — for
-        the vector backend, gathers and segmented reductions over the
-        ``(|E|, |P|)`` clock matrices, no per-interval fold loop) and
-        deposited, so later scalar queries hit.  This is the construction path of
+        With ``proxies``, row ``i`` is instead the ``proxies[i]`` proxy
+        of ``intervals[i]`` (``None`` keeps the interval itself).  Rows
+        already stored are copied out of the row store; every *missing*
+        one is filled by one batched backend pass
+        (:meth:`~repro.backends.base.CausalityBackend.cut_stats_arrays`
+        — for the vector backend, gathers and segmented reductions over
+        the ``(|E|, |P|)`` clock matrices, no per-interval fold loop)
+        and stored, so later scalar queries hit.  Definition-2 proxy
+        rows come from the intervals' own extrema; Definition-3
+        proxies (``ProxyDefinition.GLOBAL``) are built as objects by
+        :func:`~repro.nonatomic.proxies.proxy_of` and may raise
+        :class:`~repro.nonatomic.proxies.ProxyUndefinedError`.  This is
+        the construction path of
         :class:`~repro.core.pairwise.IntervalSetMatrices` and the
         :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`
         gather driver.
         """
-        self._fresh()
-        k = len(intervals)
-        num_nodes = self._execution.num_nodes
-        out = {
-            name: np.empty((k, num_nodes), dtype=np.int64)
-            for name in ("c1", "c2", "c3", "c4", "first", "last")
-        }
-        missing: list[int] = []
-        dups: list[tuple[int, int]] = []
-        filled: dict[_IntervalKey, int] = {}
-        for i, x in enumerate(intervals):
-            self._check_interval(x)
-            key = x.ids
-            dup = filled.get(key)
-            if dup is not None:
-                dups.append((i, dup))
-                self.hits += 1
-                continue
-            filled[key] = i
-            extremal = self._extremal.get(key)
-            c1 = self._cuts.get((key, "C1"))
-            c2 = self._cuts.get((key, "C2"))
-            c3 = self._cuts.get((key, "C3"))
-            c4 = self._cuts.get((key, "C4"))
-            if (extremal is None or c1 is None or c2 is None
-                    or c3 is None or c4 is None):
-                missing.append(i)
-                continue
-            self.hits += 1
-            out["c1"][i] = c1.vector
-            out["c2"][i] = c2.vector
-            out["c3"][i] = c3.vector
-            out["c4"][i] = c4.vector
-            out["first"][i], out["last"][i] = extremal
-        if missing:
-            cold = self._backend.cut_stats([intervals[i] for i in missing])
-            rows = np.asarray(missing, dtype=np.intp)
-            for name in out:
-                out[name][rows] = getattr(cold, name)
-            ex = self._execution
-            for j, i in enumerate(missing):
-                self.misses += 1
-                key = intervals[i].ids
-                self._cuts[(key, "C1")] = Cut._trusted(ex, cold.c1[j])
-                self._cuts[(key, "C2")] = Cut._trusted(ex, cold.c2[j])
-                self._cuts[(key, "C3")] = Cut._trusted(ex, cold.c3[j])
-                self._cuts[(key, "C4")] = Cut._trusted(ex, cold.c4[j])
-                self._extremal[key] = (cold.first[j], cold.last[j])
-        for i, dup in dups:
-            for name in out:
-                out[name][i] = out[name][dup]
-        for name in out:
-            out[name].setflags(write=False)
-        return CutStats(**out)
-
-    def fill_batch(self, intervals: Sequence[NonatomicEvent]) -> None:
-        """Memoize cuts and extremal vectors for ``intervals`` in one
-        vectorized pass (a :meth:`stats` call for its deposit effect)."""
-        self.stats(intervals)
+        store, rows = self._locate(*_terms(intervals, proxies, proxy_definition))
+        out = [getattr(store, name)[rows] for name in _STATS]
+        for mat in out:
+            mat.setflags(write=False)
+        return CutStats(*out)
 
     def family_operands(
         self,
@@ -270,20 +439,25 @@ class CutCache:
     ) -> np.ndarray:
         """The ``(k, 12, P)`` family operand tensor for ``intervals``.
 
-        Interleaves every interval's ``(L, U)`` proxies and pays **one**
-        batched :meth:`stats` fill for all ``2k`` of them (cold rows go
-        through the backend's columnar
-        :meth:`~repro.backends.base.CausalityBackend.cut_stats` in a
-        single call), then reshapes into the contiguous operand layout
+        Looks up every interval's ``(L, U)`` proxy rows, keyed
+        ``(x.ids, "L"|"U")``, and fills the missing ones in **one**
+        batched backend pass
+        (:meth:`~repro.backends.base.CausalityBackend.cut_stats_arrays`)
+        straight from the intervals' per-node first/last indices: no
+        proxy object and no :class:`~repro.core.cuts.Cut` is built.
+        The rows are then gathered into the contiguous operand layout
         the batched family kernel
-        (:func:`repro.core.family.verdict_matrix`) gathers from.  The
-        proxy cuts land in this cache, so later scalar queries hit.
+        (:func:`repro.core.family.verdict_matrix`) reads.  The rows stay
+        in the store, so later scalar queries of the proxies hit.
+        ``ProxyDefinition.GLOBAL`` builds its proxies as objects
+        (:meth:`stats`).
         """
-        proxies: list[NonatomicEvent] = []
-        for x in intervals:
-            proxies.append(proxy_of(x, Proxy.L, proxy_definition))
-            proxies.append(proxy_of(x, Proxy.U, proxy_definition))
-        return operand_tensor(self.stats(proxies))
+        store, rows = self._locate(*_terms(
+            [x for x in intervals for _ in "LU"],
+            (Proxy.L, Proxy.U) * len(intervals),
+            proxy_definition,
+        ))
+        return operand_tensor(store, rows[0::2], rows[1::2])
 
 
 #: One shared context per live execution (weak: contexts die with them).

@@ -43,7 +43,7 @@ from ..backends.stats import (  # noqa: F401  (re-exported compatibility API)
     cut_stats_from_arrays,
     cut_stats_from_extrema,
 )
-from ..backends.vector import vector_cut_stats
+from ..backends.vector import VectorClockBackend
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
@@ -415,13 +415,13 @@ def cut_stats(
     per-interval Python fold, which is what the ``≥5x`` cut-fill
     speedup of ``benchmarks/bench_setup_amortization.py`` measures.
 
-    Delegates to
-    :func:`~repro.backends.vector.vector_cut_stats` — the vector-clock
-    backend's fill; backend-agnostic callers should go through
+    Runs the vector-clock backend's fill
+    (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats`);
+    backend-agnostic callers should go through
     :meth:`repro.core.context.CutCache.stats` instead, which routes to
     the context's configured :class:`~repro.backends.base.CausalityBackend`.
     """
-    return vector_cut_stats(execution, intervals)
+    return VectorClockBackend(execution).cut_stats(intervals)
 
 
 def batch_quadruples(

@@ -22,7 +22,7 @@ import numpy as np
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
-from ..nonatomic.proxies import Proxy, ProxyDefinition, proxy_of
+from ..nonatomic.proxies import Proxy, ProxyDefinition
 from .context import AnalysisContext
 from .counting import ComparisonCounter
 from .family import N_SUBTESTS, RELATION_INDEX, gather_verdicts, verdict_matrix
@@ -397,9 +397,11 @@ class SynchronizationAnalyzer:
 
         One pass over the queries resolves each to ``(base relation,
         X̂, Ŷ)`` — a 32-family spec onto the proxies it names — and
-        gives every distinct resolved interval a row; **one** batched
-        :meth:`~repro.core.context.CutCache.stats` fill stacks their
-        cut/extremal rows (warm rows come out of the shared cache), and
+        gives every distinct interval or ``(interval, proxy)`` term a
+        row; **one** batched :meth:`~repro.core.context.CutCache.stats`
+        fill stacks their cut/extremal rows (warm rows come out of the
+        shared cache; per-node proxy rows come from the intervals' own
+        extrema, with no proxy object built), and
         :func:`~repro.core.family.gather_verdicts` decides all Q
         queries at once: ``O(Q · P)``, no ``(k, k, P)`` tensor, no
         per-spec grouping.  Results align with the input order.
@@ -417,17 +419,17 @@ class SynchronizationAnalyzer:
         """
         qs = list(queries)  # keeps every object alive: ids below stay unique
         check = self.check_disjoint
-        pd = self.proxy_definition
-        row_of: dict[frozenset[EventId], int] = {}
+        row_of: dict[object, int] = {}
         intervals: list[NonatomicEvent] = []
+        proxies: list[Proxy | None] = []
 
         def row(z: NonatomicEvent, proxy: Proxy | None) -> int:
-            if proxy is not None:
-                z = proxy_of(z, proxy, pd)
-            r = row_of.get(z.ids)
+            key = z.key if proxy is None else (z.ids, proxy)
+            r = row_of.get(key)
             if r is None:
-                r = row_of[z.ids] = len(intervals)
+                r = row_of[key] = len(intervals)
                 intervals.append(z)
+                proxies.append(proxy)
             return r
 
         # spec object -> (relation index, X/Y proxy, X/Y probe); a probe
@@ -465,7 +467,9 @@ class SynchronizationAnalyzer:
             ys.append(r)
         if not rels:
             return []
-        stats = self.context.cut_cache.stats(intervals)
+        stats = self.context.cut_cache.stats(
+            intervals, proxies, self.proxy_definition
+        )
         return gather_verdicts(stats, rels, xs, ys).tolist()
 
     def _engine_holds(

@@ -8,11 +8,10 @@ Python dispatch per spec per pair — and its op-count win once arrived
 with a wall-clock *loss* (0.80x the per-spec loop).  This module removes
 the per-pair loop entirely:
 
-* :func:`operand_tensor` reshapes one batched
-  :class:`~repro.backends.stats.CutStats` fill over the interleaved
-  ``(L, U)`` proxies of k intervals into a contiguous ``(k, 12, P)``
-  operand tensor — the twelve rows (six stats × two proxies) any subtest
-  key can select;
+* :func:`operand_tensor` gathers the ``(L, U)`` proxy rows of k
+  intervals out of one :class:`~repro.backends.stats.CutStats` row
+  store into a contiguous ``(k, 12, P)`` operand tensor — the twelve
+  rows (six stats × two proxies) any subtest key can select;
 * :func:`verdict_matrix` answers **all 24 subtest columns for Q ordered
   pairs** with three fancy-indexed gathers and three comparison +
   reduction passes, producing the ``(Q, 24)`` boolean verdict matrix
@@ -171,24 +170,20 @@ _GROUPS: tuple[
 ] = _column_groups()
 
 
-def operand_tensor(stats: CutStats) -> np.ndarray:
-    """Reshape proxy stats into the ``(k, 12, P)`` operand tensor.
+def operand_tensor(stats: CutStats, ls: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Gather proxy stats into the ``(k, 12, P)`` operand tensor.
 
-    ``stats`` must stack the **interleaved proxies** of k intervals —
-    rows ``[L_0, U_0, L_1, U_1, …]`` from one batched cut fill.  Row
-    ``out[i, OPERAND_INDEX[stat, tag]]`` is the ``stat`` vector of
-    interval ``i``'s ``tag`` proxy; the tensor is contiguous so the
-    fancy gathers of :func:`verdict_matrix` touch one block per group.
+    Rows ``ls[i]`` and ``us[i]`` of ``stats`` are interval ``i``'s
+    ``L`` and ``U`` proxies.  Row ``out[i, OPERAND_INDEX[stat, tag]]``
+    is the ``stat`` vector of interval ``i``'s ``tag`` proxy; the
+    tensor is contiguous so the fancy gathers of :func:`verdict_matrix`
+    touch one block per group.
     """
-    two_k, num_nodes = stats.c1.shape
-    if two_k % 2:
-        raise ValueError("stats must stack interleaved (L, U) proxy rows")
-    k = two_k // 2
-    out = np.empty((k, N_OPERANDS, num_nodes), dtype=np.int64)
+    out = np.empty((len(ls), N_OPERANDS, stats.c1.shape[1]), dtype=np.int64)
     for stat_i, stat in enumerate(_OPERAND_STATS):
         mat = getattr(stats, stat)
-        out[:, 2 * stat_i] = mat[0::2]
-        out[:, 2 * stat_i + 1] = mat[1::2]
+        out[:, 2 * stat_i] = mat[ls]
+        out[:, 2 * stat_i + 1] = mat[us]
     out.setflags(write=False)
     return out
 

@@ -29,18 +29,15 @@ from __future__ import annotations
 # repro: hot, dtype-strict
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..nonatomic.event import NonatomicEvent
-from ..nonatomic.proxies import Proxy, ProxyDefinition, proxy_of
-from .cuts import CutStats, cut_stats
+from ..nonatomic.proxies import Proxy, ProxyDefinition
+from .context import CutCache
+from .cuts import CutStats
 from .family import RELATION_ROWS, compare_rows
 from .relations import Relation, RelationSpec
-
-if TYPE_CHECKING:
-    from .context import CutCache
 
 __all__ = ["IntervalSetMatrices", "relation_matrix"]
 
@@ -56,15 +53,17 @@ class IntervalSetMatrices:
     :meth:`AnalysisContext.matrices
     <repro.core.context.AnalysisContext.matrices>`), cut and extremal
     vectors are drawn from — and deposited into — the shared cache, so
-    folds already paid by scalar queries (or an earlier stack) are not
-    repeated.
+    rows already filled by an earlier batch are not recomputed; without
+    one, a private cache serves this stack.  Per-node proxy stacks come
+    from the same keyed fill (:meth:`~repro.core.context.CutCache.stats`
+    with ``proxies``), so no proxy object is built.
     """
 
     __slots__ = ("intervals", "cache", "c1", "c2", "c3", "c4", "first",
                  "last")
 
     def __init__(
-        self, intervals: Sequence[NonatomicEvent], cache: "CutCache | None" = None
+        self, intervals: Sequence[NonatomicEvent], cache: CutCache | None = None
     ) -> None:
         if not intervals:
             raise ValueError("need at least one interval")
@@ -73,8 +72,8 @@ class IntervalSetMatrices:
             if iv.execution is not ex:
                 raise ValueError("intervals belong to different executions")
         self.intervals = tuple(intervals)
-        self.cache = cache
-        stats = self._stats(self.intervals)
+        self.cache = cache if cache is not None else CutCache(ex)
+        stats = self.cache.stats(self.intervals)
         self.c1 = stats.c1
         self.c2 = stats.c2
         self.c3 = stats.c3
@@ -86,16 +85,11 @@ class IntervalSetMatrices:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def _stats(self, intervals: Sequence[NonatomicEvent]) -> CutStats:
-        if self.cache is not None:
-            return self.cache.stats(intervals)
-        return cut_stats(intervals[0].execution, intervals)
-
     def _proxy_stats(
         self, which: Proxy, proxy_definition: ProxyDefinition
     ) -> CutStats:
-        return self._stats(
-            [proxy_of(iv, which, proxy_definition) for iv in self.intervals]
+        return self.cache.stats(
+            self.intervals, [which] * len(self.intervals), proxy_definition
         )
 
     # ------------------------------------------------------------------

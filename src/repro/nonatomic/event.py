@@ -15,7 +15,7 @@ implements:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 from typing import Any
 
 from ..events.event import EventId
@@ -49,7 +49,8 @@ class NonatomicEvent:
     on the instance.
     """
 
-    __slots__ = ("_execution", "_ids", "_name", "_first", "_last", "_nodes", "cache")
+    __slots__ = ("_execution", "_ids", "_name", "_first", "_last", "_nodes",
+                 "_key", "cache")
 
     def __init__(
         self,
@@ -63,22 +64,53 @@ class NonatomicEvent:
         first: dict[int, int] = {}
         last: dict[int, int] = {}
         for node, idx in id_set:
-            if not execution.is_real((node, idx)):
-                raise ValueError(
-                    f"event id {(node, idx)} is not a real event of the execution"
-                )
-            if node not in first or idx < first[node]:
+            lo = first.get(node)
+            if lo is None:
+                first[node] = last[node] = idx
+            elif idx < lo:
                 first[node] = idx
-            if node not in last or idx > last[node]:
+            elif idx > last[node]:
                 last[node] = idx
+        # an id is real iff 0 <= node < |P| and 1 <= idx <= k_node, so
+        # checking each node's extrema checks every id of that node
+        lengths = execution.lengths
+        num_nodes = len(lengths)
+        for node, lo in first.items():
+            if not 0 <= node < num_nodes or lo < 1:
+                bad = (node, lo)
+            elif last[node] > lengths[node]:
+                bad = (node, last[node])
+            else:
+                continue
+            raise ValueError(f"event id {bad} is not a real event of the execution")
         self._execution = execution
         self._ids: frozenset[EventId] = id_set
         self._name = name
         self._first = first
         self._last = last
         self._nodes: tuple[int, ...] = tuple(sorted(first))
+        self._key: Hashable = id_set
         #: scratch cache used by the cut machinery (Key Idea 1)
         self.cache: dict[Any, Any] = {}
+
+    @classmethod
+    def _keyed(
+        cls,
+        execution: Execution,
+        ids: Iterable[EventId],
+        name: str | None,
+        key: Hashable,
+    ) -> "NonatomicEvent":
+        """An event whose :attr:`key` is ``key`` instead of its id set.
+
+        Only :func:`~repro.nonatomic.proxies.proxy_of` calls this, to key
+        a Definition-2 proxy after its interval; nothing checks ``key``
+        against ``ids``, so it must not be reachable from the public
+        constructor.
+        """
+        event = cls(execution, ids, name)
+        event._key = key
+        return event
 
     # ------------------------------------------------------------------
     # accessors
@@ -97,6 +129,18 @@ class NonatomicEvent:
     def name(self) -> str | None:
         """Optional human-readable name."""
         return self._name
+
+    @property
+    def key(self) -> Hashable:
+        """Identity the cut cache stores this event's rows under.
+
+        The component id set, except for a Definition-2 proxy built by
+        :func:`~repro.nonatomic.proxies.proxy_of`, which is keyed
+        ``(x.ids, "L")`` or ``(x.ids, "U")`` after its interval ``x`` —
+        the key the batched fills give that proxy's row without
+        building the proxy object.
+        """
+        return self._key
 
     @property
     def node_set(self) -> tuple[int, ...]:
@@ -122,6 +166,14 @@ class NonatomicEvent:
     def last_at(self, node: int) -> int:
         """Local index of the greatest component event on ``node``."""
         return self._last[node]
+
+    def first_indices(self) -> Iterator[int]:
+        """Per-node least component indices, aligned with :attr:`node_set`."""
+        return map(self._first.__getitem__, self._nodes)
+
+    def last_indices(self) -> Iterator[int]:
+        """Per-node greatest component indices, aligned with :attr:`node_set`."""
+        return map(self._last.__getitem__, self._nodes)
 
     def first_ids(self) -> tuple[EventId, ...]:
         """Per-node least component events — ``L_X`` under Definition 2."""

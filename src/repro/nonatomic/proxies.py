@@ -57,7 +57,9 @@ def _proxy_per_node(x: NonatomicEvent, which: Proxy) -> NonatomicEvent:
     ids = x.first_ids() if which is Proxy.L else x.last_ids()
     suffix = which.value
     name = f"{suffix}({x.name})" if x.name else None
-    return NonatomicEvent(x.execution, ids, name=name)
+    # keyed after x: the batched cut fills store this proxy's row under
+    # the same key without building the object
+    return NonatomicEvent._keyed(x.execution, ids, name, (x.ids, suffix))
 
 
 def _proxy_global(x: NonatomicEvent, which: Proxy) -> NonatomicEvent:

@@ -12,8 +12,10 @@ executions — over all 8 base relations and all 32 family members.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro.backends.base import make_backend
 from repro.core.cuts import (
     CutStats,
     batch_quadruples,
@@ -95,6 +97,56 @@ class TestColumnarCutFill:
                 np.testing.assert_array_equal(
                     getattr(quad, name).vector, getattr(expect, name).vector
                 )
+
+
+class TestExtremaValidation:
+    """Extrema naming no real event raise ValueError on every raw-array
+    entry point, instead of gathering a neighbouring node's clock row."""
+
+    BAD_IDS = [(0, 4), (1, 4), (0, 0), (2, 1), (-1, 1)]
+    BAD_NAMES = ["past-end", "past-end-last-node", "bottom", "node-past-P",
+                 "negative-node"]
+
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_NAMES)
+    def test_cut_stats_from_arrays(self, message_exec, bad):
+        fwd, rev = message_exec.forward_table, message_exec.reverse_table
+        with pytest.raises(ValueError, match="name no real events"):
+            cut_stats_from_arrays(
+                fwd.data, rev.data, fwd.offsets, fwd.lengths,
+                [[(0, 1)], [(1, 2), bad]],
+            )
+
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_NAMES)
+    def test_cut_stats_from_extrema(self, message_exec, bad):
+        fwd, rev = message_exec.forward_table, message_exec.reverse_table
+        node, idx = bad
+        with pytest.raises(ValueError, match="name no real events"):
+            cut_stats_from_extrema(
+                fwd.data, rev.data, fwd.offsets, fwd.lengths,
+                [((0,), (1,), (2,)), ((node,), (idx,), (idx,))],
+            )
+
+    @pytest.mark.parametrize("backend", ["vector", "reachability"])
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_NAMES)
+    def test_backend_array_entry_point(self, message_exec, backend, bad):
+        b = make_backend(backend, message_exec)
+        node, idx = bad
+        arr = np.asarray
+        with pytest.raises(ValueError, match="name no real events"):
+            b.cut_stats_arrays(
+                arr([0, node], dtype=np.int64), arr([1, idx], dtype=np.int64),
+                arr([2, idx], dtype=np.int64), arr([1, 1], dtype=np.intp),
+            )
+
+    @pytest.mark.parametrize("backend", ["vector", "reachability"])
+    def test_backend_rejects_first_after_last_and_empty(self, message_exec,
+                                                        backend):
+        b = make_backend(backend, message_exec)
+        arr = np.asarray
+        with pytest.raises(ValueError, match="name no real events"):
+            b.cut_stats_arrays(arr([0]), arr([3]), arr([2]), arr([1]))
+        with pytest.raises(ValueError, match="counts"):
+            b.cut_stats_arrays(arr([0]), arr([1]), arr([1]), arr([0, 1]))
 
 
 class TestGatherKernelVsNaive:

@@ -1,5 +1,7 @@
 """Tests for NonatomicEvent (node sets, extrema, validation)."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -22,6 +24,28 @@ class TestConstruction:
     def test_out_of_range_rejected(self, message_exec):
         with pytest.raises(ValueError):
             NonatomicEvent(message_exec, [(7, 1)])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(-1, 1), (2, 1), (0, 0), (0, 4), (1, 4)],
+        ids=["negative-node", "node-past-P", "index-0", "index-k0+1",
+             "index-k1+1"],
+    )
+    def test_unreal_id_named_in_message(self, message_exec, bad):
+        # message_exec has 2 nodes of 3 events each; the bad id sits among
+        # real ones on the same node and on the other node
+        ids = [(0, 1), (0, 2), (1, 1), (1, 3), bad]
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"event id {bad} is not a real event of the execution"),
+        ):
+            NonatomicEvent(message_exec, ids)
+
+    def test_key_is_the_id_set(self, message_exec):
+        x = NonatomicEvent(message_exec, [(0, 1), (1, 2)])
+        assert x.key == x.ids
+        with pytest.raises(TypeError):
+            NonatomicEvent(message_exec, [(0, 1)], key="k")
 
     def test_duplicates_collapse(self, message_exec):
         x = NonatomicEvent(message_exec, [(0, 1), (0, 1)])
@@ -49,6 +73,12 @@ class TestNodeSet:
 
 
 class TestExtrema:
+    def test_indices_align_with_node_set(self, message_exec):
+        x = NonatomicEvent(message_exec, [(1, 3), (0, 2), (1, 1), (0, 3)])
+        assert x.node_set == (0, 1)
+        assert list(x.first_indices()) == [2, 1]
+        assert list(x.last_indices()) == [3, 3]
+
     def test_first_last(self, message_exec):
         x = NonatomicEvent(message_exec, [(0, 1), (0, 3), (1, 2)])
         assert x.first_at(0) == 1

@@ -47,6 +47,15 @@ class TestDefinition2:
         x = NonatomicEvent(message_exec, [(0, 1)], name="X")
         assert proxy_of(x, Proxy.L).name == "L(X)"
 
+    def test_cache_key_names_the_interval(self, message_exec):
+        # the key batched fills store the proxy row under, no object needed
+        x = NonatomicEvent(message_exec, [(0, 1), (0, 3), (1, 2)])
+        assert proxy_of(x, Proxy.L).key == (x.ids, "L")
+        assert proxy_of(x, Proxy.U).key == (x.ids, "U")
+        g = proxy_of(NonatomicEvent(message_exec, [(0, 1), (0, 2)]), Proxy.L,
+                     ProxyDefinition.GLOBAL)
+        assert g.key == g.ids
+
     @settings(max_examples=40, deadline=None)
     @given(pair=execution_with_pair())
     def test_definition_semantics(self, pair):
