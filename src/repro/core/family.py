@@ -188,6 +188,11 @@ def operand_tensor(stats: CutStats, ls: np.ndarray, us: np.ndarray) -> np.ndarra
     return out
 
 
+#: Pairs per block of :func:`verdict_matrix`: bounds its ``(block,
+#: group, P)`` int64 gathers (a few MB at ``P = 16``) for any pair count.
+VERDICT_BLOCK = 4096
+
+
 def verdict_matrix(
     ops: np.ndarray, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
@@ -201,15 +206,20 @@ def verdict_matrix(
 
     Cost: three ``(Q, group, P)`` gather pairs + three comparison/
     reduction passes — zero per-pair Python dispatch, ``O(Q · P)``
-    total work for the whole 40-spec query surface.
+    total work for the whole 40-spec query surface.  The pairs go
+    through in blocks of :data:`VERDICT_BLOCK`, so the gathered
+    temporaries stay ``O(VERDICT_BLOCK · P)`` whatever ``Q`` is.
     """
     xs = np.asarray(xs, dtype=np.intp)
     ys = np.asarray(ys, dtype=np.intp)
     out = np.empty((xs.shape[0], N_SUBTESTS), dtype=np.bool_)
-    for kind, cols, y_ops, x_ops in _GROUPS:
-        y = ops[ys[:, None], y_ops[None, :]]
-        x = ops[xs[:, None], x_ops[None, :]]
-        out[:, cols] = compare_rows(kind, y, x)
+    for lo in range(0, xs.shape[0], VERDICT_BLOCK):
+        bx = xs[lo:lo + VERDICT_BLOCK, None]
+        by = ys[lo:lo + VERDICT_BLOCK, None]
+        for kind, cols, y_ops, x_ops in _GROUPS:
+            out[lo:lo + VERDICT_BLOCK, cols] = compare_rows(
+                kind, ops[by, y_ops[None, :]], ops[bx, x_ops[None, :]]
+            )
     return out
 
 

@@ -50,6 +50,11 @@ class EventKind(enum.Enum):
     BOTTOM = "bottom"
     TOP = "top"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ``==``; it runs in C, unlike ``Enum.__hash__``,
+    # which keeps set checks over a trace's kind column cheap.
+    __hash__ = object.__hash__
+
     @property
     def is_dummy(self) -> bool:
         """True for the ``⊥``/``⊤`` sentinel kinds."""

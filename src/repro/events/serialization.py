@@ -16,16 +16,21 @@ simple and versioned:
 
 Event ``node``/``index`` fields are implicit in the nesting and position
 (index = position + 1), which keeps files compact and unforgeable.
-Payloads are serialised only when JSON-representable.
+Payloads are serialised only when JSON-representable.  Both directions
+go through the trace's per-node columns
+(:meth:`~repro.events.trace.Trace.node_columns`), so neither builds an
+:class:`~repro.events.event.Event`.
 """
 
 from __future__ import annotations
 
+# repro: hot
+
 import json
 from typing import Any
 
-from .event import Event, EventKind
-from .trace import Message, Trace, TraceError
+from .event import EventKind
+from .trace import Message, NodeColumns, Trace, TraceError
 
 __all__ = [
     "MAX_TRACE_BYTES",
@@ -59,29 +64,31 @@ class SchemaVersionError(TraceError):
     """A trace payload declared an unknown schema version."""
 
 
-def _event_to_dict(ev: Event) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": ev.kind.value}
-    if ev.label is not None:
-        out["label"] = ev.label
-    if ev.time is not None:
-        out["time"] = ev.time
-    if ev.payload is not None:
+def _record(
+    kind: EventKind, label: str | None, time: float | None, payload: Any
+) -> dict[str, Any]:
+    out: dict[str, Any] = {"kind": kind.value}
+    if label is not None:
+        out["label"] = label
+    if time is not None:
+        out["time"] = time
+    if payload is not None:
         try:
-            json.dumps(ev.payload)
+            json.dumps(payload)
         except (TypeError, ValueError):
             pass
         else:
-            out["payload"] = ev.payload
+            out["payload"] = payload
     return out
 
 
 def trace_to_dict(trace: Trace) -> dict[str, Any]:
-    """Convert a trace to a JSON-ready dictionary."""
+    """Convert a trace to a JSON-ready dictionary (reads the columns)."""
     return {
         "version": SCHEMA_VERSION,
         "num_nodes": trace.num_nodes,
         "events": [
-            [_event_to_dict(ev) for ev in trace.events_of(i)]
+            list(map(_record, *trace.node_columns(i)))
             for i in range(trace.num_nodes)
         ],
         "messages": [
@@ -93,11 +100,22 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
 def trace_from_dict(data: dict[str, Any]) -> Trace:
     """Reconstruct a trace from :func:`trace_to_dict` output.
 
+    The per-node kind, label, time and payload columns are filled
+    straight from the records and each column is checked once, as a
+    set of values or of types; no :class:`~repro.events.event.Event`
+    is built (see :class:`~repro.events.trace.Trace`).  Counts and
+    message endpoints must be ``int`` (not ``bool``), labels strings or
+    null, times numbers or null; payloads are free-form.
+
     Raises
     ------
     TraceError
         If the payload is malformed or uses an unknown schema version.
     """
+    if not isinstance(data, dict):
+        raise TraceError(
+            f"trace payload must be a JSON object, got {type(data).__name__}"
+        )
     version = data.get("version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
@@ -105,40 +123,63 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
             f"(this reader speaks version {SCHEMA_VERSION})"
         )
     try:
-        num_nodes = int(data["num_nodes"])
-        raw_events: list[list[dict[str, Any]]] = data["events"]
+        num_nodes = data["num_nodes"]
+        raw_events = data["events"]
         raw_messages = data["messages"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"malformed trace payload: {exc}") from exc
+    except KeyError as exc:
+        raise TraceError(f"malformed trace payload: missing {exc}") from exc
+    if type(num_nodes) is not int:
+        raise TraceError(f"malformed trace payload: num_nodes={num_nodes!r}")
+    if type(raw_events) is not list or type(raw_messages) is not list:
+        raise TraceError("malformed trace payload: events and messages must be lists")
     if len(raw_events) != num_nodes:
         raise TraceError(
             f"num_nodes={num_nodes} but {len(raw_events)} event lists present"
         )
-    events: list[list[Event]] = []
-    for node, per_node in enumerate(raw_events):
-        try:
-            events.append([
-                Event(node, pos, _KINDS[rec.get("kind", "internal")],
-                      rec.get("label"), rec.get("time"), rec.get("payload"))
-                for pos, rec in enumerate(per_node, 1)
-            ])
-        except KeyError as exc:
-            raise TraceError(f"unknown event kind: {exc.args[0]!r}") from exc
-        except (AttributeError, TypeError) as exc:  # a value of the wrong type
-            raise TraceError(f"malformed event record on node {node}: {exc}") from exc
-    messages = []
-    for pair in raw_messages:
-        try:
-            (s_node, s_idx), (r_node, r_idx) = pair
-            send, recv = (int(s_node), int(s_idx)), (int(r_node), int(r_idx))
-        except (TypeError, ValueError) as exc:
-            raise TraceError(f"malformed message record: {pair!r}") from exc
-        messages.append(Message(send, recv))
-    return Trace(events, messages)
+    return Trace.from_columns(
+        [_node_columns(node, records) for node, records in enumerate(raw_events)],
+        list(map(_message, raw_messages)),
+    )
 
 
-#: Event kinds by their serialised value: one dict lookup per event.
+def _node_columns(node: int, records: Any) -> NodeColumns:
+    """One node's kind/label/time/payload columns, each checked once."""
+    if type(records) is not list:
+        raise TraceError(f"malformed event record on node {node}: {records!r}")
+    try:
+        kinds = tuple([_KINDS[rec.get("kind", "internal")] for rec in records])
+    except (AttributeError, TypeError) as exc:  # not an object, an unhashable kind
+        raise TraceError(f"malformed event record on node {node}: {exc}") from exc
+    except KeyError as exc:
+        raise TraceError(f"unknown event kind: {exc.args[0]!r}") from exc
+    labels = tuple([rec.get("label") for rec in records])
+    times = tuple([rec.get("time") for rec in records])
+    for name, column, allowed in (
+        ("label", labels, _LABEL_TYPES), ("time", times, _TIME_TYPES)
+    ):
+        if not allowed.issuperset(map(type, column)):
+            bad = next(v for v in column if type(v) not in allowed)
+            raise TraceError(f"malformed event {name} on node {node}: {bad!r}")
+    return NodeColumns(kinds, labels, times, tuple([rec.get("payload") for rec in records]))
+
+
+def _message(pair: Any) -> Message:
+    """A message record ``[[send node, index], [recv node, index]]``."""
+    try:
+        (s_node, s_idx), (r_node, r_idx) = pair
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"malformed message record: {pair!r}") from exc
+    if type(s_node) is type(s_idx) is type(r_node) is type(r_idx) is int:
+        return Message((s_node, s_idx), (r_node, r_idx))
+    raise TraceError(f"malformed message record: {pair!r}")
+
+
+#: Event kinds by their serialised value; the dummy kinds are kept so a
+#: dummy record is rejected by :class:`Trace` with its own message.
 _KINDS: dict[str, EventKind] = {kind.value: kind for kind in EventKind}
+
+_LABEL_TYPES = frozenset({str, type(None)})
+_TIME_TYPES = frozenset({int, float, type(None)})
 
 
 def dumps(trace: Trace, **json_kwargs: Any) -> str:
@@ -149,16 +190,26 @@ def dumps(trace: Trace, **json_kwargs: Any) -> str:
 def loads(text: str | bytes, *, max_bytes: int | None = None) -> Trace:
     """Deserialise a trace from a JSON string.
 
+    The parsed records go straight into the trace's per-node columns
+    (:func:`trace_from_dict`); no :class:`~repro.events.event.Event` is
+    built until a caller reads events through
+    :meth:`~repro.events.trace.Trace.events_of`,
+    :meth:`~repro.events.trace.Trace.event` or
+    :meth:`~repro.events.trace.Trace.iter_events`, and then once per
+    node.
+
     Parameters
     ----------
     text:
         The JSON document (``str`` or UTF-8 ``bytes``).
     max_bytes:
-        Optional size guard: payloads whose encoded size exceeds this
+        Optional size guard: payloads whose UTF-8 size exceeds this
         many bytes are rejected with :class:`PayloadTooLargeError`
-        *before* parsing.  Pass :data:`MAX_TRACE_BYTES` for the default
-        ceiling; ``None`` (the default) keeps the historical unlimited
-        behaviour for trusted local files.
+        *before* parsing.  A ``str`` is encoded to measure it only when
+        its length alone cannot decide (between ``max_bytes / 4`` and
+        ``max_bytes`` code points).  Pass :data:`MAX_TRACE_BYTES` for
+        the default ceiling; ``None`` (the default) keeps the
+        historical unlimited behaviour for trusted local files.
 
     Raises
     ------
@@ -167,24 +218,27 @@ def loads(text: str | bytes, *, max_bytes: int | None = None) -> Trace:
     SchemaVersionError
         If the payload declares an unknown schema version.
     TraceError
-        If the payload is otherwise malformed (including non-JSON
-        input, which is reported as a malformed payload rather than a
-        bare ``json.JSONDecodeError``).
+        If the payload is otherwise malformed (including non-JSON or
+        non-UTF-8 input, which is reported as a malformed payload
+        rather than a bare ``json.JSONDecodeError`` or
+        ``UnicodeDecodeError``).
     """
     if max_bytes is not None:
-        size = len(text) if isinstance(text, bytes) else len(text.encode("utf-8"))
+        # A code point encodes to 1-4 bytes: a str longer than max_bytes
+        # is over and one of at most max_bytes / 4 is under, so only the
+        # lengths in between are encoded to decide.
+        size = len(text)
+        if isinstance(text, str) and size <= max_bytes < 4 * size:
+            size = len(text.encode("utf-8", "surrogatepass"))
         if size > max_bytes:
             raise PayloadTooLargeError(
-                f"serialised trace is {size} bytes, over the {max_bytes}-byte limit"
+                f"serialised trace is at least {size} bytes, over the "
+                f"{max_bytes}-byte limit"
             )
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         raise TraceError(f"malformed trace payload: {exc}") from exc
-    if not isinstance(data, dict):
-        raise TraceError(
-            f"trace payload must be a JSON object, got {type(data).__name__}"
-        )
     return trace_from_dict(data)
 
 

@@ -9,7 +9,9 @@
   stored are cache hits and compute nothing; the reverse does not hold,
   and a proxy is stored apart from an interval with the same ids.
 * The batch path builds no :class:`~repro.nonatomic.event.NonatomicEvent`
-  and no :class:`~repro.core.cuts.Cut` (counted, not timed).
+  and no :class:`~repro.core.cuts.Cut` (counted, not timed), and the
+  offline path from trace text builds no atomic
+  :class:`~repro.events.event.Event` either.
 * An interval of another execution is rejected by every batch entry.
 """
 
@@ -27,7 +29,9 @@ from repro.core.hierarchy import maximal_true
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32
 from repro.events.builder import TraceBuilder
+from repro.events.event import Event
 from repro.events.poset import Execution
+from repro.events.serialization import dumps, loads
 from repro.nonatomic.event import NonatomicEvent
 from repro.nonatomic.proxies import (
     Proxy,
@@ -233,6 +237,37 @@ class TestNoObjectsOnBatchPath:
         # the counters do count: a scalar read of a stored row builds its Cut
         ctx.cut(intervals[0], "C1")
         assert built["Cut"] == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_offline_path_from_text_builds_no_event(self, monkeypatch, backend):
+        text = dumps(random_trace(6, events_per_node=24, msg_prob=0.3, seed=8))
+        built = []
+        event_init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[:2])
+            event_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        trace = loads(text)
+        ex = Execution(trace)
+        ctx = AnalysisContext(ex, backend=backend)
+        ctx.backend.reverse_rows([next(ex.iter_ids())])
+        intervals = [
+            NonatomicEvent(ex, [(node, j), ((node + 1) % 6, j + 1)])
+            for node in range(6) for j in range(1, 23, 4)
+        ]
+        pairs = [(x, y) for x in intervals[::2] for y in intervals[1::2]]
+        an = SynchronizationAnalyzer(ctx)
+        an.all_relations_batch(pairs)
+        an.base_relations_batch(pairs)
+        an.strongest_batch(pairs)
+        assert loads(dumps(trace)) == trace
+        assert built == []
+        # the counter does count: reading a node's events builds them once
+        trace.events_of(0)
+        trace.events_of(0)
+        assert len(built) == 24
 
     def test_global_proxies_keep_the_object_path(self):
         b = TraceBuilder(2)

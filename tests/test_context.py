@@ -35,6 +35,7 @@ from repro.events.clocks import (
     reset_clock_pass_counts,
 )
 from repro.events.poset import Execution
+from repro.events.serialization import dumps, loads
 from repro.events.trace import Trace, TraceError
 from repro.monitor.online import OnlineMonitor
 from repro.nonatomic.event import NonatomicEvent
@@ -203,6 +204,22 @@ class TestExtendInvalidation:
         b2.internal(0)
         with pytest.raises(TraceError):
             ex.extend(b2.build())
+
+    def test_non_prefix_extension_of_loaded_trace_rejected(self):
+        b = TraceBuilder(2)
+        b.internal(0, label="a")
+        b.internal(1)
+        ex = Execution(loads(dumps(b.build())))
+        b.internal(0)
+        ex.extend(loads(dumps(b.build())))  # a true extension is accepted
+        assert ex.num_real(0) == 2
+        b2 = TraceBuilder(2)
+        b2.internal(0, label="different")
+        b2.internal(1)
+        b2.internal(0)
+        b2.internal(0)
+        with pytest.raises(TraceError, match="prefix"):
+            ex.extend(loads(dumps(b2.build())))
 
 
 class TestBatchPlanner:

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core import family
 from repro.core.context import AnalysisContext
 from repro.core.evaluator import SynchronizationAnalyzer
+from repro.core.family import N_OPERANDS, verdict_matrix
 from repro.core.hierarchy import evaluate_all_pruned, maximal_true
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32, SUBTEST_KEYS
@@ -225,6 +227,16 @@ class TestBatchedKernel:
         assert vc.pairs_cached == 0
         assert an.all_relations_batch([(x, y)])[0] == before
         assert vc.evals == 48  # refilled: the old row was dropped, not reused
+
+    def test_verdict_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        ops = rng.integers(0, 4, size=(7, N_OPERANDS, 5), dtype=np.int64)
+        xs = rng.integers(0, 7, size=23)
+        ys = rng.integers(0, 7, size=23)
+        whole = verdict_matrix(ops, xs, ys)
+        monkeypatch.setattr(family, "VERDICT_BLOCK", 5)  # 4 full blocks + 3
+        np.testing.assert_array_equal(verdict_matrix(ops, xs, ys), whole)
+        assert verdict_matrix(ops, xs[:0], ys[:0]).shape == (0, whole.shape[1])
 
 
 #: per-pair scalar-oracle analyzer config: linear engine, counted → the

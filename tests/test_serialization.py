@@ -1,9 +1,11 @@
 """Tests for trace JSON (de)serialisation."""
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.events.serialization import (
     MAX_TRACE_BYTES,
@@ -16,10 +18,28 @@ from repro.events.serialization import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.events.trace import TraceError
+from repro.events.event import Event
+from repro.events.trace import Trace, TraceError
 from repro.simulation.workloads import random_trace
 
 from .strategies import traces
+
+
+def _relabel(tr: Trace, labels, payloads) -> Trace:
+    """``tr`` with drawn labels and JSON payloads on its events."""
+    it_labels, it_payloads = iter(labels), iter(payloads)
+    return Trace(
+        [
+            [
+                dataclasses.replace(
+                    ev, label=next(it_labels, None), payload=next(it_payloads, None)
+                )
+                for ev in tr.events_of(i)
+            ]
+            for i in range(tr.num_nodes)
+        ],
+        tr.messages,
+    )
 
 
 class TestRoundTrip:
@@ -27,10 +47,36 @@ class TestRoundTrip:
         tr = random_trace(3, events_per_node=8, msg_prob=0.4, seed=5)
         assert loads(dumps(tr)) == tr
 
-    @settings(max_examples=40, deadline=None)
-    @given(tr=traces())
-    def test_property_round_trip(self, tr):
-        assert trace_from_dict(trace_to_dict(tr)) == tr
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tr=traces(),
+        labels=st.lists(st.sampled_from([None, "a", "b", "€"]), max_size=40),
+        payloads=st.lists(
+            st.none() | st.integers() | st.lists(st.text(max_size=3), max_size=2),
+            max_size=40,
+        ),
+    )
+    def test_property_round_trip(self, tr, labels, payloads):
+        tr = _relabel(tr, labels, payloads)
+        back = trace_from_dict(trace_to_dict(tr))
+        assert back == tr and tr == back
+        assert hash(back) == hash(tr)
+        assert back.num_nodes == tr.num_nodes
+        assert back.total_events == tr.total_events
+        assert list(back.iter_ids()) == list(tr.iter_ids())
+        for node in range(tr.num_nodes):
+            assert back.num_real(node) == tr.num_real(node)
+            assert back.node_columns(node) == tr.node_columns(node)
+            assert back.events_of(node) == tr.events_of(node)
+            assert [ev.payload for ev in back.events_of(node)] == [
+                ev.payload for ev in tr.events_of(node)
+            ]
+        assert list(back.iter_events()) == list(tr.iter_events())
+        for eid in tr.iter_ids():
+            assert back.event(eid) == tr.event(eid)
+            assert back.send_of(eid) == tr.send_of(eid)
+            assert back.recv_of(eid) == tr.recv_of(eid)
+        assert set(back.messages) == set(tr.messages)
 
     def test_file_round_trip(self, tmp_path):
         tr = random_trace(2, events_per_node=5, seed=1)
@@ -124,6 +170,119 @@ class TestMalformedInput:
         with pytest.raises(TraceError):
             trace_from_dict(data)
 
+    @pytest.mark.parametrize("kind", ["bottom", "top"])
+    def test_dummy_kind_rejected(self, kind):
+        data = {"version": 1, "num_nodes": 1, "events": [[{"kind": kind}]],
+                "messages": []}
+        with pytest.raises(TraceError, match="dummy"):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("pairs, fragment", [
+        ([[[0, 1], [1, 1]], [[0, 1], [1, 2]]], "sends two"),
+        ([[[0, 1], [1, 1]], [[0, 2], [1, 1]]], "receives two"),
+        ([[[1, 1], [0, 3]]], "not a SEND"),
+        ([[[0, 1], [0, 2]]], "not a RECV"),
+        ([[[1, 3], [1, 1]]], "self-message"),
+        ([[[0, 1], [3, 1]]], "no such node"),
+        ([[[0, 1], [1, 9]]], "no such event"),
+    ])
+    def test_inconsistent_messages_on_column_path(self, pairs, fragment):
+        data = {
+            "version": 1,
+            "num_nodes": 2,
+            "events": [
+                [{"kind": "send"}, {"kind": "send"}, {"kind": "recv"}],
+                [{"kind": "recv"}, {"kind": "recv"}, {"kind": "send"}],
+            ],
+            "messages": pairs,
+        }
+        with pytest.raises(TraceError, match=fragment):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("num_nodes", [2.9, 2.0, True, "2", None])
+    def test_num_nodes_must_be_int(self, num_nodes):
+        data = {"version": 1, "num_nodes": num_nodes, "events": [[], []],
+                "messages": []}
+        with pytest.raises(TraceError, match="malformed"):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("endpoint", [1.7, 1.0, True, "1", None])
+    def test_message_endpoint_must_be_int(self, endpoint):
+        data = {
+            "version": 1,
+            "num_nodes": 2,
+            "events": [[{"kind": "send"}], [{"kind": "recv"}]],
+            "messages": [[[0, 1], [endpoint, 1]]],
+        }
+        with pytest.raises(TraceError, match="malformed message"):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("record", [
+        {"label": 5}, {"label": ["a"]}, {"label": True},
+        {"time": "noon"}, {"time": True}, {"time": [1]},
+    ])
+    def test_label_and_time_types_checked(self, record):
+        data = {"version": 1, "num_nodes": 1, "events": [[{}, record]],
+                "messages": []}
+        with pytest.raises(TraceError, match="malformed"):
+            trace_from_dict(data)
+
+    def test_accepted_field_types(self):
+        data = {
+            "version": 1,
+            "num_nodes": 1,
+            "events": [[{"time": 3}, {"time": 2.5, "label": "x"},
+                        {"label": None, "time": None, "payload": [True]}]],
+            "messages": [],
+        }
+        tr = trace_from_dict(data)
+        assert [ev.time for ev in tr.events_of(0)] == [3, 2.5, None]
+        assert tr.event((0, 3)).payload == [True]
+
+    @pytest.mark.parametrize("field, value", [
+        ("events", 3), ("events", {"0": []}), ("events", [3]),
+        ("events", [{"kind": "send"}]), ("messages", 3), ("messages", "ab"),
+        ("messages", [3]), ("messages", [[0, 1]]), ("messages", [[[0, 1], [0]]]),
+        ("events", [[{"kind": ["send"]}]]), ("events", [[{"kind": None}]]),
+    ])
+    def test_wrong_shapes_are_trace_errors(self, field, value):
+        data = {"version": 1, "num_nodes": 1, "events": [[{"kind": "send"}]],
+                "messages": []}
+        data[field] = value
+        with pytest.raises(TraceError):
+            trace_from_dict(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_nodes=st.one_of(st.integers(0, 3), st.floats(), st.text(max_size=2)),
+        events=st.recursive(
+            st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
+            | st.sampled_from(["send", "recv", "internal", "top", "x"]),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(
+                st.sampled_from(["kind", "label", "time", "payload"]), inner,
+                max_size=4,
+            ),
+            max_leaves=12,
+        ),
+        messages=st.recursive(
+            st.none() | st.integers(-1, 3) | st.text(max_size=2),
+            lambda inner: st.lists(inner, max_size=3),
+            max_leaves=10,
+        ),
+    )
+    def test_arbitrary_json_loads_or_raises_trace_error(
+        self, num_nodes, events, messages
+    ):
+        data = {"version": 1, "num_nodes": num_nodes, "events": events,
+                "messages": messages}
+        try:
+            tr = loads(json.dumps(data))
+        except TraceError:
+            return
+        assert isinstance(tr, Trace)
+        assert loads(dumps(tr)) == tr
+
     def test_json_structure(self):
         tr = random_trace(2, events_per_node=3, seed=0)
         data = json.loads(dumps(tr))
@@ -157,6 +316,24 @@ class TestLoadsGuard:
         with pytest.raises(PayloadTooLargeError):
             loads(payload, max_bytes=len(payload))  # 3 < 5 bytes
 
+    def test_size_limit_is_exact_with_multibyte_text(self):
+        tr = random_trace(2, events_per_node=3, seed=4)
+        relabelled = Trace(
+            [[dataclasses.replace(ev, label="€😀" * ev.index) for ev in tr.events_of(i)]
+             for i in range(tr.num_nodes)],
+            tr.messages,
+        )
+        text = dumps(relabelled, ensure_ascii=False)
+        size = len(text.encode("utf-8"))
+        assert len(text) < size < 4 * len(text)  # the band that must encode
+        assert loads(text, max_bytes=size) == relabelled
+        with pytest.raises(PayloadTooLargeError):
+            loads(text, max_bytes=size - 1)
+        # the bounds that decide on the length alone
+        assert loads(text, max_bytes=4 * len(text)) == relabelled
+        with pytest.raises(PayloadTooLargeError):
+            loads(text, max_bytes=len(text) - 1)
+
     def test_bytes_input_round_trip(self):
         tr = random_trace(2, events_per_node=5, msg_prob=0.5, seed=7)
         raw = dumps(tr).encode("utf-8")
@@ -169,6 +346,8 @@ class TestLoadsGuard:
     def test_malformed_json_is_trace_error(self):
         with pytest.raises(TraceError, match="malformed"):
             loads("{not json")
+        with pytest.raises(TraceError, match="malformed"):
+            loads(b'{"version": 1, "x": "\xff"}')  # not UTF-8
 
     def test_non_object_payload_is_trace_error(self):
         with pytest.raises(TraceError, match="JSON object"):
@@ -180,3 +359,38 @@ class TestLoadsGuard:
         # callers may catch the broad TraceError and still distinguish
         assert issubclass(PayloadTooLargeError, TraceError)
         assert issubclass(SchemaVersionError, TraceError)
+
+
+class TestColumnarLoad:
+    """``loads`` fills columns and builds each node's events once, on demand."""
+
+    def test_events_are_built_once_per_node(self, monkeypatch):
+        back = loads(dumps(random_trace(3, events_per_node=5, msg_prob=0.4, seed=2)))
+        built = []
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[:2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        assert back.total_events == 15 and list(back.iter_ids())[-1] == (2, 5)
+        assert built == []
+        first = back.events_of(1)
+        assert back.events_of(1) is first
+        assert back.event((1, 3)) is first[2]
+        assert len(built) == 5
+        list(back.iter_events())
+        assert len(built) == 15
+
+    def test_event_built_trace_keeps_its_tuples(self):
+        tr = random_trace(2, events_per_node=4, seed=6)
+        given_events = [tr.events_of(i) for i in range(2)]
+        again = Trace(given_events, tr.messages)
+        assert all(again.events_of(i) is given_events[i] for i in range(2))
+
+    def test_payload_does_not_affect_equality(self):
+        tr = random_trace(2, events_per_node=3, seed=1)
+        other = _relabel(tr, [], [{"k": 1}] * 6)
+        assert other == tr and hash(other) == hash(tr)
+        assert other.node_columns(0) != tr.node_columns(0)
