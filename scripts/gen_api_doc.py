@@ -20,7 +20,7 @@ MODULES = [
     "repro.nonatomic", "repro.nonatomic.event", "repro.nonatomic.proxies",
     "repro.nonatomic.selection",
     "repro.backends", "repro.backends.base", "repro.backends.stats",
-    "repro.backends.vector", "repro.backends.reachability",
+    "repro.backends.vector",
     "repro.backends.reduction",
     "repro.core", "repro.core.context", "repro.core.cuts",
     "repro.core.relations", "repro.core.family",

@@ -1,13 +1,13 @@
-"""Backend-neutral cut-statistics containers and columnar kernels.
+"""Cut-statistics containers and columnar kernels.
 
-:class:`CutStats` is the stacked per-interval answer every causality
-backend produces for a batched cut fill — the complete per-interval
-state the vectorized relation conditions consume.  The segmented
+:class:`CutStats` is the stacked per-interval answer of a batched cut
+fill — the complete per-interval state the vectorized relation
+conditions consume.  The segmented
 gather-and-reduce kernel :func:`_stats_from_extrema` and its raw-array
 entry points (:func:`cut_stats_from_arrays`,
 :func:`cut_stats_from_extrema`) operate on *columnar clock matrices*
 and therefore belong to the vector-clock substrate, but they are kept
-here — below :mod:`repro.core` — so both the
+here — below :mod:`repro.core` — so
 :class:`~repro.backends.vector.VectorClockBackend` and callers holding
 raw matrices but no :class:`~repro.events.poset.Execution` can share
 one implementation.  Every entry point checks its extrema first
@@ -73,10 +73,10 @@ def flatten_extrema(
     """Flatten ``intervals``' per-node extremal events, interval-major.
 
     Returns ``(nodes, first_idx, last_idx, counts)`` — the input of
-    every backend's :meth:`~repro.backends.base.CausalityBackend.cut_stats_arrays`,
+    :meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`,
     with ``counts[i]`` entries for interval ``i``.  This is the single
     adapter from interval objects to that array entry point, so the
-    layout cannot drift between backends or callers.
+    layout cannot drift between callers.
     """
     k = len(intervals)
     counts = np.fromiter((iv.width for iv in intervals), np.intp, count=k)

@@ -1,9 +1,12 @@
-"""The default causality backend: columnar vector clocks.
+"""The causality backend: columnar vector clocks.
 
-:class:`VectorClockBackend` is a thin adapter over the columnar clock
-substrate the :class:`~repro.events.poset.Execution` already maintains
-(forward table eager, reverse table lazy), so it adds no storage of its
-own and inherits the substrate's version discipline for free —
+:class:`VectorClockBackend` answers every query on the causal order
+``≺`` the relation tests make: pairwise ``precedes`` / ``concurrent``,
+per-event timestamp rows, and scalar and batched Table-2 cut fills.  It
+is a thin adapter over the columnar clock substrate the
+:class:`~repro.events.poset.Execution` already maintains (forward table
+eager, reverse table lazy), so it adds no storage of its own and
+inherits the substrate's version discipline for free —
 :meth:`Execution.extend` advances the forward table incrementally and
 the reverse table rebuilds lazily.
 
@@ -23,31 +26,30 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..events.event import EventId
-from .base import CausalityBackend, register_backend
-from .stats import CutStats, _stats_from_extrema
+from .stats import CutStats, _stats_from_extrema, flatten_extrema
 
 if TYPE_CHECKING:
     from ..events.poset import Execution
+    from ..nonatomic.event import NonatomicEvent
 
 __all__ = ["VectorClockBackend"]
 
 
-@register_backend
-class VectorClockBackend(CausalityBackend):
+class VectorClockBackend:
     """Causality queries answered by the columnar clock tables.
 
+    All queries are over *real* events (dummy ``⊥``/``⊤`` handling
+    stays symbolic in :class:`~repro.events.poset.Execution`).
     Stateless beyond the execution reference: both tables live on the
-    execution (version-disciplined there), so :meth:`invalidate` is a
-    no-op and every query reads the current structures directly.
+    execution (version-disciplined there), so every query reads the
+    current structures and answers for the grown execution after
+    :meth:`Execution.extend`.
     """
 
-    __slots__ = ()
+    __slots__ = ("_execution",)
 
-    name = "vector"
-
-    def invalidate(self) -> None:
-        """No-op: the clock tables are owned (and versioned) by the
-        execution itself."""
+    def __init__(self, execution: "Execution") -> None:
+        self._execution = execution
 
     # ------------------------------------------------------------------
     # pairwise order
@@ -55,6 +57,14 @@ class VectorClockBackend(CausalityBackend):
     def leq(self, a: EventId, b: EventId) -> bool:
         """``a ≼ b`` via the canonical O(1) clock-component test."""
         return self._execution.leq(a, b)
+
+    def precedes(self, a: EventId, b: EventId) -> bool:
+        """``a ≺ b``: strict causal precedence (irreflexive)."""
+        return a != b and self.leq(a, b)
+
+    def concurrent(self, a: EventId, b: EventId) -> bool:
+        """``a ∥ b``: neither ``a ≼ b`` nor ``b ≼ a``."""
+        return not self.leq(a, b) and not self.leq(b, a)
 
     # ------------------------------------------------------------------
     # timestamp-row queries
@@ -75,8 +85,44 @@ class VectorClockBackend(CausalityBackend):
         return rows
 
     # ------------------------------------------------------------------
-    # batched cut fill
+    # cut fills
     # ------------------------------------------------------------------
+    def cut_vector(self, x: "NonatomicEvent", which: str) -> np.ndarray:
+        """One Table-2 cut timestamp of ``x`` as a read-only int64
+        vector (``which`` in ``C1``/``C2``/``C3``/``C4``).
+
+        Past cuts (C1/C2) never force the lazy reverse pass.
+        """
+        if which == "C1":
+            vec = self.forward_rows(x.first_ids()).min(axis=0)
+        elif which == "C2":
+            vec = self.forward_rows(x.last_ids()).max(axis=0)
+        elif which in ("C3", "C4"):
+            beyond = np.asarray(self._execution.lengths, dtype=np.int64) + 1
+            if which == "C3":
+                vec = beyond - self.reverse_rows(x.first_ids()).max(axis=0)
+            else:
+                vec = beyond - self.reverse_rows(x.last_ids()).min(axis=0)
+        else:
+            raise ValueError(f"unknown cut: {which!r}")
+        vec = np.ascontiguousarray(vec, dtype=np.int64)
+        vec.setflags(write=False)
+        return vec
+
+    def cut_stats(self, intervals: Sequence["NonatomicEvent"]) -> CutStats:
+        """All four Table-2 cuts plus extremal vectors for a whole
+        interval set, rows aligned with the input order.
+
+        Flattens the intervals' per-node extrema
+        (:func:`~repro.backends.stats.flatten_extrema`) and hands them
+        to :meth:`cut_stats_arrays`.
+        """
+        ex = self._execution
+        for iv in intervals:
+            if iv.execution is not ex:
+                raise ValueError("interval does not belong to this execution")
+        return self.cut_stats_arrays(*flatten_extrema(intervals))
+
     def cut_stats_arrays(
         self,
         nodes: np.ndarray,
@@ -84,11 +130,25 @@ class VectorClockBackend(CausalityBackend):
         last_idx: np.ndarray,
         counts: np.ndarray,
     ) -> CutStats:
-        """Four gathers and four segmented reductions over the columnar
-        clock tables (:func:`~repro.backends.stats._stats_from_extrema`)."""
+        """The batched cut fill over flattened per-node extrema.
+
+        Row ``i`` of the result covers ``counts[i]`` consecutive entries
+        of ``nodes``/``first_idx``/``last_idx``: the nodes an interval
+        spans with its least and greatest component index on each.  A
+        cut depends on an interval only through these extrema, so
+        callers holding them (a Definition-2 proxy *is* one extremal
+        event per node) need no interval object.  Entries naming no
+        real event raise :class:`ValueError`
+        (:func:`~repro.backends.stats.check_extrema`).  Four gathers
+        and four segmented reductions over the columnar clock tables
+        (:func:`~repro.backends.stats._stats_from_extrema`).
+        """
         fwd = self._execution.forward_table
         rev = self._execution.reverse_table
         return _stats_from_extrema(
             fwd.data, rev.data, fwd.offsets, fwd.lengths,
             nodes, first_idx, last_idx, counts,
         )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}({self._execution!r})"

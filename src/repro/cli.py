@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "default: report all 32 + strongest")
     p_rel.add_argument("--engine", default="linear",
                        choices=["naive", "polynomial", "linear"])
-    p_rel.add_argument("--backend", default=None,
-                       choices=["vector", "reachability"],
-                       help="causality backend answering the queries "
-                            "(default: $REPRO_BACKEND or vector)")
     p_rel.add_argument("--reduce", action="store_true",
                        help="merge commuting adjacent same-node internal "
                             "events before analysing (verdict-preserving)")
@@ -116,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind a condition name to an event label")
     p_check.add_argument("--engine", default="linear",
                          choices=["naive", "polynomial", "linear"])
-    p_check.add_argument("--backend", default=None,
-                         choices=["vector", "reachability"],
-                         help="causality backend answering the queries "
-                              "(default: $REPRO_BACKEND or vector)")
 
     p_stream = sub.add_parser(
         "stream",
@@ -134,10 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--spec", default=None,
                           help="also evaluate SPEC between each consecutive "
                                "pair of closed intervals as the stream runs")
-    p_stream.add_argument("--backend", default=None,
-                          choices=["vector", "reachability"],
-                          help="causality backend for the finalisation "
-                               "context (default: $REPRO_BACKEND or vector)")
 
     p_serve = sub.add_parser(
         "serve",
@@ -199,21 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_context(path: str, backend: str | None = None) -> AnalysisContext:
+def _load_context(path: str) -> AnalysisContext:
     """Load a trace into the shared analysis context — the one place
-    the CLI builds timestamps and cuts.  ``backend`` is a
-    :data:`repro.backends.base.BACKENDS` key; None uses the process
-    default (``$REPRO_BACKEND`` or ``vector``)."""
-    if backend is None:
-        return AnalysisContext.of(Execution(load(path)))
-    return AnalysisContext(Execution(load(path)), backend=backend)
+    the CLI builds timestamps and cuts."""
+    return AnalysisContext.of(Execution(load(path)))
 
 
 def _print_run_stats(ctx: AnalysisContext) -> None:
-    """One diagnostic line: which backend answered and what it cost."""
+    """One diagnostic line: what the run cost."""
     passes = clock_pass_counts()
-    print(f"backend: {ctx.backend_name} | cut cache: "
-          f"{ctx.cache_hits} hits / {ctx.cache_misses} misses | "
+    print(f"cut cache: {ctx.cache_hits} hits / {ctx.cache_misses} misses | "
           f"clock passes: forward={passes['forward']} "
           f"reverse={passes['reverse']} extend={passes['extend']}")
     fam = ctx.family_query_stats()
@@ -260,9 +243,9 @@ def _cmd_relations(args) -> int:
         red = reduce_trace(load(args.trace))
         print(f"reduced {red.original_events} events to "
               f"{red.reduced_events} ({red.ratio:.0%} fewer)")
-        ctx = AnalysisContext(Execution(red.trace), backend=args.backend)
+        ctx = AnalysisContext.of(Execution(red.trace))
     else:
-        ctx = _load_context(args.trace, args.backend)
+        ctx = _load_context(args.trace)
     ex = ctx.execution
     an = SynchronizationAnalyzer(ctx, engine=args.engine)
     x = by_label(ex, args.x)
@@ -284,12 +267,12 @@ def _cmd_relations(args) -> int:
 
 def _cmd_check(args) -> int:
     reset_clock_pass_counts()
-    ctx = _load_context(args.trace, args.backend)
+    ctx = _load_context(args.trace)
     ex = ctx.execution
     bindings = {}
     for item in args.bind:
         name, _, label = item.partition("=")
-        if not label:
+        if not name or not label:
             print(f"error: --bind needs NAME=LABEL, got {item!r}",
                   file=sys.stderr)
             return 2
@@ -325,14 +308,10 @@ def _cmd_stream(args) -> int:
               file=sys.stderr)
         return 2
 
+    watches = _parse_watches(args.watch)
     reset_clock_pass_counts()
     om = OnlineMonitor(trace.num_nodes)
-    for item in args.watch:
-        name, _, cond = item.partition("=")
-        if not cond:
-            print(f"error: --watch needs NAME=CONDITION, got {item!r}",
-                  file=sys.stderr)
-            return 2
+    for name, cond in watches:
         om.watch(name, cond)
 
     handles: dict = {}
@@ -367,13 +346,12 @@ def _cmd_stream(args) -> int:
             closed.append(ev.label)
 
     # zero-copy finalisation from the live table into a full context
-    ctx = AnalysisContext(om.to_execution(), backend=args.backend)
+    om.to_context()
     passes = clock_pass_counts()
     print(f"streamed {trace.total_events} events, {len(closed)} intervals "
           f"closed, {len(om.notifications)} watch notification(s)")
     print(f"offline clock passes during the run: forward={passes['forward']} "
           f"reverse={passes['reverse']} extend={passes['extend']}")
-    print(f"finalisation context backend: {ctx.backend_name}")
     return 0
 
 

@@ -38,8 +38,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backends.base import CLOCK_DTYPE, CausalityBackend, make_backend
+from ..backends.base import CLOCK_DTYPE
 from ..backends.stats import flatten_extrema
+from ..backends.vector import VectorClockBackend
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
@@ -170,15 +171,9 @@ class CutCache:
     __slots__ = ("_execution", "_backend", "_version", "_cuts", "_extremal",
                  "_rows", "_store", "_size", "hits", "misses")
 
-    def __init__(
-        self,
-        execution: Execution,
-        backend: "CausalityBackend | None" = None,
-    ) -> None:
+    def __init__(self, execution: Execution) -> None:
         self._execution = execution
-        self._backend = (
-            backend if backend is not None else make_backend(None, execution)
-        )
+        self._backend = VectorClockBackend(execution)
         self._version = execution.version
         self._cuts: dict[tuple[_Key, str], Cut] = {}
         self._extremal: dict[_Key, tuple[np.ndarray, np.ndarray]] = {}
@@ -196,7 +191,7 @@ class CutCache:
         return self._execution
 
     @property
-    def backend(self) -> CausalityBackend:
+    def backend(self) -> VectorClockBackend:
         """The causality backend filling cache misses."""
         return self._backend
 
@@ -211,7 +206,6 @@ class CutCache:
         self._rows.clear()
         self._store = None
         self._size = 0
-        self._backend.invalidate()
         self._version = self._execution.version
 
     def _fresh(self) -> None:
@@ -413,9 +407,9 @@ class CutCache:
         of ``intervals[i]`` (``None`` keeps the interval itself).  Rows
         already stored are copied out of the row store; every *missing*
         one is filled by one batched backend pass
-        (:meth:`~repro.backends.base.CausalityBackend.cut_stats_arrays`
-        — for the vector backend, gathers and segmented reductions over
-        the ``(|E|, |P|)`` clock matrices, no per-interval fold loop)
+        (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`
+        — gathers and segmented reductions over the ``(|E|, |P|)``
+        clock matrices, no per-interval fold loop)
         and stored, so later scalar queries hit.  Definition-2 proxy
         rows come from the intervals' own extrema; Definition-3
         proxies (``ProxyDefinition.GLOBAL``) are built as objects by
@@ -442,7 +436,7 @@ class CutCache:
         Looks up every interval's ``(L, U)`` proxy rows, keyed
         ``(x.ids, "L"|"U")``, and fills the missing ones in **one**
         batched backend pass
-        (:meth:`~repro.backends.base.CausalityBackend.cut_stats_arrays`)
+        (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`)
         straight from the intervals' per-node first/last indices: no
         proxy object and no :class:`~repro.core.cuts.Cut` is built.
         The rows are then gathered into the contiguous operand layout
@@ -488,21 +482,12 @@ class AnalysisContext:
     __slots__ = ("_execution", "_backend", "_cut_cache", "_verdicts",
                  "__weakref__")
 
-    def __init__(
-        self,
-        execution: Execution,
-        backend: "str | CausalityBackend | None" = None,
-    ) -> None:
+    def __init__(self, execution: Execution) -> None:
         if isinstance(execution, AnalysisContext):  # idempotent wrap
             execution = execution.execution
         self._execution = execution
-        if isinstance(backend, CausalityBackend):
-            if backend.execution is not execution:
-                raise ValueError("backend belongs to a different execution")
-            self._backend = backend
-        else:
-            self._backend = make_backend(backend, execution)
-        self._cut_cache = CutCache(execution, self._backend)
+        self._cut_cache = CutCache(execution)
+        self._backend = self._cut_cache.backend
         self._verdicts: dict[ProxyDefinition, SharedVerdictCache] = {}
 
     @classmethod
@@ -528,14 +513,9 @@ class AnalysisContext:
         return self._execution
 
     @property
-    def backend(self) -> CausalityBackend:
+    def backend(self) -> VectorClockBackend:
         """The causality backend answering this context's queries."""
         return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the active backend (``vector``/…)."""
-        return self._backend.name
 
     @property
     def cut_cache(self) -> CutCache:
@@ -574,14 +554,14 @@ class AnalysisContext:
         return self._cut_cache.extremal(x)
 
     # ------------------------------------------------------------------
-    # pairwise causality (backend-routed)
+    # pairwise causality
     # ------------------------------------------------------------------
     def precedes(self, a: EventId, b: EventId) -> bool:
-        """``a ≺ b`` for real events, answered by the active backend."""
+        """``a ≺ b`` for real events, answered by the backend."""
         return self._backend.precedes(a, b)
 
     def concurrent(self, a: EventId, b: EventId) -> bool:
-        """``a ∥ b`` for real events, answered by the active backend."""
+        """``a ∥ b`` for real events, answered by the backend."""
         return self._backend.concurrent(a, b)
 
     # ------------------------------------------------------------------
@@ -646,7 +626,7 @@ class AnalysisContext:
         queries can never see pre-growth future cuts.
         """
         self._execution.extend(trace)
-        self._cut_cache.invalidate()  # also re-arms the backend
+        self._cut_cache.invalidate()
         for vc in self._verdicts.values():
             vc.invalidate()
         return self

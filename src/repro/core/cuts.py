@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backends.stats import (  # noqa: F401  (re-exported compatibility API)
+from ..backends.stats import (  # noqa: F401  (re-exported)
     CutStats,
     cut_stats_from_arrays,
     cut_stats_from_extrema,
@@ -396,11 +396,9 @@ def cuts_of(x: NonatomicEvent) -> CutQuadruple:
 # ----------------------------------------------------------------------
 # columnar batch kernel: all four cuts for a whole interval set at once
 # ----------------------------------------------------------------------
-# The stacked container (CutStats) and the raw-array kernels
-# (cut_stats_from_arrays / cut_stats_from_extrema) now live in
-# repro.backends.stats — below the backend seam — and are re-exported
-# above for compatibility; the Execution-level fill delegates to the
-# vector backend's implementation.
+# CutStats and the raw-array kernels (cut_stats_from_arrays /
+# cut_stats_from_extrema) live in repro.backends.stats, below the
+# backend seam; the Execution-level fill delegates to the backend.
 
 
 def cut_stats(
@@ -415,11 +413,10 @@ def cut_stats(
     per-interval Python fold, which is what the ``≥5x`` cut-fill
     speedup of ``benchmarks/bench_setup_amortization.py`` measures.
 
-    Runs the vector-clock backend's fill
-    (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats`);
-    backend-agnostic callers should go through
-    :meth:`repro.core.context.CutCache.stats` instead, which routes to
-    the context's configured :class:`~repro.backends.base.CausalityBackend`.
+    Runs the backend's fill
+    (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats`) with
+    no caching; :meth:`repro.core.context.CutCache.stats` is the
+    memoized entry point.
     """
     return VectorClockBackend(execution).cut_stats(intervals)
 

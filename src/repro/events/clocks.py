@@ -23,8 +23,7 @@ Between two anchors of a node a timestamp changes in its own component
 alone, so each node's block is then filled from its anchor rows by one
 vectorized gather.  The cost is ``O(|M|)`` interpreter steps, each an
 ``O(|P|)`` componentwise ``max``, plus an ``O(|E|·|P|)`` vectorized
-fill.  :func:`anchor_schedule` is the shared scheduler; the
-reachability backend walks the same anchor order.
+fill.  :func:`anchor_schedule` yields that anchor order.
 
 Storage layout
 --------------

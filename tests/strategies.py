@@ -5,11 +5,13 @@ by drawing a sequence of per-node operations (internal / send /
 deliver-oldest), which guarantees acyclicity by construction (a receive
 is only appended after its send).  Interval strategies then draw
 disjoint nonatomic event pairs from the resulting execution.
+:func:`closure_counts` is the transitive-closure oracle for timestamps.
 """
 
 from __future__ import annotations
 
 
+import networkx as nx
 from hypothesis import strategies as st
 
 from repro.events.builder import TraceBuilder
@@ -23,7 +25,26 @@ __all__ = [
     "execution_with_pair",
     "execution_with_intervals",
     "build_trace_from_ops",
+    "closure_counts",
 ]
+
+
+def closure_counts(ex: Execution):
+    """Oracle: per-event (T, T^R) via explicit transitive closure."""
+    g = ex.to_networkx()
+    tc = nx.transitive_closure_dag(g)
+    fwd, rev = {}, {}
+    ids = list(ex.iter_ids())
+    for e in ids:
+        below = {e} | set(tc.predecessors(e))
+        above = {e} | set(tc.successors(e))
+        fwd[e] = [
+            sum(1 for (n, _j) in below if n == i) for i in range(ex.num_nodes)
+        ]
+        rev[e] = [
+            sum(1 for (n, _j) in above if n == i) for i in range(ex.num_nodes)
+        ]
+    return fwd, rev
 
 
 def build_trace_from_ops(

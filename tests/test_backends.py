@@ -1,11 +1,12 @@
-"""Cross-backend equivalence, seam enforcement, and trace reduction.
+"""Backend oracle tests, seam enforcement, and trace reduction.
 
-The :class:`~repro.backends.base.CausalityBackend` seam promises that
-every encoding of ``≺`` is observationally identical: the vector-clock
-substrate and the breakpoint-compressed reachability encoding must
-agree on pairwise order, timestamp rows, Table-2 cut fills, and — end
-to end — all 40 relation verdicts (the 32-family plus the 8 base
-relations), including after :meth:`Execution.extend` growth.
+The causality backend (:class:`~repro.backends.vector.VectorClockBackend`)
+must agree with the networkx transitive closure of the covering digraph
+on pairwise order and timestamp rows, its scalar cut vectors must equal
+its batched cut-stat rows, and — end to end — all 40 relation verdicts
+(the 32-family plus the 8 base relations) must equal the
+definition-level engine's, also after :meth:`Execution.extend` growth
+(an extended context against a fresh one on the full trace).
 
 The seam itself is enforced structurally: no module under
 ``repro.core``, ``repro.monitor``, or ``repro.globalstates`` may import
@@ -25,20 +26,12 @@ import ast
 import itertools
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import (
-    BACKENDS,
-    CommutativityRules,
-    ReachabilityBackend,
-    VectorClockBackend,
-    make_backend,
-    reduce_trace,
-)
-from repro.backends.base import default_backend_name
+from repro.backends import CommutativityRules, reduce_trace
 from repro.core.context import AnalysisContext
 from repro.core.evaluator import SynchronizationAnalyzer
 from repro.core.relations import BASE_RELATIONS, FAMILY32
@@ -47,7 +40,7 @@ from repro.events.poset import Execution
 from repro.nonatomic.event import NonatomicEvent
 from repro.nonatomic.selection import by_label
 
-from .strategies import build_trace_from_ops, execution_with_pair, executions
+from .strategies import closure_counts, execution_with_pair, executions
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -91,71 +84,43 @@ def _all_verdicts(an, x, y):
     return out
 
 
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert make_backend(None, Execution(build_trace_from_ops(2, [])))
-        assert set(BACKENDS) >= {"vector", "reachability"}
-        assert BACKENDS["vector"] is VectorClockBackend
-        assert BACKENDS["reachability"] is ReachabilityBackend
-
-    def test_unknown_backend_rejected(self):
-        ex = Execution(build_trace_from_ops(2, []))
-        with pytest.raises(ValueError, match="unknown causality backend"):
-            make_backend("laporte", ex)
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "reachability")
-        assert default_backend_name() == "reachability"
-        ex = Execution(build_trace_from_ops(2, []))
-        assert AnalysisContext(ex).backend_name == "reachability"
-        monkeypatch.setenv("REPRO_BACKEND", "laporte")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            default_backend_name()
-
-    def test_foreign_backend_instance_rejected(self):
-        ex1 = Execution(build_trace_from_ops(2, [(0, 0, 0)]))
-        ex2 = Execution(build_trace_from_ops(2, [(1, 0, 0)]))
-        backend = make_backend("vector", ex1)
-        with pytest.raises(ValueError, match="different execution"):
-            AnalysisContext(ex2, backend=backend)
-
-
 class TestPairwiseEquivalence:
+    """``ctx.backend`` against the networkx transitive-closure oracle."""
+
     @given(executions(max_nodes=4, max_ops=30))
     @settings(max_examples=60, deadline=None)
     def test_leq_precedes_concurrent_agree(self, ex):
-        vec = make_backend("vector", ex)
-        rch = make_backend("reachability", ex)
+        backend = AnalysisContext(ex).backend
+        tc = nx.transitive_closure_dag(ex.to_networkx())
         ids = sorted(ex.iter_ids())
         for a, b in itertools.product(ids, ids):
-            assert vec.leq(a, b) == rch.leq(a, b), (a, b)
-            assert vec.precedes(a, b) == rch.precedes(a, b), (a, b)
-            assert vec.concurrent(a, b) == rch.concurrent(a, b), (a, b)
+            leq = a == b or tc.has_edge(a, b)
+            geq = a == b or tc.has_edge(b, a)
+            assert backend.leq(a, b) == leq, (a, b)
+            assert backend.precedes(a, b) == (leq and a != b), (a, b)
+            assert backend.concurrent(a, b) == (not leq and not geq), (a, b)
 
     @given(executions(max_nodes=4, max_ops=30))
     @settings(max_examples=60, deadline=None)
     def test_timestamp_rows_agree(self, ex):
-        vec = make_backend("vector", ex)
-        rch = make_backend("reachability", ex)
+        backend = AnalysisContext(ex).backend
+        fwd, rev = closure_counts(ex)
         ids = sorted(ex.iter_ids())
-        assert np.array_equal(vec.forward_rows(ids), rch.forward_rows(ids))
-        assert np.array_equal(vec.reverse_rows(ids), rch.reverse_rows(ids))
+        assert backend.forward_rows(ids).tolist() == [fwd[e] for e in ids]
+        assert backend.reverse_rows(ids).tolist() == [rev[e] for e in ids]
 
     @given(execution_with_pair(max_nodes=4, max_ops=30))
     @settings(max_examples=60, deadline=None)
     def test_cut_vectors_and_stats_agree(self, exy):
         ex, x, y = exy
-        vec = make_backend("vector", ex)
-        rch = make_backend("reachability", ex)
-        for iv in (x, y):
+        backend = AnalysisContext(ex).backend
+        stats = backend.cut_stats([x, y])
+        for row, iv in enumerate((x, y)):
             for which in ("C1", "C2", "C3", "C4"):
                 assert np.array_equal(
-                    vec.cut_vector(iv, which), rch.cut_vector(iv, which)
-                ), which
-        sv = vec.cut_stats([x, y])
-        sr = rch.cut_stats([x, y])
-        for name in ("c1", "c2", "c3", "c4", "first", "last"):
-            assert np.array_equal(getattr(sv, name), getattr(sr, name)), name
+                    backend.cut_vector(iv, which),
+                    getattr(stats, which.lower())[row],
+                ), (row, which)
 
 
 class TestVerdictEquivalence:
@@ -163,15 +128,13 @@ class TestVerdictEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_all_40_verdicts_agree(self, exy):
         ex, x, y = exy
-        # separate executions: a backend is bound to one execution
+        # the definition-level engine on its own execution is the oracle
         ex2 = Execution(ex.trace)
         x2 = NonatomicEvent(ex2, sorted(x.ids), name="X")
         y2 = NonatomicEvent(ex2, sorted(y.ids), name="Y")
-        an_vec = SynchronizationAnalyzer(AnalysisContext(ex, backend="vector"))
-        an_rch = SynchronizationAnalyzer(
-            AnalysisContext(ex2, backend="reachability")
-        )
-        assert _all_verdicts(an_vec, x, y) == _all_verdicts(an_rch, x2, y2)
+        an = SynchronizationAnalyzer(AnalysisContext(ex))
+        naive = SynchronizationAnalyzer(AnalysisContext(ex2), engine="naive")
+        assert _all_verdicts(an, x, y) == _all_verdicts(naive, x2, y2)
 
     @given(st.integers(2, 4), _ops, _ops)
     @settings(max_examples=30, deadline=None)
@@ -179,40 +142,33 @@ class TestVerdictEquivalence:
         prefix = _replay(num_nodes, head)
         full = _replay(num_nodes, head + tail)
         assume(full.total_events > prefix.total_events)
-        ex_vec = Execution(prefix)
-        ex_rch = Execution(prefix)
-        ctx_vec = AnalysisContext(ex_vec, backend="vector")
-        ctx_rch = AnalysisContext(ex_rch, backend="reachability")
-        ids = sorted(ex_vec.iter_ids())
+        grown = AnalysisContext(Execution(prefix))
+        ids = sorted(grown.execution.iter_ids())
         half = max(1, len(ids) // 2)
         # pay pre-growth queries so stale caches would be caught
-        for ctx in (ctx_vec, ctx_rch):
-            an = SynchronizationAnalyzer(ctx)
-            x = ctx.interval(ids[:half], name="X")
-            y = ctx.interval(ids[half:] or ids[:1], name="Y")
-            _all_verdicts(an, x, y)
-        ctx_vec.extend(full)
-        ctx_rch.extend(full)
-        ids = sorted(ex_vec.iter_ids())
+        _all_verdicts(
+            SynchronizationAnalyzer(grown),
+            grown.interval(ids[:half], name="X"),
+            grown.interval(ids[half:] or ids[:1], name="Y"),
+        )
+        grown.extend(full)
+        fresh = AnalysisContext(Execution(full))
+        ids = sorted(fresh.execution.iter_ids())
         half = max(1, len(ids) // 2)
-        an_vec = SynchronizationAnalyzer(ctx_vec)
-        an_rch = SynchronizationAnalyzer(ctx_rch)
-        v = _all_verdicts(
-            an_vec,
-            ctx_vec.interval(ids[:half], name="X"),
-            ctx_vec.interval(ids[half:], name="Y"),
+        grown_v, fresh_v = (
+            _all_verdicts(
+                SynchronizationAnalyzer(ctx),
+                ctx.interval(ids[:half], name="X"),
+                ctx.interval(ids[half:], name="Y"),
+            )
+            for ctx in (grown, fresh)
         )
-        r = _all_verdicts(
-            an_rch,
-            ctx_rch.interval(ids[:half], name="X"),
-            ctx_rch.interval(ids[half:], name="Y"),
-        )
-        assert v == r
+        assert grown_v == fresh_v
 
 
 class TestBatchedFamilyEquivalence:
-    """The batched ``(pairs, 24)`` kernel agrees with the scalar path
-    on both backends — including after real append-only growth."""
+    """The batched ``(pairs, 24)`` kernel agrees with the scalar path,
+    including after real append-only growth."""
 
     @given(st.integers(2, 4), _ops, _ops)
     @settings(max_examples=20, deadline=None)
@@ -222,25 +178,24 @@ class TestBatchedFamilyEquivalence:
         prefix = _replay(num_nodes, head)
         full = _replay(num_nodes, head + tail)
         assume(full.total_events > prefix.total_events)
-        for backend in ("vector", "reachability"):
-            ctx = AnalysisContext(Execution(prefix), backend=backend)
-            an = SynchronizationAnalyzer(ctx)
-            oracle = SynchronizationAnalyzer(ctx, counted=True)
-            assert oracle.verdict_cache is None
-            ids = sorted(ctx.execution.iter_ids())
-            half = max(1, len(ids) // 2)
-            x = ctx.interval(ids[:half], name="X")
-            y = ctx.interval(ids[half:] or ids[:1], name="Y")
-            # pay a pre-growth batched fill so stale rows would be caught
-            an.all_relations_batch([(x, y)])
-            ctx.extend(full)
-            ids = sorted(ctx.execution.iter_ids())
-            half = max(1, len(ids) // 2)
-            x = ctx.interval(ids[:half], name="X")
-            y = ctx.interval(ids[half:], name="Y")
-            fam = an.all_relations_batch([(x, y), (y, x)])
-            for f, (a, b) in zip(fam, [(x, y), (y, x)], strict=True):
-                assert f == {s: oracle.holds(s, a, b) for s in FAMILY32}
+        ctx = AnalysisContext(Execution(prefix))
+        an = SynchronizationAnalyzer(ctx)
+        oracle = SynchronizationAnalyzer(ctx, counted=True)
+        assert oracle.verdict_cache is None
+        ids = sorted(ctx.execution.iter_ids())
+        half = max(1, len(ids) // 2)
+        x = ctx.interval(ids[:half], name="X")
+        y = ctx.interval(ids[half:] or ids[:1], name="Y")
+        # pay a pre-growth batched fill so stale rows would be caught
+        an.all_relations_batch([(x, y)])
+        ctx.extend(full)
+        ids = sorted(ctx.execution.iter_ids())
+        half = max(1, len(ids) // 2)
+        x = ctx.interval(ids[:half], name="X")
+        y = ctx.interval(ids[half:], name="Y")
+        fam = an.all_relations_batch([(x, y), (y, x)])
+        for f, (a, b) in zip(fam, [(x, y), (y, x)], strict=True):
+            assert f == {s: oracle.holds(s, a, b) for s in FAMILY32}
 
 
 class TestSeamEnforcement:

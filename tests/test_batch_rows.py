@@ -3,8 +3,8 @@
 * Every batch API — ``all_relations_batch``, ``base_relations_batch``,
   ``strongest_batch``, ``batch_holds`` and ``relation_matrix`` — gives
   the scalar :class:`~repro.core.linear.LinearEvaluator`'s verdicts bit
-  for bit on all 40 specs, under both causality backends, before and
-  after :meth:`AnalysisContext.extend`.
+  for bit on all 40 specs, before and after
+  :meth:`AnalysisContext.extend`.
 * Scalar ``cut``/``quadruple``/``extremal`` reads of a row a batch
   stored are cache hits and compute nothing; the reverse does not hold,
   and a proxy is stored apart from an interval with the same ids.
@@ -44,7 +44,6 @@ from repro.simulation.workloads import random_trace
 from .test_context import _ops, _replay
 
 ALL_SPECS = list(BASE_RELATIONS) + list(FAMILY32)
-BACKENDS = ("vector", "reachability")
 
 
 def _partition(ex: Execution, owners: list[int], k: int) -> list[NonatomicEvent]:
@@ -65,7 +64,7 @@ def _assert_batches_match_scalar(
     if not intervals:  # relation_matrix needs at least one interval
         return
     # an independent context: scalar folds, never the batch's rows
-    lin = LinearEvaluator(AnalysisContext(an.execution, backend="vector"))
+    lin = LinearEvaluator(AnalysisContext(an.execution))
 
     def scalar(spec, x, y):
         if spec in FAMILY32:
@@ -88,7 +87,6 @@ def _assert_batches_match_scalar(
 
 
 class TestBatchesMatchScalar:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(
         num_nodes=st.integers(1, 4),
         head=_ops,
@@ -97,10 +95,10 @@ class TestBatchesMatchScalar:
     )
     @settings(max_examples=20, deadline=None)
     def test_all_batch_apis_match_linear_before_and_after_extend(
-        self, backend, num_nodes, head, tail, owners
+        self, num_nodes, head, tail, owners
     ):
         ex = Execution(_replay(num_nodes, head))
-        ctx = AnalysisContext(ex, backend=backend)
+        ctx = AnalysisContext(ex)
         an = SynchronizationAnalyzer(ctx)
         intervals = _partition(ex, owners, 4)
         _assert_batches_match_scalar(an, intervals)
@@ -126,7 +124,7 @@ class TestScalarReadsHit:
         an.all_relations_batch(pairs)
         cache = ctx.cut_cache
         misses = cache.misses
-        fresh = AnalysisContext(ctx.execution, backend="vector")
+        fresh = AnalysisContext(ctx.execution)
         for x in intervals[:-1]:
             for p in (Proxy.L, Proxy.U):
                 px = proxy_of(x, p)
@@ -238,8 +236,7 @@ class TestNoObjectsOnBatchPath:
         ctx.cut(intervals[0], "C1")
         assert built["Cut"] == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_offline_path_from_text_builds_no_event(self, monkeypatch, backend):
+    def test_offline_path_from_text_builds_no_event(self, monkeypatch):
         text = dumps(random_trace(6, events_per_node=24, msg_prob=0.3, seed=8))
         built = []
         event_init = Event.__init__
@@ -251,7 +248,7 @@ class TestNoObjectsOnBatchPath:
         monkeypatch.setattr(Event, "__init__", counting_init)
         trace = loads(text)
         ex = Execution(trace)
-        ctx = AnalysisContext(ex, backend=backend)
+        ctx = AnalysisContext(ex)
         ctx.backend.reverse_rows([next(ex.iter_ids())])
         intervals = [
             NonatomicEvent(ex, [(node, j), ((node + 1) % 6, j + 1)])

@@ -122,6 +122,23 @@ class TestCheck:
             "--bind", "a=phase0",
         ]) == 2
 
+    def test_empty_binding_name_rejected(self, barrier_trace_file, capsys):
+        assert main([
+            "check", barrier_trace_file, "--spec", "R1(a, b)",
+            "--bind", "=phase0", "--bind", "b=phase1",
+        ]) == 2
+        assert "--bind needs NAME=LABEL" in capsys.readouterr().err
+
+
+class TestStream:
+    def test_empty_watch_name_rejected(self, barrier_trace_file, capsys):
+        assert main([
+            "stream", barrier_trace_file, "--watch", "=R1(phase0, phase1)",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "--watch needs NAME=CONDITION" in captured.err
+        assert "decided" not in captured.out
+
 
 class TestFigures:
     def test_prints_figure2(self, capsys):

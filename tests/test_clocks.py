@@ -8,7 +8,6 @@ fixed posets and property-based on random ones.
 
 import re
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,25 +26,7 @@ from repro.events.event import Event, EventKind
 from repro.events.poset import Execution
 from repro.events.trace import Message, Trace
 
-from .strategies import executions
-
-
-def closure_counts(ex: Execution):
-    """Oracle: per-event (T, T^R) via explicit transitive closure."""
-    g = ex.to_networkx()
-    tc = nx.transitive_closure_dag(g)
-    fwd, rev = {}, {}
-    ids = list(ex.iter_ids())
-    for e in ids:
-        below = {e} | set(tc.predecessors(e))
-        above = {e} | set(tc.successors(e))
-        fwd[e] = [
-            sum(1 for (n, _j) in below if n == i) for i in range(ex.num_nodes)
-        ]
-        rev[e] = [
-            sum(1 for (n, _j) in above if n == i) for i in range(ex.num_nodes)
-        ]
-    return fwd, rev
+from .strategies import closure_counts, executions
 
 
 def assert_matches_closure(ex: Execution) -> None:

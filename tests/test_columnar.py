@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.backends.base import make_backend
+from repro.backends.vector import VectorClockBackend
 from repro.core.cuts import (
     CutStats,
     batch_quadruples,
@@ -126,10 +126,9 @@ class TestExtremaValidation:
                 [((0,), (1,), (2,)), ((node,), (idx,), (idx,))],
             )
 
-    @pytest.mark.parametrize("backend", ["vector", "reachability"])
     @pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_NAMES)
-    def test_backend_array_entry_point(self, message_exec, backend, bad):
-        b = make_backend(backend, message_exec)
+    def test_backend_array_entry_point(self, message_exec, bad):
+        b = VectorClockBackend(message_exec)
         node, idx = bad
         arr = np.asarray
         with pytest.raises(ValueError, match="name no real events"):
@@ -138,10 +137,8 @@ class TestExtremaValidation:
                 arr([2, idx], dtype=np.int64), arr([1, 1], dtype=np.intp),
             )
 
-    @pytest.mark.parametrize("backend", ["vector", "reachability"])
-    def test_backend_rejects_first_after_last_and_empty(self, message_exec,
-                                                        backend):
-        b = make_backend(backend, message_exec)
+    def test_backend_rejects_first_after_last_and_empty(self, message_exec):
+        b = VectorClockBackend(message_exec)
         arr = np.asarray
         with pytest.raises(ValueError, match="name no real events"):
             b.cut_stats_arrays(arr([0]), arr([3]), arr([2]), arr([1]))

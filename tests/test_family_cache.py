@@ -246,15 +246,14 @@ _ORACLE = dict(counted=True)
 
 class TestVectorizedOracleEquivalence:
     """Hypothesis: the vectorized ``(pairs, 24)`` verdict matrix is
-    bit-identical to scalar per-pair evaluation over all 40 specs, on
-    both backends, including across ``extend()`` invalidation."""
+    bit-identical to scalar per-pair evaluation over all 40 specs,
+    including across ``extend()`` invalidation."""
 
-    @pytest.mark.parametrize("backend", ["vector", "reachability"])
     @settings(max_examples=15, deadline=None)
     @given(exy=execution_with_pair(max_nodes=4, max_ops=25))
-    def test_all_40_specs_match_scalar(self, backend, exy):
+    def test_all_40_specs_match_scalar(self, exy):
         ex, x, y = exy
-        ctx = AnalysisContext(Execution(ex.trace), backend=backend)
+        ctx = AnalysisContext(Execution(ex.trace))
         x = ctx.interval(sorted(x.ids), name="X")
         y = ctx.interval(sorted(y.ids), name="Y")
         cached = SynchronizationAnalyzer(ctx)

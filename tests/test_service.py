@@ -469,7 +469,7 @@ class TestLiveService:
             "forward": 0, "reverse": 0, "extend": 0,
         }
         assert stats["events_applied"] == trace.total_events
-        expected = _offline_verdicts(trace, watches, "vector")
+        expected = _offline_verdicts(trace, watches)
         assert {(n, p) for n, p, _ in live} == expected
 
 
@@ -705,11 +705,11 @@ class TestStandbyRetry:
             standby.stop()
 
 
-def _offline_verdicts(trace, watches, backend) -> set[tuple[str, bool]]:
+def _offline_verdicts(trace, watches) -> set[tuple[str, bool]]:
     """The offline analyzer's answer for label-bound watch conditions."""
     from repro.monitor.predicates import parse_condition
 
-    ctx = AnalysisContext(Execution(trace), backend=backend)
+    ctx = AnalysisContext(Execution(trace))
     checker = ConditionChecker(SynchronizationAnalyzer(ctx, engine="linear"))
     out = set()
     for name, cond in watches:
@@ -723,7 +723,7 @@ def _offline_verdicts(trace, watches, backend) -> set[tuple[str, bool]]:
 
 
 # ----------------------------------------------------------------------
-# hypothesis: live service == offline analyzer, both backends
+# hypothesis: live service == offline analyzer
 # ----------------------------------------------------------------------
 def _labelled(trace: Trace, marks: list[int]) -> Trace:
     """Tag a trace's events with X/Y labels (1 -> X, 2 -> Y) so the
@@ -799,8 +799,7 @@ class TestServiceOfflineEquivalence:
         assert stats["clock_passes"] == {
             "forward": 0, "reverse": 0, "extend": 0,
         }
-        for backend in ("vector", "reachability"):
-            assert live == _offline_verdicts(trace, watches, backend), backend
+        assert live == _offline_verdicts(trace, watches)
 
 
 # ----------------------------------------------------------------------
