@@ -3,11 +3,16 @@
 
 One entry per public name; the summary is the first docstring line.
 Run from the repository root:  python scripts/gen_api_doc.py
+
+With ``--check`` nothing is written: the script exits 1 when
+docs/API.md differs from the generated text, 0 when it is current.
 """
 
+import argparse
 import importlib
 import inspect
 import io
+import sys
 from pathlib import Path
 
 MODULES = [
@@ -82,7 +87,27 @@ def generate() -> str:
     return out.getvalue()
 
 
-if __name__ == "__main__":
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit 1 if docs/API.md is stale instead of rewriting it",
+    )
+    args = parser.parse_args(argv)
     target = Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    target.write_text(generate(), encoding="utf-8")
+    text = generate()
+    if args.check:
+        current = target.read_text(encoding="utf-8") if target.exists() else ""
+        if current != text:
+            print(f"{target} is stale; run python scripts/gen_api_doc.py",
+                  file=sys.stderr)
+            return 1
+        print(f"{target} is current")
+        return 0
+    target.write_text(text, encoding="utf-8")
     print(f"wrote {target}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -76,7 +76,8 @@ def flatten_extrema(
     :meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`,
     with ``counts[i]`` entries for interval ``i``.  This is the single
     adapter from interval objects to that array entry point, so the
-    layout cannot drift between callers.
+    layout cannot drift between callers.  It reads each interval's
+    aligned node/first/last tuples as they are stored.
     """
     k = len(intervals)
     counts = np.fromiter((iv.width for iv in intervals), np.intp, count=k)

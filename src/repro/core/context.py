@@ -11,8 +11,8 @@ intervals constructed twice paid the fold twice.
 :class:`~repro.events.poset.Execution`:
 
 * a :class:`CutCache` memoizing each nonatomic event's Table-2 cuts and
-  extremal-index vectors **keyed by interval identity** (the component
-  id set), so distinct-but-equal interval objects share one fold;
+  extremal-index vectors **keyed by interval identity** (the packed
+  component ids), so distinct-but-equal interval objects share one fold;
 * explicit invalidation on trace growth — the cache keys its validity
   on :attr:`Execution.version <repro.events.poset.Execution.version>`,
   which :meth:`Execution.extend` bumps, so stale future-side vectors
@@ -46,7 +46,7 @@ from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
 from ..nonatomic.proxies import Proxy, ProxyDefinition, proxy_of
 from .cuts import Cut, CutQuadruple, CutStats
-from .family import operand_tensor
+from .family import FamilyOperands
 from .versioning import versioned_state
 
 if TYPE_CHECKING:
@@ -57,8 +57,8 @@ if TYPE_CHECKING:
 __all__ = ["AnalysisContext", "CutCache"]
 
 #: Cache key: :attr:`NonatomicEvent.key <repro.nonatomic.event.NonatomicEvent.key>`
-#: — the component id set (the interval's mathematical identity), or
-#: ``(x.ids, "L"|"U")`` for interval ``x``'s Definition-2 proxy.
+#: — the packed component ids (the interval's identity), or
+#: ``(x.key, "L"|"U")`` for interval ``x``'s Definition-2 proxy.
 _Key = Hashable
 
 #: The six stacked rows of a :class:`CutStats`.
@@ -132,12 +132,13 @@ class CutCache:
     """Memoized cut quadruples and extremal vectors for one execution.
 
     Entries are keyed by :attr:`NonatomicEvent.key
-    <repro.nonatomic.event.NonatomicEvent.key>` — the component id set —
-    so two :class:`~repro.nonatomic.event.NonatomicEvent` objects
-    denoting the same set of atomic events share one cut fold, the
-    cross-object amortization the per-instance ``NonatomicEvent.cache``
-    cannot give.  A Definition-2 proxy is keyed ``(x.ids, "L"|"U")``
-    after its interval ``x``.
+    <repro.nonatomic.event.NonatomicEvent.key>` — the packed component
+    ids, equal exactly when the id sets are — so two
+    :class:`~repro.nonatomic.event.NonatomicEvent` objects denoting the
+    same set of atomic events share one cut fold, the cross-object
+    amortization the per-instance ``NonatomicEvent.cache`` cannot give.
+    A Definition-2 proxy is keyed ``(x.key, "L"|"U")`` after its
+    interval ``x``.
 
     Cost model (Key Idea 1: pay once, reuse cheaply).  The batched
     fills (:meth:`stats`, :meth:`family_operands`) keep their rows as
@@ -279,9 +280,9 @@ class CutCache:
             num_nodes = self._execution.num_nodes
             first = np.zeros(num_nodes, dtype=np.int64)
             last = np.zeros(num_nodes, dtype=np.int64)
-            for node in x.node_set:
-                first[node] = x.first_at(node)
-                last[node] = x.last_at(node)
+            nodes = list(x.node_set)
+            first[nodes] = x.first_indices()
+            last[nodes] = x.last_indices()
         first.setflags(write=False)
         last.setflags(write=False)
         self._extremal[key] = (first, last)
@@ -316,7 +317,7 @@ class CutCache:
                 raise ValueError(
                     "interval does not belong to this context's execution"
                 )
-            key = x.key if part is None else (x.ids, part)
+            key = x.key if part is None else (x.key, part)
             row = stored.get(key)
             if row is None:
                 t = todo.get(key)
@@ -347,9 +348,30 @@ class CutCache:
         self, terms: Sequence[NonatomicEvent], parts: Sequence[str | None]
     ) -> np.ndarray:
         """Compute the rows of ``terms`` (none stored yet) in one backend
-        pass, append them to the store and return their store rows."""
+        pass, append them to the store and return their store rows.
+
+        Each distinct interval object is flattened once, however many
+        of its terms (itself, its L and U proxies) are asked for."""
         self._fresh()
-        nodes, first_idx, last_idx, counts = flatten_extrema(terms)
+        slot: dict[int, int] = {}
+        owners: list[NonatomicEvent] = []
+        for x in terms:
+            if id(x) not in slot:
+                slot[id(x)] = len(owners)
+                owners.append(x)
+        nodes, first_idx, last_idx, counts = flatten_extrema(owners)
+        if len(owners) < len(terms):
+            # term t reads its owner's entries: repeat each owner segment
+            owner = np.fromiter(
+                (slot[id(x)] for x in terms), np.intp, count=len(terms)
+            )
+            starts = np.cumsum(counts) - counts
+            counts = counts[owner]
+            shift = np.repeat(starts[owner] - (np.cumsum(counts) - counts), counts)
+            entries = shift + np.arange(shift.shape[0], dtype=np.intp)
+            nodes, first_idx, last_idx = (
+                nodes[entries], first_idx[entries], last_idx[entries]
+            )
         if any(parts):
             # a proxy holds one event per node: L_X's is X's first, U_X's
             # X's last, so it reads X's extrema with one side repeated
@@ -430,20 +452,22 @@ class CutCache:
         self,
         intervals: Sequence[NonatomicEvent],
         proxy_definition: ProxyDefinition = ProxyDefinition.PER_NODE,
-    ) -> np.ndarray:
-        """The ``(k, 12, P)`` family operand tensor for ``intervals``.
+    ) -> FamilyOperands:
+        """The family kernel's operands for ``intervals``.
 
         Looks up every interval's ``(L, U)`` proxy rows, keyed
-        ``(x.ids, "L"|"U")``, and fills the missing ones in **one**
+        ``(x.key, "L"|"U")``, and fills the missing ones in **one**
         batched backend pass
         (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`)
-        straight from the intervals' per-node first/last indices: no
-        proxy object and no :class:`~repro.core.cuts.Cut` is built.
-        The rows are then gathered into the contiguous operand layout
-        the batched family kernel
-        (:func:`repro.core.family.verdict_matrix`) reads.  The rows stay
-        in the store, so later scalar queries of the proxies hit.
-        ``ProxyDefinition.GLOBAL`` builds its proxies as objects
+        straight from the intervals' per-node first/last indices, one
+        flatten per interval: no proxy object and no
+        :class:`~repro.core.cuts.Cut` is built.  Returns the row store
+        with each interval's L and U row index
+        (:class:`~repro.core.family.FamilyOperands`); the batched family
+        kernel (:func:`repro.core.family.verdict_matrix`) gathers each
+        block's operands from it, so no ``(k, 12, P)`` copy exists.  The
+        rows stay in the store, so later scalar queries of the proxies
+        hit.  ``ProxyDefinition.GLOBAL`` builds its proxies as objects
         (:meth:`stats`).
         """
         store, rows = self._locate(*_terms(
@@ -451,7 +475,7 @@ class CutCache:
             (Proxy.L, Proxy.U) * len(intervals),
             proxy_definition,
         ))
-        return operand_tensor(store, rows[0::2], rows[1::2])
+        return FamilyOperands(store, rows[0::2], rows[1::2])
 
 
 #: One shared context per live execution (weak: contexts die with them).

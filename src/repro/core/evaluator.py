@@ -127,14 +127,15 @@ class SharedVerdictCache:
 
     Rows are produced by the batched kernel
     (:func:`~repro.core.family.verdict_matrix`): :meth:`fill_pairs`
-    stacks the missing pairs' operand tensors — drawn from the context's
-    shared :class:`~repro.core.context.CutCache` in **one** batched
-    :meth:`~repro.core.context.CutCache.family_operands` gather — and
+    locates the missing pairs' proxy rows — in the context's shared
+    :class:`~repro.core.context.CutCache`, by **one** batched
+    :meth:`~repro.core.context.CutCache.family_operands` fill — and
     scatters the resulting ``(pairs, 24)`` verdict matrix into the memo
-    in one pass, with zero per-pair Python dispatch.  Entries are keyed
-    to the execution :attr:`~repro.events.poset.Execution.version`;
-    growth drops every verdict, so stale future-side subtests can never
-    be served.
+    in one pass, with zero per-pair Python dispatch.  Rows are keyed by
+    both intervals' :attr:`~repro.nonatomic.event.NonatomicEvent.packed_ids`,
+    so equal id sets share a row, and to the execution
+    :attr:`~repro.events.poset.Execution.version`; growth drops every
+    verdict, so stale future-side subtests can never be served.
 
     Attributes
     ----------
@@ -164,9 +165,7 @@ class SharedVerdictCache:
         self.context = AnalysisContext.of(context)
         self.proxy_definition = proxy_definition
         self._version = self.context.execution.version
-        self._verdicts: dict[
-            tuple[frozenset[EventId], frozenset[EventId]], VerdictRow
-        ] = {}
+        self._verdicts: dict[tuple[bytes, bytes], VerdictRow] = {}
         self.evals = 0
         self.cut_pair_evals = 0
         self.hits = 0
@@ -193,31 +192,28 @@ class SharedVerdictCache:
         """Batch-fill the verdict rows of every not-yet-cached pair.
 
         One pass end to end: missing pairs are deduplicated, their
-        distinct intervals' ``(12, P)`` operand rows are gathered by
-        **one** batched :meth:`~repro.core.context.CutCache.family_operands`
-        cut fill (warm rows come out of the shared cut cache), the
-        tensor is pushed through :func:`~repro.core.family.verdict_matrix`
-        once, and the ``(pairs, 24)`` result is scattered into the memo.
+        distinct intervals' L and U proxy rows are located by **one**
+        batched :meth:`~repro.core.context.CutCache.family_operands`
+        cut fill (warm rows come out of the shared cut cache),
+        :func:`~repro.core.family.verdict_matrix` runs once over them,
+        and the ``(pairs, 24)`` result is scattered into the memo.
         Already-cached pairs are skipped without touching the counters.
         """
         self._fresh()
         verdicts = self._verdicts
-        todo: dict[
-            tuple[frozenset[EventId], frozenset[EventId]],
-            tuple[NonatomicEvent, NonatomicEvent],
-        ] = {}
+        todo: dict[tuple[bytes, bytes], tuple[NonatomicEvent, NonatomicEvent]] = {}
         for x, y in pairs:
-            pk = (x.ids, y.ids)
+            pk = (x.packed_ids, y.packed_ids)
             if pk not in verdicts and pk not in todo:
                 todo[pk] = (x, y)
         if not todo:
             return
-        row_of: dict[frozenset[EventId], int] = {}
+        row_of: dict[bytes, int] = {}
         intervals: list[NonatomicEvent] = []
         for x, y in todo.values():
             for z in (x, y):
-                if z.ids not in row_of:
-                    row_of[z.ids] = len(intervals)
+                if z.packed_ids not in row_of:
+                    row_of[z.packed_ids] = len(intervals)
                     intervals.append(z)
         ops = self.context.cut_cache.family_operands(
             intervals, self.proxy_definition
@@ -245,7 +241,7 @@ class SharedVerdictCache:
         pre-fill, making every subsequent read a hit).
         """
         self._fresh()
-        pk = (x.ids, y.ids)
+        pk = (x.packed_ids, y.packed_ids)
         row = self._verdicts.get(pk)
         if row is None:
             self.fill_pairs(((x, y),))
@@ -424,7 +420,7 @@ class SynchronizationAnalyzer:
         proxies: list[Proxy | None] = []
 
         def row(z: NonatomicEvent, proxy: Proxy | None) -> int:
-            key = z.key if proxy is None else (z.ids, proxy)
+            key = z.key if proxy is None else (z.key, proxy)
             r = row_of.get(key)
             if r is None:
                 r = row_of[key] = len(intervals)
@@ -443,7 +439,7 @@ class SynchronizationAnalyzer:
         xs: list[int] = []
         ys: list[int] = []
         for spec, x, y in qs:
-            if check and not x.ids.isdisjoint(y.ids):
+            if check and not x.is_disjoint(y):
                 self._check_pair(x, y)  # raises with the full message
             if spec is not last:
                 res = resolved.get(id(spec))

@@ -73,12 +73,12 @@ def _forall_x(
     witness: int | None = None
     holds = True
     v = past.vector
-    for i in x.node_set:
+    for i, last in zip(x.node_set, x.last_indices(), strict=True):
         cmp_ = Comparison(
             node=i,
             past_component=int(v[i]),
-            future_component=x.last_at(i),
-            satisfied=bool(v[i] >= x.last_at(i)),
+            future_component=last,
+            satisfied=bool(v[i] >= last),
         )
         comparisons.append(cmp_)
         if not cmp_.satisfied:
@@ -103,12 +103,12 @@ def _forall_y(
     witness: int | None = None
     holds = True
     w = fut.vector
-    for i in y.node_set:
+    for i, first in zip(y.node_set, y.first_indices(), strict=True):
         cmp_ = Comparison(
             node=i,
-            past_component=y.first_at(i),
+            past_component=first,
             future_component=int(w[i]),
-            satisfied=bool(y.first_at(i) >= w[i]),
+            satisfied=bool(first >= w[i]),
         )
         comparisons.append(cmp_)
         if not cmp_.satisfied:

@@ -8,15 +8,15 @@ Python dispatch per spec per pair — and its op-count win once arrived
 with a wall-clock *loss* (0.80x the per-spec loop).  This module removes
 the per-pair loop entirely:
 
-* :func:`operand_tensor` gathers the ``(L, U)`` proxy rows of k
-  intervals out of one :class:`~repro.backends.stats.CutStats` row
-  store into a contiguous ``(k, 12, P)`` operand tensor — the twelve
-  rows (six stats × two proxies) any subtest key can select;
+* :class:`FamilyOperands` names the ``(L, U)`` proxy rows of k
+  intervals in one :class:`~repro.backends.stats.CutStats` row store —
+  the twelve rows (six stats × two proxies) any subtest key can select;
 * :func:`verdict_matrix` answers **all 24 subtest columns for Q ordered
-  pairs** with three fancy-indexed gathers and three comparison +
-  reduction passes, producing the ``(Q, 24)`` boolean verdict matrix
-  that :class:`~repro.core.evaluator.SharedVerdictCache` scatters into
-  its per-pair memo in one pass;
+  pairs**, gathering each block's operands straight from the row store
+  and running three comparison + reduction passes per block, producing
+  the ``(Q, 24)`` boolean verdict matrix that
+  :class:`~repro.core.evaluator.SharedVerdictCache` scatters into its
+  per-pair memo in one pass;
 * :func:`gather_verdicts` answers **one relation per query for Q
   queries** — the ``(Q,)`` gather driver behind
   :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`;
@@ -34,6 +34,8 @@ from __future__ import annotations
 
 # repro: hot, dtype-strict
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..backends.stats import CutStats
@@ -45,13 +47,13 @@ from .relations import (
 )
 
 __all__ = [
+    "FamilyOperands",
     "N_OPERANDS",
     "N_SUBTESTS",
     "OPERAND_ORDER",
     "OPERAND_INDEX",
     "RELATION_ROWS",
     "RELATION_INDEX",
-    "operand_tensor",
     "verdict_matrix",
     "gather_verdicts",
     "compare_rows",
@@ -61,12 +63,13 @@ __all__ = [
 _OPERAND_STATS: tuple[str, ...] = ("c1", "c2", "c3", "c4", "first", "last")
 
 #: The twelve operand rows of one interval — ``(stat, proxy_tag)`` in a
-#: fixed layout (stat-major, L before U) matching :func:`operand_tensor`.
+#: fixed layout (stat-major, L before U): operand ``2 * s + t`` is stat
+#: ``s`` of proxy ``t`` (0 for L, 1 for U).
 OPERAND_ORDER: tuple[tuple[str, str], ...] = tuple(
     (stat, tag) for stat in _OPERAND_STATS for tag in ("L", "U")
 )
 
-#: ``(stat, tag)`` → row index into the ``(k, 12, P)`` operand tensor.
+#: ``(stat, tag)`` → operand index in :data:`OPERAND_ORDER`.
 OPERAND_INDEX: dict[tuple[str, str], int] = {
     op: i for i, op in enumerate(OPERAND_ORDER)
 }
@@ -170,21 +173,31 @@ _GROUPS: tuple[
 ] = _column_groups()
 
 
-def operand_tensor(stats: CutStats, ls: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Gather proxy stats into the ``(k, 12, P)`` operand tensor.
+class FamilyOperands(NamedTuple):
+    """The family kernel's operands: a row store and L/U row indices.
 
-    Rows ``ls[i]`` and ``us[i]`` of ``stats`` are interval ``i``'s
-    ``L`` and ``U`` proxies.  Row ``out[i, OPERAND_INDEX[stat, tag]]``
-    is the ``stat`` vector of interval ``i``'s ``tag`` proxy; the
-    tensor is contiguous so the fancy gathers of :func:`verdict_matrix`
-    touch one block per group.
+    Row ``ls[i]`` (``us[i]``) of ``stats`` is interval ``i``'s ``L``
+    (``U``) proxy, so operand ``OPERAND_INDEX[stat, tag]`` of interval
+    ``i`` is a row of ``stats.<stat>``; nothing is copied out of the
+    store until :func:`verdict_matrix` gathers one block's pairs.
     """
-    out = np.empty((len(ls), N_OPERANDS, stats.c1.shape[1]), dtype=np.int64)
-    for stat_i, stat in enumerate(_OPERAND_STATS):
-        mat = getattr(stats, stat)
-        out[:, 2 * stat_i] = mat[ls]
-        out[:, 2 * stat_i + 1] = mat[us]
-    out.setflags(write=False)
+
+    stats: CutStats
+    ls: np.ndarray
+    us: np.ndarray
+
+
+def _gather(
+    mats: tuple[np.ndarray, ...], rows: tuple[np.ndarray, np.ndarray],
+    operands: np.ndarray,
+) -> np.ndarray:
+    """``(len(operands), B, P)``: operand ``operands[j]`` of each interval
+    whose ``(L, U)`` store rows are ``rows``."""
+    out = np.empty((len(operands), rows[0].shape[0], mats[0].shape[1]),
+                   dtype=np.int64)
+    for j, op in enumerate(operands.tolist()):
+        stat, tag = divmod(op, 2)
+        out[j] = mats[stat][rows[tag]]
     return out
 
 
@@ -194,32 +207,37 @@ VERDICT_BLOCK = 4096
 
 
 def verdict_matrix(
-    ops: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    ops: FamilyOperands, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """All 24 subtest verdicts for Q ordered pairs in one pass.
 
-    ``ops`` is the ``(k, 12, P)`` operand tensor of the distinct
-    intervals; ``xs``/``ys`` are length-Q row indices selecting each
-    pair's X and Y interval.  Returns the ``(Q, 24)`` boolean verdict
-    matrix whose column ``j`` answers
+    ``ops`` holds the distinct intervals' proxy rows
+    (:class:`FamilyOperands`); ``xs``/``ys`` are length-Q interval
+    indices selecting each pair's X and Y.  Returns the ``(Q, 24)``
+    boolean verdict matrix whose column ``j`` answers
     ``SUBTEST_KEYS[j]`` (:data:`~repro.core.relations.SUBTEST_COLUMNS`).
 
-    Cost: three ``(Q, group, P)`` gather pairs + three comparison/
-    reduction passes — zero per-pair Python dispatch, ``O(Q · P)``
-    total work for the whole 40-spec query surface.  The pairs go
-    through in blocks of :data:`VERDICT_BLOCK`, so the gathered
-    temporaries stay ``O(VERDICT_BLOCK · P)`` whatever ``Q`` is.
+    Cost: per subtest kind, one operand gather per column and side plus
+    one comparison/reduction pass — zero per-pair Python dispatch,
+    ``O(Q · P)`` total work for the whole 40-spec query surface.  The
+    pairs go through in blocks of :data:`VERDICT_BLOCK`, and each block
+    gathers its own operands from the row store, so the temporaries stay
+    ``O(VERDICT_BLOCK · P)`` whatever ``Q`` or the interval count is.
     """
+    stats, ls, us = ops
+    mats = tuple(getattr(stats, s) for s in _OPERAND_STATS)
     xs = np.asarray(xs, dtype=np.intp)
     ys = np.asarray(ys, dtype=np.intp)
     out = np.empty((xs.shape[0], N_SUBTESTS), dtype=np.bool_)
     for lo in range(0, xs.shape[0], VERDICT_BLOCK):
-        bx = xs[lo:lo + VERDICT_BLOCK, None]
-        by = ys[lo:lo + VERDICT_BLOCK, None]
+        bx = xs[lo:lo + VERDICT_BLOCK]
+        by = ys[lo:lo + VERDICT_BLOCK]
+        x_rows = (ls[bx], us[bx])
+        y_rows = (ls[by], us[by])
         for kind, cols, y_ops, x_ops in _GROUPS:
             out[lo:lo + VERDICT_BLOCK, cols] = compare_rows(
-                kind, ops[by, y_ops[None, :]], ops[bx, x_ops[None, :]]
-            )
+                kind, _gather(mats, y_rows, y_ops), _gather(mats, x_rows, x_ops)
+            ).T
     return out
 
 

@@ -202,19 +202,19 @@ class LinearEvaluator:
         """
         v = past_of_y.vector
         if self.node_restriction:
-            for i in x.node_set:
+            for i, last in zip(x.node_set, x.last_indices(), strict=True):
                 self.ll_tests += 1
                 self.counter.add(1, "test")
-                if v[i] < x.last_at(i):
+                if v[i] < last:
                     return False
             return True
         # Ablation: full ≪̸ test over all |P| nodes for each extremal x.
         ex = self.execution
         from .cuts import future_cut  # local import to avoid cycle at module load
 
-        for i in x.node_set:
+        for eid in x.last_ids():
             self.ll_tests += 1
-            fut = future_cut(ex, (i, x.last_at(i)))
+            fut = future_cut(ex, eid)
             if not not_ll_restricted(past_of_y, fut,
                                      range(ex.num_nodes), self.counter):
                 return False
@@ -229,18 +229,18 @@ class LinearEvaluator:
         """
         w = future_of_x.vector
         if self.node_restriction:
-            for i in y.node_set:
+            for i, first in zip(y.node_set, y.first_indices(), strict=True):
                 self.ll_tests += 1
                 self.counter.add(1, "test")
-                if y.first_at(i) < w[i]:
+                if first < w[i]:
                     return False
             return True
         ex = self.execution
         from .cuts import past_cut
 
-        for i in y.node_set:
+        for eid in y.first_ids():
             self.ll_tests += 1
-            pst = past_cut(ex, (i, y.first_at(i)))
+            pst = past_cut(ex, eid)
             if not not_ll_restricted(pst, future_of_x,
                                      range(ex.num_nodes), self.counter):
                 return False

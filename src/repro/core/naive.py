@@ -61,7 +61,7 @@ class NaiveEvaluator:
         self, relation: Relation, x: NonatomicEvent, y: NonatomicEvent
     ) -> bool:
         """Evaluate a base relation ``R(X, Y)`` over all atomic events."""
-        return quantifier_eval(self._precedes, relation, sorted(x.ids), sorted(y.ids))
+        return quantifier_eval(self._precedes, relation, list(x), list(y))
 
     def evaluate_spec(
         self, spec: RelationSpec, x: NonatomicEvent, y: NonatomicEvent

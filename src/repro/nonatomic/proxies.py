@@ -59,14 +59,14 @@ def _proxy_per_node(x: NonatomicEvent, which: Proxy) -> NonatomicEvent:
     name = f"{suffix}({x.name})" if x.name else None
     # keyed after x: the batched cut fills store this proxy's row under
     # the same key without building the object
-    return NonatomicEvent._keyed(x.execution, ids, name, (x.ids, suffix))
+    return NonatomicEvent._keyed(x.execution, ids, name, (x.key, suffix))
 
 
 def _proxy_global(x: NonatomicEvent, which: Proxy) -> NonatomicEvent:
     ex = x.execution
     # Only per-node extrema can be global extrema, so search those.
     candidates = x.first_ids() if which is Proxy.L else x.last_ids()
-    others = list(x.ids)
+    others = list(x)
     for cand in candidates:
         if which is Proxy.L:
             ok = all(ex.leq(cand, other) for other in others)

@@ -19,7 +19,14 @@ from hypothesis import given, settings
 from repro.core import family
 from repro.core.context import AnalysisContext
 from repro.core.evaluator import SynchronizationAnalyzer
-from repro.core.family import N_OPERANDS, verdict_matrix
+from repro.backends.stats import CutStats
+from repro.core.family import (
+    N_OPERANDS,
+    OPERAND_INDEX,
+    FamilyOperands,
+    compare_rows,
+    verdict_matrix,
+)
 from repro.core.hierarchy import evaluate_all_pruned, maximal_true
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32, SUBTEST_KEYS
@@ -230,13 +237,39 @@ class TestBatchedKernel:
 
     def test_verdict_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(9)
-        ops = rng.integers(0, 4, size=(7, N_OPERANDS, 5), dtype=np.int64)
+        store = CutStats(*(
+            rng.integers(0, 4, size=(11, 5), dtype=np.int64)
+            for _ in range(N_OPERANDS // 2)
+        ))
+        ops = FamilyOperands(
+            store, rng.integers(0, 11, size=7), rng.integers(0, 11, size=7)
+        )
         xs = rng.integers(0, 7, size=23)
         ys = rng.integers(0, 7, size=23)
         whole = verdict_matrix(ops, xs, ys)
         monkeypatch.setattr(family, "VERDICT_BLOCK", 5)  # 4 full blocks + 3
         np.testing.assert_array_equal(verdict_matrix(ops, xs, ys), whole)
         assert verdict_matrix(ops, xs[:0], ys[:0]).shape == (0, whole.shape[1])
+
+    def test_block_gathers_match_dense_operands(self):
+        # reference: every interval's twelve operand rows copied out up front
+        rng = np.random.default_rng(10)
+        mats = [rng.integers(0, 4, size=(9, 6), dtype=np.int64)
+                for _ in range(N_OPERANDS // 2)]
+        ls = rng.integers(0, 9, size=5)
+        us = rng.integers(0, 9, size=5)
+        dense = np.stack(
+            [mat[rows] for mat in mats for rows in (ls, us)], axis=1
+        )
+        xs = rng.integers(0, 5, size=40)
+        ys = rng.integers(0, 5, size=40)
+        got = verdict_matrix(FamilyOperands(CutStats(*mats), ls, us), xs, ys)
+        for col, (kind, y_op, x_op) in enumerate(SUBTEST_KEYS):
+            np.testing.assert_array_equal(
+                got[:, col],
+                compare_rows(kind, dense[ys, OPERAND_INDEX[y_op]],
+                             dense[xs, OPERAND_INDEX[x_op]]),
+            )
 
 
 #: per-pair scalar-oracle analyzer config: linear engine, counted → the

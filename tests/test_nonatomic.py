@@ -42,8 +42,12 @@ class TestConstruction:
             NonatomicEvent(message_exec, ids)
 
     def test_key_is_the_id_set(self, message_exec):
+        # key equality is id-set equality, whatever the order or repeats
         x = NonatomicEvent(message_exec, [(0, 1), (1, 2)])
-        assert x.key == x.ids
+        assert x.key == NonatomicEvent(message_exec, [(1, 2), (0, 1), (1, 2)]).key
+        assert x.key != NonatomicEvent(message_exec, [(0, 1)]).key
+        assert x.key != NonatomicEvent(message_exec, [(0, 1), (1, 3)]).key
+        assert x.key == x.packed_ids
         with pytest.raises(TypeError):
             NonatomicEvent(message_exec, [(0, 1)], key="k")
 

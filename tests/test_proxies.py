@@ -50,11 +50,11 @@ class TestDefinition2:
     def test_cache_key_names_the_interval(self, message_exec):
         # the key batched fills store the proxy row under, no object needed
         x = NonatomicEvent(message_exec, [(0, 1), (0, 3), (1, 2)])
-        assert proxy_of(x, Proxy.L).key == (x.ids, "L")
-        assert proxy_of(x, Proxy.U).key == (x.ids, "U")
+        assert proxy_of(x, Proxy.L).key == (x.key, "L")
+        assert proxy_of(x, Proxy.U).key == (x.key, "U")
         g = proxy_of(NonatomicEvent(message_exec, [(0, 1), (0, 2)]), Proxy.L,
                      ProxyDefinition.GLOBAL)
-        assert g.key == g.ids
+        assert g.key == NonatomicEvent(message_exec, g.ids).key
 
     @settings(max_examples=40, deadline=None)
     @given(pair=execution_with_pair())
