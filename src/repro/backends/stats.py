@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..events.clocks import CLOCK_DTYPE
 from ..events.event import EventId
 
 if TYPE_CHECKING:
@@ -37,6 +38,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CutStats",
     "check_extrema",
+    "empty_stats",
     "flatten_extrema",
     "cut_stats_from_arrays",
     "cut_stats_from_extrema",
@@ -47,13 +49,15 @@ __all__ = [
 class CutStats:
     """Stacked per-interval cut and extremal vectors for k intervals.
 
-    Six read-only ``(k, P)`` int64 matrices, rows aligned with the
-    interval order they were built from: the four Table-2 cut
-    timestamps plus the per-node first/last component indices (0
-    encoding "node not in ``N_X``").  This is the complete per-interval
-    state the vectorized relation conditions consume — both the
-    all-pairs kernel (:mod:`repro.core.pairwise`) and the per-query
-    gather kernel (:func:`repro.core.family.gather_verdicts`).
+    Six ``(k, P)`` ``CLOCK_DTYPE`` (int32, the clock width) matrices,
+    rows aligned with the interval order they were built from: the four
+    Table-2 cut timestamps plus the per-node first/last component
+    indices (0 encoding "node not in ``N_X``").  Every value is a local
+    event index or ``k_i + 1``, so the clock width holds it.  This is
+    the complete per-interval state the vectorized relation conditions
+    consume — both the all-pairs kernel (:mod:`repro.core.pairwise`)
+    and the per-query gather kernel
+    (:func:`repro.core.family.gather_verdicts`).
     """
 
     c1: np.ndarray  # T(∩⇓X)
@@ -66,6 +70,29 @@ class CutStats:
     def __len__(self) -> int:
         return self.c1.shape[0]
 
+    def rows(self, lo: int, hi: int) -> "CutStats":
+        """Rows ``lo:hi`` of every matrix, as views (no copy)."""
+        return CutStats(
+            self.c1[lo:hi], self.c2[lo:hi], self.c3[lo:hi], self.c4[lo:hi],
+            self.first[lo:hi], self.last[lo:hi],
+        )
+
+
+#: Intervals per block of the batched cut fill
+#: (:func:`_stats_from_extrema`): each block gathers at most
+#: ``FILL_BLOCK · P`` clock rows, whatever the interval count.
+FILL_BLOCK = 4096
+
+
+def empty_stats(k: int, num_nodes: int) -> CutStats:
+    """A writable, uninitialised ``k``-row :class:`CutStats`: a fill's ``out``.
+
+    Six ``(k, num_nodes)`` ``CLOCK_DTYPE`` matrices.
+    """
+    return CutStats(*(
+        np.empty((k, num_nodes), dtype=CLOCK_DTYPE) for _ in range(6)
+    ))
+
 
 def flatten_extrema(
     intervals: "Sequence[NonatomicEvent]",
@@ -77,21 +104,23 @@ def flatten_extrema(
     with ``counts[i]`` entries for interval ``i``.  This is the single
     adapter from interval objects to that array entry point, so the
     layout cannot drift between callers.  It reads each interval's
-    aligned node/first/last tuples as they are stored.
+    aligned node/first/last tuples as they are stored.  Nodes and local
+    indices are ``CLOCK_DTYPE``: a local index is a clock value.
     """
     k = len(intervals)
     counts = np.fromiter((iv.width for iv in intervals), np.intp, count=k)
     total = int(counts.sum())
     nodes = np.fromiter(
-        chain.from_iterable(iv.node_set for iv in intervals), np.int64, count=total
+        chain.from_iterable(iv.node_set for iv in intervals),
+        CLOCK_DTYPE, count=total,
     )
     first_idx = np.fromiter(
         chain.from_iterable(iv.first_indices() for iv in intervals),
-        np.int64, count=total,
+        CLOCK_DTYPE, count=total,
     )
     last_idx = np.fromiter(
         chain.from_iterable(iv.last_indices() for iv in intervals),
-        np.int64, count=total,
+        CLOCK_DTYPE, count=total,
     )
     return nodes, first_idx, last_idx, counts
 
@@ -135,8 +164,9 @@ def _stats_from_extrema(
     first_idx: np.ndarray,
     last_idx: np.ndarray,
     counts: np.ndarray,
+    out: CutStats | None = None,
 ) -> CutStats:
-    """The one-pass columnar cut fill.
+    """The columnar cut fill.
 
     ``nodes``/``first_idx``/``last_idx`` are the flattened per-node
     extremal events of all intervals (interval-major, ``counts[i]``
@@ -144,31 +174,62 @@ def _stats_from_extrema(
     matrices and ``offsets`` the node-major row offsets.  All four
     Table-2 cut vectors for every interval come out of four gathers and
     four segmented min/max reductions — no per-interval Python loop.
+    The intervals go through in blocks of :data:`FILL_BLOCK`, each
+    reduced straight into its rows of ``out`` (``k`` writable
+    ``CLOCK_DTYPE`` rows, :func:`empty_stats`; a new read-only
+    :class:`CutStats` when omitted), so no gather spans all intervals.
     Out-of-range extrema raise :class:`ValueError` (:func:`check_extrema`).
     """
     check_extrema(lengths, nodes, first_idx, last_idx, counts)
     k = len(counts)
-    num_nodes = fwd.shape[1]
-    if k == 0:
-        empty = np.zeros((0, num_nodes), dtype=np.int64)
-        return CutStats(empty, empty, empty, empty, empty, empty)
-    starts = np.zeros(k, dtype=np.intp)
+    stats = empty_stats(k, fwd.shape[1]) if out is None else out
+    if len(stats) != k:
+        raise ValueError(f"out holds {len(stats)} rows, not {k}")
+    ends = np.cumsum(counts)
+    beyond = (lengths + 1).astype(CLOCK_DTYPE)  # T(e↑) = k_i + 1 - T^R(e)
+    for lo in range(0, k, FILL_BLOCK):
+        hi = min(lo + FILL_BLOCK, k)
+        a = int(ends[lo - 1]) if lo else 0
+        b = int(ends[hi - 1])
+        _fill_block(
+            fwd, rev, offsets, beyond, nodes[a:b], first_idx[a:b],
+            last_idx[a:b], counts[lo:hi], stats.rows(lo, hi),
+        )
+    if out is None:
+        for mat in (stats.c1, stats.c2, stats.c3, stats.c4, stats.first,
+                    stats.last):
+            mat.setflags(write=False)
+    return stats
+
+
+def _fill_block(
+    fwd: np.ndarray,
+    rev: np.ndarray,
+    offsets: np.ndarray,
+    beyond: np.ndarray,
+    nodes: np.ndarray,
+    first_idx: np.ndarray,
+    last_idx: np.ndarray,
+    counts: np.ndarray,
+    out: CutStats,
+) -> None:
+    """One block of :func:`_stats_from_extrema`, written into ``out``."""
+    starts = np.zeros(len(counts), dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
-    fi = offsets[nodes] + first_idx - 1
-    li = offsets[nodes] + last_idx - 1
-    beyond = lengths.astype(np.int64) + 1  # T(e↑) = k_i + 1 - T^R(e)
-    c1 = np.minimum.reduceat(fwd[fi], starts, axis=0).astype(np.int64)
-    c2 = np.maximum.reduceat(fwd[li], starts, axis=0).astype(np.int64)
-    c3 = beyond - np.maximum.reduceat(rev[fi], starts, axis=0)
-    c4 = beyond - np.minimum.reduceat(rev[li], starts, axis=0)
-    first = np.zeros((k, num_nodes), dtype=np.int64)
-    last = np.zeros((k, num_nodes), dtype=np.int64)
-    row_of = np.repeat(np.arange(k, dtype=np.intp), counts)
-    first[row_of, nodes] = first_idx
-    last[row_of, nodes] = last_idx
-    for mat in (c1, c2, c3, c4, first, last):
-        mat.setflags(write=False)
-    return CutStats(c1, c2, c3, c4, first, last)
+    base = offsets[nodes] - 1
+    fi = base + first_idx
+    li = base + last_idx
+    np.minimum.reduceat(fwd[fi], starts, axis=0, out=out.c1)
+    np.maximum.reduceat(fwd[li], starts, axis=0, out=out.c2)
+    np.maximum.reduceat(rev[fi], starts, axis=0, out=out.c3)
+    np.subtract(beyond, out.c3, out=out.c3)
+    np.minimum.reduceat(rev[li], starts, axis=0, out=out.c4)
+    np.subtract(beyond, out.c4, out=out.c4)
+    row_of = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    out.first.fill(0)
+    out.last.fill(0)
+    out.first[row_of, nodes] = first_idx
+    out.last[row_of, nodes] = last_idx
 
 
 def cut_stats_from_arrays(

@@ -129,6 +129,7 @@ class VectorClockBackend:
         first_idx: np.ndarray,
         last_idx: np.ndarray,
         counts: np.ndarray,
+        out: CutStats | None = None,
     ) -> CutStats:
         """The batched cut fill over flattened per-node extrema.
 
@@ -141,13 +142,16 @@ class VectorClockBackend:
         real event raise :class:`ValueError`
         (:func:`~repro.backends.stats.check_extrema`).  Four gathers
         and four segmented reductions over the columnar clock tables
-        (:func:`~repro.backends.stats._stats_from_extrema`).
+        (:func:`~repro.backends.stats._stats_from_extrema`), in blocks
+        of :data:`~repro.backends.stats.FILL_BLOCK` intervals, written
+        into ``out`` when given (one writable ``CLOCK_DTYPE`` row per
+        interval) and into new read-only matrices otherwise.
         """
         fwd = self._execution.forward_table
         rev = self._execution.reverse_table
         return _stats_from_extrema(
             fwd.data, rev.data, fwd.offsets, fwd.lengths,
-            nodes, first_idx, last_idx, counts,
+            nodes, first_idx, last_idx, counts, out,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -38,8 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backends.base import CLOCK_DTYPE
-from ..backends.stats import flatten_extrema
+from ..backends.stats import FILL_BLOCK, empty_stats, flatten_extrema
 from ..backends.vector import VectorClockBackend
 from ..events.event import EventId
 from ..events.poset import Execution
@@ -71,33 +70,139 @@ _SIDE = {None: 0, "L": 1, "U": 2}
 _CUT_COLUMN = {"C1": "c1", "C2": "c2", "C3": "c3", "C4": "c4"}
 
 
+#: Odd 64-bit multipliers of :func:`_side_hashes` (splitmix64's).
+_MIX = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB],
+    dtype=np.uint64,
+)
+
+#: A flattened owner set: ``(nodes, first_idx, last_idx, counts,
+#: starts)``, owner ``o``'s entries at ``starts[o]`` onwards.
+_Flat = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _term_entries(
+    flat: _Flat, owner: np.ndarray, side: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flattened extrema ``(nodes, first_idx, last_idx, counts)`` of the
+    terms ``(owner[t], side[t])``.
+
+    Term ``t`` reads its owner's entries by index.  Side 0 is the owner
+    itself; a proxy holds one event per node, so side 1 (``L_X``) reads
+    X's first index twice and side 2 (``U_X``) its last.
+    """
+    nodes, first_idx, last_idx, counts, starts = flat
+    cnt = counts[owner]
+    shift = starts[owner] - (np.cumsum(cnt) - cnt)
+    entries = np.repeat(shift, cnt) + np.arange(int(cnt.sum()), dtype=np.intp)
+    sides = np.repeat(side, cnt)
+    first = first_idx[entries]
+    last = last_idx[entries]
+    return (
+        nodes[entries],
+        np.where(sides == 2, last, first),
+        np.where(sides == 1, first, last),
+        cnt,
+    )
+
+
+def _side_hashes(flat: _Flat) -> np.ndarray:
+    """``(3, owners)`` 64-bit extrema hashes of every owner as itself
+    (row 0), as its L proxy (row 1) and as its U proxy (row 2).
+
+    A term's hash is the wrapping sum of its mixed ``(node, first,
+    last)`` entries.  Owners go in blocks of
+    :data:`~repro.backends.stats.FILL_BLOCK`.
+    """
+    nodes, first_idx, last_idx, counts, starts = flat
+    n = counts.shape[0]
+    out = np.empty((3, n), dtype=np.uint64)
+    for lo in range(0, n, FILL_BLOCK):
+        hi = min(lo + FILL_BLOCK, n)
+        a = int(starts[lo])
+        b = int(starts[hi - 1] + counts[hi - 1])
+        first = first_idx[a:b].astype(np.uint64)
+        last = last_idx[a:b].astype(np.uint64)
+        shift = np.uint64(31)
+        word = np.stack(((first << shift) ^ last, (first << shift) ^ first,
+                         (last << shift) ^ last))
+        word += nodes[a:b].astype(np.uint64) * _MIX[0]
+        word ^= word >> np.uint64(30)
+        word *= _MIX[1]
+        word ^= word >> np.uint64(27)
+        word *= _MIX[2]
+        word ^= word >> np.uint64(31)
+        out[:, lo:hi] = np.add.reduceat(word, starts[lo:hi] - a, axis=1)
+    return out
+
+
+def _same_extrema(flat: _Flat, owner: np.ndarray, side: np.ndarray,
+                  t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``same[i]``: terms ``t[i]`` and ``r[i]`` have equal extrema."""
+    same = flat[3][owner[t]] == flat[3][owner[r]]
+    t, r = t[same], r[same]
+    if t.size:
+        nt, ft, lt, cnt = _term_entries(flat, owner[t], side[t])
+        nr, fr, lr, _ = _term_entries(flat, owner[r], side[r])
+        differ = (nt != nr) | (ft != fr) | (lt != lr)
+        same[same] = ~np.logical_or.reduceat(differ, np.cumsum(cnt) - cnt)
+    return same
+
+
 def _distinct_extrema(
-    nodes: np.ndarray,
-    first_idx: np.ndarray,
-    last_idx: np.ndarray,
-    counts: np.ndarray,
-    num_nodes: int,
+    flat: _Flat, owner: np.ndarray, side: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group flattened terms by their per-node extrema.
+    """Group the terms ``(owner[t], side[t])`` by their per-node extrema.
 
     A term's cut row depends on nothing else, so terms with equal
     extrema (an interval and an equal proxy, two intervals sharing one
     proxy) share one computed row.  Returns ``(reps, rank)``: ``reps``
     are the ascending indices of each group's first term, ``rank[t]``
     the position of term ``t``'s group in ``reps``.
+
+    Terms are sorted by a 64-bit hash of their extrema
+    (:func:`_side_hashes`); a term whose hash repeats an earlier
+    term's is compared with that term entry by entry, and the terms of
+    a hash that names unequal extrema are regrouped exactly, so the
+    grouping never depends on the hash.  Hashes and comparisons go in
+    blocks of :data:`~repro.backends.stats.FILL_BLOCK`: the scratch is
+    a few words per term plus one block's entries.
     """
-    k = len(counts)
-    # local indices fit the clock dtype: half the int64 footprint
-    dense = np.zeros((k, 2 * num_nodes), dtype=CLOCK_DTYPE)
-    term_of = np.repeat(np.arange(k, dtype=np.intp), counts)
-    dense[term_of, nodes] = first_idx
-    dense[term_of, num_nodes + nodes] = last_idx
-    rows = dense.view(np.dtype((np.void, dense.itemsize * 2 * num_nodes))).ravel()
-    _, first_pos, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0], dtype=order.dtype)
-    return first_pos[order], rank[inverse.ravel()]
+    k = owner.shape[0]
+    every = np.arange(k, dtype=np.intp)
+    h = _side_hashes(flat)[side, owner]
+    order = np.argsort(h, kind="stable")
+    run_start = np.ones(k, dtype=np.bool_)
+    sorted_h = h[order]
+    np.not_equal(sorted_h[1:], sorted_h[:-1], out=run_start[1:])
+    del sorted_h
+    if run_start.all():  # every hash distinct: every term its own group
+        return every, every
+    # head[t]: the least term whose hash equals t's (stable sort)
+    head = np.empty(k, dtype=np.intp)
+    head[order] = order[np.maximum.accumulate(np.where(run_start, every, 0))]
+    del order, run_start
+    later = np.flatnonzero(head != every)
+    clash = [later[:0]]
+    for lo in range(0, later.shape[0], FILL_BLOCK):
+        t = later[lo:lo + FILL_BLOCK]
+        clash.append(t[~_same_extrema(flat, owner, side, t, head[t])])
+    bad = np.concatenate(clash)
+    if bad.size:
+        # a hash shared by unequal extrema: regroup its terms exactly
+        members = np.flatnonzero(np.isin(h, h[bad]))
+        nodes, first, last, cnt = _term_entries(
+            flat, owner[members], side[members]
+        )
+        entries = np.stack((nodes, first, last), axis=1)
+        ends = np.cumsum(cnt).tolist()
+        seen: dict[bytes, int] = {}
+        for term, lo, hi in zip(members.tolist(), [0, *ends[:-1]], ends,
+                             strict=True):
+            head[term] = seen.setdefault(entries[lo:hi].tobytes(), term)
+    is_rep = head == every
+    rank = np.cumsum(is_rep) - 1
+    return np.flatnonzero(is_rep), rank[head]
 
 
 def _terms(
@@ -143,12 +248,16 @@ class CutCache:
     Cost model (Key Idea 1: pay once, reuse cheaply).  The batched
     fills (:meth:`stats`, :meth:`family_operands`) keep their rows as
     arrays: one growable :class:`~repro.core.cuts.CutStats` row store
-    and a key → row index, with no per-row Python object.  A per-node
-    proxy's row is filled from its interval's own extrema — ``L_X`` is
-    X's first event on each node, ``U_X`` its last — so no proxy object
-    is built.  A scalar :meth:`cut` / :meth:`quadruple` /
-    :meth:`extremal` read of a stored row counts as a hit and builds
-    its :class:`~repro.core.cuts.Cut` then, on first read.  A scalar
+    of ``CLOCK_DTYPE`` (int32) matrices and a key → row index, with no
+    per-row Python object.  A per-node proxy's row is filled from its
+    interval's own extrema — ``L_X`` is X's first event on each node,
+    ``U_X`` its last — so no proxy object is built.  A fill writes its
+    rows into the store in blocks of
+    :data:`~repro.backends.stats.FILL_BLOCK`, so its scratch is a few
+    words per term plus one block's gathers.  A scalar :meth:`cut` /
+    :meth:`quadruple` / :meth:`extremal` read of a stored row counts as
+    a hit and builds its :class:`~repro.core.cuts.Cut` then, on first
+    read, widened to int64 like a computed one.  A scalar
     read of a row nobody stored computes just the cut asked for.  The
     reuse runs one way only: cuts filled by scalar reads are not rows,
     so a later batch asking for that term computes its row again (a
@@ -238,8 +347,7 @@ class CutCache:
         column = _CUT_COLUMN.get(which)
         if row is not None and column is not None and self._store is not None:
             self.hits += 1
-            vec = getattr(self._store, column)[row].copy()
-            vec.setflags(write=False)
+            vec = getattr(self._store, column)[row]  # _trusted copies it up
         else:
             self.misses += 1
             vec = self._backend.cut_vector(x, which)
@@ -261,7 +369,8 @@ class CutCache:
 
         Length-``|P|`` read-only int64 arrays with 0 encoding "node not
         in ``N_X``" — the neutral encoding the vectorised pairwise
-        kernel consumes.
+        kernel consumes.  A row read out of the ``CLOCK_DTYPE`` row
+        store is widened, so a hit and a miss give the same dtype.
         """
         self._check_interval(x)
         self._fresh()
@@ -273,8 +382,8 @@ class CutCache:
         row = self._rows.get(key)
         if row is not None and self._store is not None:
             self.hits += 1
-            first = self._store.first[row].copy()
-            last = self._store.last[row].copy()
+            first = self._store.first[row].astype(np.int64)
+            last = self._store.last[row].astype(np.int64)
         else:
             self.misses += 1
             num_nodes = self._execution.num_nodes
@@ -340,18 +449,24 @@ class CutCache:
             rows[pending] = filled[~rows[pending]]
         store = self._store
         if store is None:
-            empty = np.zeros((0, ex.num_nodes), dtype=np.int64)
-            store = CutStats(empty, empty, empty, empty, empty, empty)
-        return store, rows
+            store = empty_stats(0, ex.num_nodes)
+        view = store.rows(0, self._size)
+        for name in _STATS:
+            getattr(view, name).setflags(write=False)
+        return view, rows
 
     def _fill(
         self, terms: Sequence[NonatomicEvent], parts: Sequence[str | None]
     ) -> np.ndarray:
-        """Compute the rows of ``terms`` (none stored yet) in one backend
-        pass, append them to the store and return their store rows.
+        """Compute the rows of ``terms`` (none stored yet), append them to
+        the store and return their store rows.
 
         Each distinct interval object is flattened once, however many
-        of its terms (itself, its L and U proxies) are asked for."""
+        of its terms (itself, its L and U proxies) are asked for; a term
+        reads its owner's entries by index.  Terms with equal extrema
+        share one row (:func:`_distinct_extrema`).  The rows are filled
+        in blocks of :data:`~repro.backends.stats.FILL_BLOCK`, each
+        written straight into the store."""
         self._fresh()
         slot: dict[int, int] = {}
         owners: list[NonatomicEvent] = []
@@ -359,62 +474,42 @@ class CutCache:
             if id(x) not in slot:
                 slot[id(x)] = len(owners)
                 owners.append(x)
+        owner = np.fromiter((slot[id(x)] for x in terms), np.intp, count=len(terms))
+        side = np.fromiter((_SIDE[p] for p in parts), np.int8, count=len(parts))
         nodes, first_idx, last_idx, counts = flatten_extrema(owners)
-        if len(owners) < len(terms):
-            # term t reads its owner's entries: repeat each owner segment
-            owner = np.fromiter(
-                (slot[id(x)] for x in terms), np.intp, count=len(terms)
-            )
-            starts = np.cumsum(counts) - counts
-            counts = counts[owner]
-            shift = np.repeat(starts[owner] - (np.cumsum(counts) - counts), counts)
-            entries = shift + np.arange(shift.shape[0], dtype=np.intp)
-            nodes, first_idx, last_idx = (
-                nodes[entries], first_idx[entries], last_idx[entries]
-            )
-        if any(parts):
-            # a proxy holds one event per node: L_X's is X's first, U_X's
-            # X's last, so it reads X's extrema with one side repeated
-            side = np.repeat(
-                np.fromiter((_SIDE[p] for p in parts), np.int8, count=len(parts)),
-                counts,
-            )
-            first_idx, last_idx = (
-                np.where(side == 2, last_idx, first_idx),
-                np.where(side == 1, first_idx, last_idx),
-            )
-        num_nodes = self._execution.num_nodes
-        reps, rank = _distinct_extrema(
-            nodes, first_idx, last_idx, counts, num_nodes
-        )
-        if reps.shape[0] < len(terms):
-            keep = np.zeros(len(terms), dtype=np.bool_)
-            keep[reps] = True
-            entries = np.repeat(keep, counts)
-            nodes, first_idx, last_idx = (
-                nodes[entries], first_idx[entries], last_idx[entries]
-            )
-            counts = counts[keep]
-        block = self._backend.cut_stats_arrays(nodes, first_idx, last_idx, counts)
-        self.misses += len(block)
-        self.hits += len(terms) - len(block)
+        flat = (nodes, first_idx, last_idx, counts, np.cumsum(counts) - counts)
+        reps, rank = _distinct_extrema(flat, owner, side)
+        owner, side = owner[reps], side[reps]
+        n = reps.shape[0]
         base = self._size
-        size = self._size = base + len(block)
-        store = self._store
-        if store is None:
-            self._store = block  # adopted: the next fill reallocates
-        else:
-            if size > len(store):
-                capacity = max(size, 2 * len(store))
-                grown = []
-                for name in _STATS:
-                    mat = np.empty((capacity, num_nodes), dtype=np.int64)
-                    mat[:base] = getattr(store, name)[:base]
-                    grown.append(mat)
-                store = self._store = CutStats(*grown)
-            for name in _STATS:
-                getattr(store, name)[base:size] = getattr(block, name)
+        store = self._reserve(base + n)
+        for lo in range(0, n, FILL_BLOCK):
+            hi = min(lo + FILL_BLOCK, n)
+            self._backend.cut_stats_arrays(
+                *_term_entries(flat, owner[lo:hi], side[lo:hi]),
+                out=store.rows(base + lo, base + hi),
+            )
+        self._size = base + n
+        self.misses += n
+        self.hits += len(terms) - n
         return base + rank
+
+    def _reserve(self, size: int) -> CutStats:
+        """The row store, grown to hold at least ``size`` rows.
+
+        The first fill allocates exactly; growth doubles and copies the
+        filled rows."""
+        self._fresh()
+        store = self._store
+        if store is not None and size <= len(store):
+            return store
+        capacity = size if store is None else max(size, 2 * len(store))
+        grown = empty_stats(capacity, self._execution.num_nodes)
+        if store is not None:
+            for name in _STATS:
+                getattr(grown, name)[:self._size] = getattr(store, name)[:self._size]
+        self._store = grown
+        return grown
 
     def stats(
         self,

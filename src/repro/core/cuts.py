@@ -113,8 +113,13 @@ class Cut:
         Fast path for the columnar batch kernels, whose outputs are
         in-range by construction; skipping the per-component Python
         validation loop is what keeps the one-pass cut fill vectorized
-        end to end.
+        end to end.  A narrower vector (a ``CLOCK_DTYPE`` row of the
+        batch row store) is copied up to int64, so equal cuts compare
+        and hash alike whichever path built them.
         """
+        if vec.dtype != np.int64:
+            vec = vec.astype(np.int64)
+            vec.setflags(write=False)
         cut = object.__new__(cls)
         cut._execution = execution
         cut._vec = vec
@@ -428,15 +433,20 @@ def batch_quadruples(
 
     Semantically ``[cuts_of(iv) for iv in intervals]`` without the
     per-interval fold loop; the returned cuts wrap read-only rows of
-    the batch matrices (zero-copy).
+    the batch matrices, widened to int64 once per matrix.
     """
     st = cut_stats(execution, intervals)
+    c1, c2, c3, c4 = (
+        mat.astype(np.int64) for mat in (st.c1, st.c2, st.c3, st.c4)
+    )
+    for mat in (c1, c2, c3, c4):
+        mat.setflags(write=False)
     return [
         CutQuadruple(
-            Cut._trusted(execution, st.c1[i]),
-            Cut._trusted(execution, st.c2[i]),
-            Cut._trusted(execution, st.c3[i]),
-            Cut._trusted(execution, st.c4[i]),
+            Cut._trusted(execution, c1[i]),
+            Cut._trusted(execution, c2[i]),
+            Cut._trusted(execution, c3[i]),
+            Cut._trusted(execution, c4[i]),
         )
         for i in range(len(intervals))
     ]

@@ -15,7 +15,9 @@ comparing the three evaluation strategies.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Sequence
+import operator
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import overload
 
 import numpy as np
 
@@ -43,43 +45,179 @@ from .relations import (
     subtest_key,
 )
 
-__all__ = ["SynchronizationAnalyzer", "SharedVerdictCache", "ENGINES"]
+__all__ = [
+    "SynchronizationAnalyzer",
+    "SharedVerdictCache",
+    "VerdictTable",
+    "VerdictRowView",
+    "ENGINES",
+]
 
 _N_CUT_PAIR = sum(
     1 for k in SUBTEST_KEYS if k[0] is SubtestKind.EXISTS_CUT
 )
 
-#: A cached verdict row: 24 booleans indexed by
+#: One pair's 24 subtest verdicts, indexed by
 #: :data:`~repro.core.relations.SUBTEST_COLUMNS`.
 VerdictRow = tuple[bool, ...]
 
-#: spec → verdict-row column, precomputed for the whole query surface so
-#: family readers are pure tuple indexing (zero canonicalisation work).
+#: spec → verdict-table column, precomputed for the whole query surface
+#: so family readers are pure indexing (zero canonicalisation work).
 _FAMILY_COLS: tuple[tuple[RelationSpec, int], ...] = tuple(
     (spec, SUBTEST_COLUMNS[subtest_key(spec)]) for spec in FAMILY32
 )
 _BASE_COLS: tuple[tuple[Relation, int], ...] = tuple(
     (rel, SUBTEST_COLUMNS[subtest_key(rel)]) for rel in BASE_RELATIONS
 )
+_FAMILY_COL_OF: dict[Hashable, int] = dict(_FAMILY_COLS)
+_BASE_COL_OF: dict[Hashable, int] = dict(_BASE_COLS)
 
-#: verdict row → maximal true specs.  ``maximal_true`` is a pure
+#: Column maps of a table with one column per spec, in spec order: the
+#: bypass configurations evaluate each spec on its own.
+_FAMILY_SPEC_COL: dict[Hashable, int] = {s: i for i, s in enumerate(FAMILY32)}
+_BASE_SPEC_COL: dict[Hashable, int] = {r: i for i, r in enumerate(BASE_RELATIONS)}
+
+
+class VerdictRowView(Mapping[Hashable, bool]):
+    """One pair's verdicts: a read-only ``spec → bool`` table row.
+
+    A row of a :class:`VerdictTable`.  Nothing is copied; each lookup
+    reads the table.  Being a :class:`~collections.abc.Mapping`, it
+    compares equal to a ``dict`` holding the same verdicts.
+    """
+
+    __slots__ = ("_matrix", "_row", "_cols")
+
+    def __init__(
+        self, matrix: np.ndarray, row: int, cols: Mapping[Hashable, int]
+    ) -> None:
+        self._matrix = matrix
+        self._row = row
+        self._cols = cols
+
+    def __getitem__(self, spec: Hashable) -> bool:
+        return bool(self._matrix[self._row, self._cols[spec]])
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._cols)
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+class VerdictTable(Sequence[VerdictRowView]):
+    """A batch API's answer: read-only rows over one bool matrix.
+
+    A sequence of :class:`VerdictRowView` rows over one ``(Q, C)`` bool
+    matrix.  Row ``i`` answers the ``i``-th input pair; ``cols`` maps
+    each spec to its matrix column.  Rows are built on access, so a
+    batch costs one matrix, not one ``dict`` per pair.  Compares equal
+    to any sequence of mappings with the same verdicts (a list of
+    dicts).
+    """
+
+    __slots__ = ("_matrix", "_cols")
+
+    def __init__(self, matrix: np.ndarray, cols: Mapping[Hashable, int]) -> None:
+        matrix.setflags(write=False)
+        self._matrix = matrix
+        self._cols = cols
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The read-only ``(Q, C)`` bool matrix."""
+        return self._matrix
+
+    def __len__(self) -> int:
+        return self._matrix.shape[0]
+
+    @overload
+    def __getitem__(self, i: int) -> VerdictRowView: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> "VerdictTable": ...
+
+    def __getitem__(self, i: "int | slice") -> "VerdictRowView | VerdictTable":
+        if isinstance(i, slice):
+            return VerdictTable(self._matrix[i], self._cols)
+        n = self._matrix.shape[0]
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("verdict table index out of range")
+        return VerdictRowView(self._matrix, i, self._cols)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+def _pack_rows(matrix: np.ndarray) -> np.ndarray:
+    """One integer per row of a ``(Q, 24)`` bool matrix (bit ``j`` =
+    column ``j``): the verdict row as a hashable key."""
+    packed = np.zeros((matrix.shape[0], 4), dtype=np.uint8)
+    packed[:, :3] = np.packbits(matrix, axis=1, bitorder="little")
+    return packed.view(np.dtype("<u4")).ravel()
+
+
+def _pack_row(row: "Sequence[bool]") -> int:
+    """:func:`_pack_rows` of one row, without NumPy."""
+    return sum(bit << j for j, bit in enumerate(row))
+
+
+#: packed verdict row → maximal true specs.  ``maximal_true`` is a pure
 #: function of the 24-bool row (and costs ~0.2 ms of hierarchy walking),
 #: so :meth:`SynchronizationAnalyzer.strongest` memoizes it globally —
 #: real executions exhibit few distinct rows.  Bounded; reset on
 #: overflow.
-_STRONGEST_MEMO: dict[VerdictRow, tuple[RelationSpec, ...]] = {}
+_STRONGEST_MEMO: dict[int, tuple[RelationSpec, ...]] = {}
 _STRONGEST_MEMO_LIMIT = 4096
 
 
-def _strongest_of_row(row: VerdictRow) -> tuple[RelationSpec, ...]:
-    cached = _STRONGEST_MEMO.get(row)
-    if cached is None:
+def _strongest_of(key: int, row: "Sequence[bool]") -> tuple[RelationSpec, ...]:
+    """The maximal true specs of one verdict row, whose packed form
+    (:func:`_pack_rows`) is ``key``."""
+    top = _STRONGEST_MEMO.get(key)
+    if top is None:
         if len(_STRONGEST_MEMO) >= _STRONGEST_MEMO_LIMIT:
             _STRONGEST_MEMO.clear()
-        cached = _STRONGEST_MEMO[row] = maximal_true(
+        top = _STRONGEST_MEMO[key] = maximal_true(
             {spec: row[col] for spec, col in _FAMILY_COLS}
         )
-    return cached
+    return top
+
+
+def _strongest_rows(matrix: np.ndarray) -> list[tuple[RelationSpec, ...]]:
+    """The maximal true specs of every row of a ``(Q, 24)`` verdict
+    matrix; the hierarchy walk runs once per distinct row."""
+    keys, first, inverse = np.unique(
+        _pack_rows(matrix), return_index=True, return_inverse=True
+    )
+    tops = [
+        _strongest_of(key, matrix[i].tolist())
+        for key, i in zip(keys.tolist(), first.tolist(), strict=True)
+    ]
+    return [tops[j] for j in inverse.ravel().tolist()]
+
+
+def _overlap_error() -> ValueError:
+    return ValueError(
+        "X and Y share atomic events; the evaluation conditions are "
+        "exact only for disjoint intervals (pass check_disjoint=False "
+        "to evaluate anyway)"
+    )
 
 SpecLike = str | Relation | RelationSpec
 
@@ -107,7 +245,7 @@ ENGINES = {
 
 @versioned_state(
     version="_version",
-    caches=("_verdicts",),
+    caches=("_index", "_table", "_disjoint"),
     guards=("invalidate", "_fresh"),
 )
 class SharedVerdictCache:
@@ -119,23 +257,31 @@ class SharedVerdictCache:
     pair — 12 genuine cut-pair ``≪`` evaluations plus 12 extremal-row
     sweeps.  This cache stores one 24-bool *verdict row* per ordered
     pair ``(X, Y)`` (columns fixed by
-    :data:`~repro.core.relations.SUBTEST_COLUMNS`), so
+    :data:`~repro.core.relations.SUBTEST_COLUMNS`) in one growable
+    ``(pairs, 24)`` bool table, so
     :meth:`SynchronizationAnalyzer.all_relations`,
-    :meth:`~SynchronizationAnalyzer.base_relations` and
-    :meth:`~SynchronizationAnalyzer.strongest` read the whole family
-    from one tuple instead of paying per-spec dispatch.
+    :meth:`~SynchronizationAnalyzer.base_relations`,
+    :meth:`~SynchronizationAnalyzer.strongest` and their batch forms
+    read the whole family from one row instead of paying per-spec
+    dispatch.
 
     Rows are produced by the batched kernel
-    (:func:`~repro.core.family.verdict_matrix`): :meth:`fill_pairs`
+    (:func:`~repro.core.family.verdict_matrix`): :meth:`verdicts`
     locates the missing pairs' proxy rows — in the context's shared
     :class:`~repro.core.context.CutCache`, by **one** batched
     :meth:`~repro.core.context.CutCache.family_operands` fill — and
-    scatters the resulting ``(pairs, 24)`` verdict matrix into the memo
+    appends the resulting ``(pairs, 24)`` verdict matrix to the table
     in one pass, with zero per-pair Python dispatch.  Rows are keyed by
     both intervals' :attr:`~repro.nonatomic.event.NonatomicEvent.packed_ids`,
     so equal id sets share a row, and to the execution
     :attr:`~repro.events.poset.Execution.version`; growth drops every
     verdict, so stale future-side subtests can never be served.
+
+    Each row also records whether its pair was found disjoint.  The
+    cache is shared by every analyzer of a context, and one built with
+    ``check_disjoint=False`` may fill the row of an overlapping pair;
+    a checking read tests a pair whose row lacks the mark, and only
+    once.
 
     Attributes
     ----------
@@ -147,15 +293,16 @@ class SharedVerdictCache:
         cut-pair ``≪`` evaluations proper (≤ 12 per ordered pair, well
         under the 16 ordered Table-2 cut pairs).
     hits:
-        Verdict-row reads served from the cache (one per family query
-        on an already-filled pair, however many specs that query names).
+        Pair reads served by a row already in the table (one per pair
+        per query, however many specs that query names).
     fills:
         Batched kernel invocations (each fill covers every missing pair
         of one query batch).
     """
 
-    __slots__ = ("context", "proxy_definition", "_version", "_verdicts",
-                 "evals", "cut_pair_evals", "hits", "fills")
+    __slots__ = ("context", "proxy_definition", "_version", "_index",
+                 "_table", "_disjoint", "evals", "cut_pair_evals", "hits",
+                 "fills")
 
     def __init__(
         self,
@@ -165,7 +312,10 @@ class SharedVerdictCache:
         self.context = AnalysisContext.of(context)
         self.proxy_definition = proxy_definition
         self._version = self.context.execution.version
-        self._verdicts: dict[tuple[bytes, bytes], VerdictRow] = {}
+        # pair key -> table row; the first len(_index) rows are filled
+        self._index: dict[tuple[bytes, bytes], int] = {}
+        self._table = np.zeros((0, N_SUBTESTS), dtype=np.bool_)
+        self._disjoint = np.zeros(0, dtype=np.bool_)
         self.evals = 0
         self.cut_pair_evals = 0
         self.hits = 0
@@ -173,7 +323,9 @@ class SharedVerdictCache:
 
     def invalidate(self) -> None:
         """Drop every verdict row; re-arm on current version."""
-        self._verdicts.clear()
+        self._index.clear()
+        self._table = np.zeros((0, N_SUBTESTS), dtype=np.bool_)
+        self._disjoint = np.zeros(0, dtype=np.bool_)
         self._version = self.context.execution.version
 
     def _fresh(self) -> None:
@@ -184,33 +336,71 @@ class SharedVerdictCache:
     def pairs_cached(self) -> int:
         """Ordered pairs with a memoized verdict row."""
         self._fresh()
-        return len(self._verdicts)
+        return len(self._index)
 
-    def fill_pairs(
-        self, pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]]
-    ) -> None:
-        """Batch-fill the verdict rows of every not-yet-cached pair.
+    def _rows(
+        self,
+        pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]],
+        check_disjoint: bool,
+    ) -> np.ndarray:
+        """The table row of every pair, filling the missing ones.
 
-        One pass end to end: missing pairs are deduplicated, their
-        distinct intervals' L and U proxy rows are located by **one**
-        batched :meth:`~repro.core.context.CutCache.family_operands`
-        cut fill (warm rows come out of the shared cut cache),
-        :func:`~repro.core.family.verdict_matrix` runs once over them,
-        and the ``(pairs, 24)`` result is scattered into the memo.
-        Already-cached pairs are skipped without touching the counters.
+        Missing pairs are deduplicated and filled by one :meth:`_fill`.
+        With ``check_disjoint``, an overlapping pair raises
+        :class:`ValueError` before anything is filled; a pair is tested
+        only if its row does not already record it as disjoint.
         """
         self._fresh()
-        verdicts = self._verdicts
-        todo: dict[tuple[bytes, bytes], tuple[NonatomicEvent, NonatomicEvent]] = {}
+        index = self._index
+        disjoint = self._disjoint
+        found: list[int] = []
+        todo: dict[tuple[bytes, bytes], int] = {}
+        missing: list[tuple[NonatomicEvent, NonatomicEvent]] = []
+        hits = 0
         for x, y in pairs:
             pk = (x.packed_ids, y.packed_ids)
-            if pk not in verdicts and pk not in todo:
-                todo[pk] = (x, y)
-        if not todo:
-            return
+            r = index.get(pk)
+            if r is None:
+                t = todo.get(pk)
+                if t is None:
+                    if check_disjoint and not x.is_disjoint(y):
+                        raise _overlap_error()
+                    t = todo[pk] = len(missing)
+                    missing.append((x, y))
+                r = ~t  # negative: a pending pair, resolved below
+            else:
+                hits += 1
+                if check_disjoint and not disjoint[r]:
+                    if not x.is_disjoint(y):
+                        raise _overlap_error()
+                    disjoint[r] = True
+            found.append(r)
+        self.hits += hits
+        rows = np.fromiter(found, np.intp, count=len(found))
+        if missing:
+            base = self._fill(list(todo), missing, check_disjoint)
+            pending = rows < 0
+            rows[pending] = base + ~rows[pending]
+        return rows
+
+    def _fill(
+        self,
+        keys: list[tuple[bytes, bytes]],
+        pairs: list[tuple[NonatomicEvent, NonatomicEvent]],
+        disjoint: bool,
+    ) -> int:
+        """Append the verdict rows of ``pairs`` (none cached yet) under
+        ``keys``, marked ``disjoint``; returns the first new row.
+
+        The pairs' distinct intervals get their L and U proxy rows from
+        **one** batched :meth:`~repro.core.context.CutCache.family_operands`
+        fill (warm rows come out of the shared cut cache), and
+        :func:`~repro.core.family.verdict_matrix` runs once over them.
+        """
+        self._fresh()
         row_of: dict[bytes, int] = {}
         intervals: list[NonatomicEvent] = []
-        for x, y in todo.values():
+        for x, y in pairs:
             for z in (x, y):
                 if z.packed_ids not in row_of:
                     row_of[z.packed_ids] = len(intervals)
@@ -218,36 +408,59 @@ class SharedVerdictCache:
         ops = self.context.cut_cache.family_operands(
             intervals, self.proxy_definition
         )
-        xs = np.fromiter(
-            (row_of[kx] for kx, _ky in todo), np.intp, count=len(todo)
-        )
-        ys = np.fromiter(
-            (row_of[ky] for _kx, ky in todo), np.intp, count=len(todo)
-        )
+        xs = np.fromiter((row_of[kx] for kx, _ky in keys), np.intp, count=len(keys))
+        ys = np.fromiter((row_of[ky] for _kx, ky in keys), np.intp, count=len(keys))
         matrix = verdict_matrix(ops, xs, ys)
-        for pk, row in zip(todo, matrix, strict=True):
-            verdicts[pk] = tuple(row.tolist())
+        base = len(self._index)
+        size = base + len(keys)
+        if size > self._table.shape[0]:
+            capacity = max(size, 2 * self._table.shape[0])
+            table = np.zeros((capacity, N_SUBTESTS), dtype=np.bool_)
+            table[:base] = self._table[:base]
+            marks = np.zeros(capacity, dtype=np.bool_)
+            marks[:base] = self._disjoint[:base]
+            self._table, self._disjoint = table, marks
+        self._table[base:size] = matrix
+        self._disjoint[base:size] = disjoint
+        self._index.update(zip(keys, range(base, size), strict=True))
         self.fills += 1
-        self.evals += N_SUBTESTS * len(todo)
-        self.cut_pair_evals += _N_CUT_PAIR * len(todo)
+        self.evals += N_SUBTESTS * len(keys)
+        self.cut_pair_evals += _N_CUT_PAIR * len(keys)
+        return base
+
+    def verdicts(
+        self,
+        pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]],
+        check_disjoint: bool = False,
+    ) -> np.ndarray:
+        """The ``(len(pairs), 24)`` bool verdict matrix of ``pairs``.
+
+        One pass end to end: missing pairs are deduplicated and filled
+        by one batched kernel pass, then every pair's row is gathered
+        out of the table.  With ``check_disjoint`` an overlapping pair
+        raises :class:`ValueError` (before any fill); a pair whose row
+        records it as disjoint is not tested again.
+        """
+        self._fresh()
+        rows = self._rows(pairs, check_disjoint)
+        return self._table[rows]
 
     def verdict_row(
         self, x: NonatomicEvent, y: NonatomicEvent
     ) -> VerdictRow:
         """The 24-subtest verdict row of ``(x, y)``, filling on demand.
 
-        A read served from the memo counts one :attr:`hits`; a missing
-        pair pays a single-pair :meth:`fill_pairs` (batch callers should
-        pre-fill, making every subsequent read a hit).
+        A read served from the table counts one :attr:`hits`; a missing
+        pair pays a single-pair fill (batch callers should use
+        :meth:`verdicts`).
         """
         self._fresh()
-        pk = (x.packed_ids, y.packed_ids)
-        row = self._verdicts.get(pk)
-        if row is None:
-            self.fill_pairs(((x, y),))
-            return self._verdicts[pk]
-        self.hits += 1
-        return row
+        r = self._index.get((x.packed_ids, y.packed_ids))
+        if r is None:
+            r = int(self._rows(((x, y),), False)[0])
+        else:
+            self.hits += 1
+        return tuple(self._table[r].tolist())
 
     def holds(
         self,
@@ -259,7 +472,7 @@ class SharedVerdictCache:
 
         The first query on a pair pays the batched 24-subtest fill;
         every subsequent query on that pair — whatever the spec — is a
-        tuple read.
+        table read.
         """
         return self.verdict_row(x, y)[SUBTEST_COLUMNS[subtest_key(spec)]]
 
@@ -362,11 +575,7 @@ class SynchronizationAnalyzer:
 
     def _check_pair(self, x: NonatomicEvent, y: NonatomicEvent) -> None:
         if self.check_disjoint and not x.is_disjoint(y):
-            raise ValueError(
-                "X and Y share atomic events; the evaluation conditions are "
-                "exact only for disjoint intervals (pass check_disjoint=False "
-                "to evaluate anyway)"
-            )
+            raise _overlap_error()
 
     # ------------------------------------------------------------------
     # Problem 4 (i): one relation
@@ -554,76 +763,83 @@ class SynchronizationAnalyzer:
         vc = self._verdict_cache
         if vc is not None:
             self._check_pair(x, y)
-            return _strongest_of_row(vc.verdict_row(x, y))
+            row = vc.verdict_row(x, y)
+            return _strongest_of(_pack_row(row), row)
         return maximal_true(self.all_relations(x, y, prune=True))
 
     # ------------------------------------------------------------------
     # Problem 4 (ii), batched: many pairs in one kernel pass
     # ------------------------------------------------------------------
-    def _fill_family(
+    def _subtest_matrix(
         self, pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]]
-    ) -> "SharedVerdictCache | None":
-        """Validate ``pairs`` and batch-fill their verdict rows (cached
-        configurations); returns the cache, or ``None`` on bypass."""
-        for x, y in pairs:
-            self._check_pair(x, y)
+    ) -> "np.ndarray | None":
+        """The ``(Q, 24)`` subtest verdicts of ``pairs`` (cached
+        configurations, pairs validated through the cache), or ``None``
+        on bypass (pairs validated here)."""
         vc = self._verdict_cache
         if vc is not None:
-            vc.fill_pairs(pairs)
-        return vc
+            return vc.verdicts(pairs, self.check_disjoint)
+        for x, y in pairs:
+            self._check_pair(x, y)
+        return None
+
+    def _spec_matrix(
+        self,
+        pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]],
+        specs: "Sequence[Relation | RelationSpec]",
+    ) -> np.ndarray:
+        """``(Q, len(specs))`` verdicts from the scalar engine (bypass)."""
+        out = np.zeros((len(pairs), len(specs)), dtype=np.bool_)
+        for i, (x, y) in enumerate(pairs):
+            out[i] = [self._engine_holds(spec, x, y) for spec in specs]
+        return out
 
     def all_relations_batch(
         self, pairs: Iterable[tuple[NonatomicEvent, NonatomicEvent]]
-    ) -> list[dict[RelationSpec, bool]]:
+    ) -> VerdictTable:
         """:meth:`all_relations` for many ordered pairs at once.
 
-        On the cached configuration every missing pair is answered by
-        **one** batched operand gather + one
-        :func:`~repro.core.family.verdict_matrix` pass (all 24 subtests
-        × all pairs), then scattered; results align with the input
-        order and are identical to per-pair :meth:`all_relations`.
-        Bypass configurations fall back to the scalar loop.
+        Returns a :class:`VerdictTable`: row ``i`` is a read-only
+        ``spec → bool`` mapping for the ``i``-th pair, equal to
+        per-pair :meth:`all_relations`.  On the cached configuration
+        every missing pair is answered by **one** batched operand
+        gather + one :func:`~repro.core.family.verdict_matrix` pass
+        (all 24 subtests × all pairs), and the rows are read out of one
+        ``(Q, 24)`` bool matrix.  Bypass configurations fill a
+        ``(Q, 32)`` matrix spec by spec through the scalar engine.
         """
         seq = list(pairs)
-        vc = self._fill_family(seq)
-        if vc is None:
-            return [
-                {spec: self._engine_holds(spec, x, y) for spec in FAMILY32}
-                for x, y in seq
-            ]
-        return [
-            {spec: row[c] for spec, c in _FAMILY_COLS}
-            for row in (vc.verdict_row(x, y) for x, y in seq)
-        ]
+        matrix = self._subtest_matrix(seq)
+        if matrix is None:
+            return VerdictTable(self._spec_matrix(seq, FAMILY32), _FAMILY_SPEC_COL)
+        return VerdictTable(matrix, _FAMILY_COL_OF)
 
     def base_relations_batch(
         self, pairs: Iterable[tuple[NonatomicEvent, NonatomicEvent]]
-    ) -> list[dict[Relation, bool]]:
-        """:meth:`base_relations` for many ordered pairs at once
-        (one kernel pass on the cached configuration)."""
+    ) -> VerdictTable:
+        """:meth:`base_relations` for many ordered pairs at once, as a
+        :class:`VerdictTable` of ``relation → bool`` rows (one kernel
+        pass on the cached configuration)."""
         seq = list(pairs)
-        vc = self._fill_family(seq)
-        if vc is None:
-            return [
-                {r: self._engine_holds(r, x, y) for r in BASE_RELATIONS}
-                for x, y in seq
-            ]
-        return [
-            {r: row[c] for r, c in _BASE_COLS}
-            for row in (vc.verdict_row(x, y) for x, y in seq)
-        ]
+        matrix = self._subtest_matrix(seq)
+        if matrix is None:
+            return VerdictTable(
+                self._spec_matrix(seq, BASE_RELATIONS), _BASE_SPEC_COL
+            )
+        return VerdictTable(matrix, _BASE_COL_OF)
 
     def strongest_batch(
         self, pairs: Iterable[tuple[NonatomicEvent, NonatomicEvent]]
     ) -> list[tuple[RelationSpec, ...]]:
         """:meth:`strongest` for many ordered pairs at once
-        (one kernel pass + memoized hierarchy walks on the cached
-        configuration)."""
+        (one kernel pass, and one hierarchy walk per distinct verdict
+        row, on the cached configuration)."""
         seq = list(pairs)
-        vc = self._fill_family(seq)
-        if vc is None:
-            return [self.strongest(x, y) for x, y in seq]
-        return [_strongest_of_row(vc.verdict_row(x, y)) for x, y in seq]
+        matrix = self._subtest_matrix(seq)
+        if matrix is None:
+            return [maximal_true(self.all_relations(x, y, prune=True))
+                    for x, y in seq]
+        return _strongest_rows(matrix)
 
     # ------------------------------------------------------------------
     # all-pairs evaluation

@@ -15,8 +15,8 @@ the per-pair loop entirely:
   pairs**, gathering each block's operands straight from the row store
   and running three comparison + reduction passes per block, producing
   the ``(Q, 24)`` boolean verdict matrix that
-  :class:`~repro.core.evaluator.SharedVerdictCache` scatters into its
-  per-pair memo in one pass;
+  :class:`~repro.core.evaluator.SharedVerdictCache` appends to its
+  verdict table in one pass;
 * :func:`gather_verdicts` answers **one relation per query for Q
   queries** — the ``(Q,)`` gather driver behind
   :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`;
@@ -192,17 +192,18 @@ def _gather(
     operands: np.ndarray,
 ) -> np.ndarray:
     """``(len(operands), B, P)``: operand ``operands[j]`` of each interval
-    whose ``(L, U)`` store rows are ``rows``."""
+    whose ``(L, U)`` store rows are ``rows``, in the store's dtype."""
     out = np.empty((len(operands), rows[0].shape[0], mats[0].shape[1]),
-                   dtype=np.int64)
+                   dtype=mats[0].dtype)
     for j, op in enumerate(operands.tolist()):
         stat, tag = divmod(op, 2)
         out[j] = mats[stat][rows[tag]]
     return out
 
 
-#: Pairs per block of :func:`verdict_matrix`: bounds its ``(block,
-#: group, P)`` int64 gathers (a few MB at ``P = 16``) for any pair count.
+#: Pairs per block of :func:`verdict_matrix`: bounds its ``(group,
+#: block, P)`` gathers, in the row store's dtype (``CLOCK_DTYPE``: at
+#: most 3 MB each at ``P = 16``), for any pair count.
 VERDICT_BLOCK = 4096
 
 

@@ -116,6 +116,20 @@ def _workload(seed: int = 5) -> tuple[AnalysisContext, list[NonatomicEvent]]:
     return AnalysisContext(ex), _partition(ex, owners, 8)
 
 
+def _assert_same_vector(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert not got.flags.writeable
+    np.testing.assert_array_equal(got, want)
+
+
+def _assert_same_cut(got: Cut, want: Cut) -> None:
+    """A cut read from a stored batch row is the cut a scalar miss
+    builds: same dtype, equal, and hashing alike."""
+    _assert_same_vector(got.vector, want.vector)
+    assert got == want
+    assert hash(got) == hash(want)
+
+
 class TestScalarReadsHit:
     def test_proxy_reads_after_family_batch_hit(self):
         ctx, intervals = _workload()
@@ -134,11 +148,9 @@ class TestScalarReadsHit:
                 assert cache.hits == hits + 5
                 expect = fresh.cuts(px)
                 for name in ("c1", "c2", "c3", "c4"):
-                    np.testing.assert_array_equal(
-                        getattr(quad, name).vector, getattr(expect, name).vector
-                    )
-                np.testing.assert_array_equal(first, fresh.extremal(px)[0])
-                np.testing.assert_array_equal(last, fresh.extremal(px)[1])
+                    _assert_same_cut(getattr(quad, name), getattr(expect, name))
+                _assert_same_vector(first, fresh.extremal(px)[0])
+                _assert_same_vector(last, fresh.extremal(px)[1])
         # the scalar engine reads the same rows
         lin = LinearEvaluator(ctx)
         for x, y in pairs:
@@ -152,9 +164,15 @@ class TestScalarReadsHit:
         cache.stats(intervals)
         misses = cache.misses
         hits = cache.hits
+        fresh = AnalysisContext(ctx.execution)
         for x in intervals:
-            ctx.cuts(NonatomicEvent(x.execution, x.ids))  # equal, fresh object
-            ctx.extremal(x)
+            quad = ctx.cuts(NonatomicEvent(x.execution, x.ids))  # equal, fresh object
+            first, last = ctx.extremal(x)
+            expect = fresh.cuts(x)  # misses: the scalar fold
+            for name in ("c1", "c2", "c3", "c4"):
+                _assert_same_cut(getattr(quad, name), getattr(expect, name))
+            _assert_same_vector(first, fresh.extremal(x)[0])
+            _assert_same_vector(last, fresh.extremal(x)[1])
         assert cache.misses == misses
         assert cache.hits == hits + 5 * len(intervals)
 

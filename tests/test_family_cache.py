@@ -12,13 +12,16 @@ cache entirely.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import family
+from repro.backends.base import CLOCK_DTYPE
+from repro.core import evaluator, family
 from repro.core.context import AnalysisContext
-from repro.core.evaluator import SynchronizationAnalyzer
+from repro.core.evaluator import SynchronizationAnalyzer, VerdictTable
 from repro.backends.stats import CutStats
 from repro.core.family import (
     N_OPERANDS,
@@ -29,9 +32,10 @@ from repro.core.family import (
 )
 from repro.core.hierarchy import evaluate_all_pruned, maximal_true
 from repro.core.linear import LinearEvaluator
-from repro.core.relations import BASE_RELATIONS, FAMILY32, SUBTEST_KEYS
+from repro.core.relations import BASE_RELATIONS, FAMILY32, SUBTEST_KEYS, Relation
 from repro.events.builder import TraceBuilder
 from repro.events.poset import Execution
+from repro.nonatomic.event import NonatomicEvent
 from repro.nonatomic.proxies import ProxyDefinition
 from repro.nonatomic.selection import random_disjoint_pair
 from repro.simulation.workloads import random_execution
@@ -251,6 +255,33 @@ class TestBatchedKernel:
         np.testing.assert_array_equal(verdict_matrix(ops, xs, ys), whole)
         assert verdict_matrix(ops, xs[:0], ys[:0]).shape == (0, whole.shape[1])
 
+    def test_gathers_keep_the_store_dtype(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        mats = [rng.integers(0, 4, size=(9, 6)) for _ in range(N_OPERANDS // 2)]
+        ls = rng.integers(0, 9, size=5)
+        us = rng.integers(0, 9, size=5)
+        xs = rng.integers(0, 5, size=30)
+        ys = rng.integers(0, 5, size=30)
+        wide = verdict_matrix(
+            FamilyOperands(CutStats(*(m.astype(np.int64) for m in mats)), ls, us),
+            xs, ys,
+        )
+        dtypes = set()
+        gather = family._gather
+
+        def recording(*args):
+            out = gather(*args)
+            dtypes.add(out.dtype)
+            return out
+
+        monkeypatch.setattr(family, "_gather", recording)
+        narrow = verdict_matrix(
+            FamilyOperands(CutStats(*(m.astype(CLOCK_DTYPE) for m in mats)), ls, us),
+            xs, ys,
+        )
+        assert dtypes == {np.dtype(CLOCK_DTYPE)}
+        np.testing.assert_array_equal(narrow, wide)
+
     def test_block_gathers_match_dense_operands(self):
         # reference: every interval's twelve operand rows copied out up front
         rng = np.random.default_rng(10)
@@ -270,6 +301,131 @@ class TestBatchedKernel:
                 compare_rows(kind, dense[ys, OPERAND_INDEX[y_op]],
                              dense[xs, OPERAND_INDEX[x_op]]),
             )
+
+
+def _overlapping_pair() -> tuple[Execution, NonatomicEvent, NonatomicEvent]:
+    ex = random_execution(4, events_per_node=5, msg_prob=0.3, seed=2)
+    x = NonatomicEvent(ex, [(0, 1), (1, 2), (2, 3)])
+    y = NonatomicEvent(ex, [(1, 2), (3, 1)])  # shares (1, 2) with x
+    return ex, x, y
+
+
+class TestVerdictTable:
+    """The batch APIs answer with one read-only table of row views."""
+
+    def test_rows_are_read_only_mappings(self):
+        ex, x, y = _pair()
+        an = SynchronizationAnalyzer(ex)
+        fam = an.all_relations_batch([(x, y), (y, x)])
+        assert isinstance(fam, VerdictTable) and len(fam) == 2
+        row = fam[0]
+        assert isinstance(row, Mapping) and len(row) == 32
+        assert list(row) == list(FAMILY32)
+        assert row == an.all_relations(x, y) and dict(row) == an.all_relations(x, y)
+        assert fam[-1] == fam[1] and fam[1:] == [fam[1]]
+        assert all(type(v) is bool for v in row.values())
+        with pytest.raises(TypeError):
+            row[FAMILY32[0]] = True  # type: ignore[index]
+        with pytest.raises(KeyError):
+            row[Relation.R1]  # a base relation is no family column
+        with pytest.raises(IndexError):
+            fam[2]
+        assert not fam.matrix.flags.writeable
+        base = an.base_relations_batch([(x, y)])
+        assert type(base) is VerdictTable
+        assert list(base[0]) == list(BASE_RELATIONS)
+        assert base[0] == an.base_relations(x, y)
+
+    def test_bypass_returns_the_same_type(self):
+        ex, x, y = _pair()
+        pairs = [(x, y), (y, x)]
+        cached = SynchronizationAnalyzer(ex)
+        for kwargs in (dict(engine="naive"), dict(counted=True)):
+            bypass = SynchronizationAnalyzer(ex, **kwargs)
+            for api in ("all_relations_batch", "base_relations_batch"):
+                got = getattr(bypass, api)(pairs)
+                assert type(got) is VerdictTable
+                assert got == getattr(cached, api)(pairs)
+                assert list(got) == list(getattr(cached, api)(pairs))
+
+    def test_strongest_walks_each_distinct_row_once(self, monkeypatch):
+        ex = random_execution(6, events_per_node=6, msg_prob=0.35, seed=3)
+        rng = np.random.default_rng(4)
+        pairs = [random_disjoint_pair(ex, rng, events_per_node=2) for _ in range(12)]
+        walks = []
+
+        def counting(results):
+            walks.append(tuple(results.values()))
+            return maximal_true(results)
+
+        monkeypatch.setattr(evaluator, "maximal_true", counting)
+        monkeypatch.setattr(evaluator, "_STRONGEST_MEMO", {})
+        an = SynchronizationAnalyzer(AnalysisContext(ex))
+        got = an.strongest_batch(pairs + pairs)
+        distinct = {tuple(row.values()) for row in an.all_relations_batch(pairs)}
+        assert len(walks) == len(set(walks)) == len(distinct)
+        ref = SynchronizationAnalyzer(ex, engine="naive")
+        assert got == [ref.strongest(x, y) for x, y in pairs + pairs]
+
+
+    def test_scalar_and_batch_pack_rows_alike(self):
+        # one memo serves both: a scalar key must name the same row
+        rows = np.random.default_rng(5).random((50, 24)) < 0.5
+        scalar = [evaluator._pack_row(r) for r in rows.tolist()]
+        assert evaluator._pack_rows(rows).tolist() == scalar
+        assert len(set(scalar)) == len({r.tobytes() for r in rows})
+
+
+class TestValidateOnce:
+    """The disjointness check runs once per pair, and a row filled by an
+    analyzer that skips it never excuses an overlapping pair."""
+
+    def test_checking_analyzer_raises_on_an_unchecked_row(self):
+        ex, x, y = _overlapping_pair()
+        ctx = AnalysisContext(ex)
+        loose = SynchronizationAnalyzer(ctx, check_disjoint=False)
+        strict = SynchronizationAnalyzer(ctx)
+        loose.all_relations_batch([(x, y)])
+        assert strict.verdict_cache is loose.verdict_cache
+        assert strict.verdict_cache.pairs_cached == 1
+        for api in (strict.all_relations_batch, strict.base_relations_batch,
+                    strict.strongest_batch):
+            with pytest.raises(ValueError, match="share atomic events"):
+                api([(x, y)])
+        with pytest.raises(ValueError, match="share atomic events"):
+            strict.strongest(x, y)
+        # the loose analyzer still answers from the row
+        assert loose.strongest_batch([(x, y)]) == [loose.strongest(x, y)]
+
+    def test_overlap_raises_before_any_fill(self):
+        ex, x, y = _overlapping_pair()
+        ok = (NonatomicEvent(ex, [(0, 4)]), NonatomicEvent(ex, [(3, 3)]))
+        an = SynchronizationAnalyzer(ex)
+        with pytest.raises(ValueError, match="share atomic events"):
+            an.all_relations_batch([ok, (x, y)])
+        assert an.verdict_cache.pairs_cached == 0
+        assert an.verdict_cache.fills == 0
+
+    def test_each_pair_is_tested_once(self, monkeypatch):
+        ex = random_execution(6, events_per_node=6, msg_prob=0.35, seed=5)
+        rng = np.random.default_rng(6)
+        pairs = [random_disjoint_pair(ex, rng, events_per_node=2) for _ in range(7)]
+        tested = []
+        is_disjoint = NonatomicEvent.is_disjoint
+
+        def counting(self, other):
+            tested.append((self, other))
+            return is_disjoint(self, other)
+
+        monkeypatch.setattr(NonatomicEvent, "is_disjoint", counting)
+        ctx = AnalysisContext(ex)
+        SynchronizationAnalyzer(ctx, check_disjoint=False).all_relations_batch(pairs)
+        assert tested == []
+        an = SynchronizationAnalyzer(ctx)
+        an.all_relations_batch(pairs)
+        an.base_relations_batch(pairs)
+        an.strongest_batch(pairs + pairs)
+        assert len(tested) == len(pairs)
 
 
 #: per-pair scalar-oracle analyzer config: linear engine, counted → the
