@@ -2,14 +2,17 @@
 
 Not a paper experiment — an engineering extension exercised by the
 mutual-exclusion verifier: answering one relation for all k² interval
-pairs through NumPy broadcasting vs k² linear-engine calls.  Expected
-shape: same answers, with the matrix path ahead by 1–2 orders of
-magnitude once k² dominates Python call overhead.
+pairs through :meth:`SynchronizationAnalyzer.relation_matrix
+<repro.core.evaluator.SynchronizationAnalyzer.relation_matrix>` (the
+blocked family kernel over the k × k grid) vs k² linear-engine calls.
+Expected shape: same answers, with the matrix path ahead by 1–2 orders
+of magnitude once k² dominates Python call overhead.
 """
 
 from repro.apps.mutex import MutualExclusionChecker, token_mutex_trace
+from repro.core.context import AnalysisContext
+from repro.core.evaluator import SynchronizationAnalyzer
 from repro.core.linear import LinearEvaluator
-from repro.core.pairwise import IntervalSetMatrices
 from repro.core.relations import Relation
 from repro.simulation.workloads import random_execution
 
@@ -22,7 +25,7 @@ INTERVALS = random_intervals(EX, K, events_per_node=2, seed=14)
 
 def test_scalar_loop(benchmark):
     lin = LinearEvaluator(EX)
-    IntervalSetMatrices(INTERVALS)  # warm cut caches for parity
+    SynchronizationAnalyzer(EX).relation_matrix(INTERVALS, Relation.R4)
 
     def run():
         return [
@@ -36,8 +39,9 @@ def test_scalar_loop(benchmark):
 
 
 def test_vectorised_matrix(benchmark):
-    mats = IntervalSetMatrices(INTERVALS)
-    m = benchmark(lambda: mats.relation_matrix(Relation.R4))
+    an = SynchronizationAnalyzer(EX)
+    an.relation_matrix(INTERVALS, Relation.R4)  # warm the cut cache
+    m = benchmark(lambda: an.relation_matrix(INTERVALS, Relation.R4))
     # cross-check a sample against the scalar engine
     lin = LinearEvaluator(EX)
     for i in range(0, K, 7):
@@ -49,9 +53,11 @@ def test_vectorised_matrix(benchmark):
 
 
 def test_vectorised_including_setup(benchmark):
-    """Matrix path with the stacking cost included (cold start)."""
+    """Matrix path with the operand fill included (cold cut cache)."""
     benchmark(
-        lambda: IntervalSetMatrices(INTERVALS).relation_matrix(Relation.R4)
+        lambda: SynchronizationAnalyzer(
+            AnalysisContext(EX)
+        ).relation_matrix(INTERVALS, Relation.R4)
     )
 
 
@@ -60,10 +66,4 @@ class TestMutexVerifier:
         ex, _ = token_mutex_trace(6, occupancies=20, replicas=2, seed=2)
         checker = MutualExclusionChecker(ex)
         result = benchmark(checker.check)
-        assert result == []
-
-    def test_vectorised_checker(self, benchmark):
-        ex, _ = token_mutex_trace(6, occupancies=20, replicas=2, seed=2)
-        checker = MutualExclusionChecker(ex)
-        result = benchmark(checker.check_vectorised)
         assert result == []

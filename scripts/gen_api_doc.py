@@ -26,12 +26,11 @@ MODULES = [
     "repro.nonatomic.selection",
     "repro.backends", "repro.backends.base", "repro.backends.stats",
     "repro.backends.vector",
-    "repro.backends.reduction",
     "repro.core", "repro.core.context", "repro.core.cuts",
     "repro.core.relations", "repro.core.family",
     "repro.core.naive", "repro.core.polynomial", "repro.core.linear",
     "repro.core.evaluator", "repro.core.explain", "repro.core.counting",
-    "repro.core.hierarchy", "repro.core.axioms", "repro.core.pairwise",
+    "repro.core.hierarchy", "repro.core.axioms",
     "repro.core.idioms",
     "repro.monitor", "repro.monitor.predicates", "repro.monitor.checker",
     "repro.monitor.online",

@@ -7,7 +7,8 @@ activities could be serialised.  This module lifts the pairwise
 relations to that level:
 
 * :func:`interval_order_graph` — the digraph of one relation over a
-  set of intervals (vectorised via :mod:`repro.core.pairwise`);
+  set of intervals (vectorised via
+  :meth:`~repro.core.evaluator.SynchronizationAnalyzer.relation_matrix`);
 * :func:`concurrent_pairs` — interval pairs with no R4 coupling in
   either direction (fully causally independent);
 * :func:`serialization_layers` — topological generations of the
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-from ..core.pairwise import IntervalSetMatrices
+from ..core.evaluator import SynchronizationAnalyzer
 from ..core.relations import Relation, RelationSpec, parse_spec
 from ..nonatomic.event import NonatomicEvent
 from ..nonatomic.proxies import Proxy
@@ -66,12 +67,9 @@ def interval_order_graph(
     for name, iv in zip(names, intervals, strict=True):
         g.add_node(name, interval=iv)
     if len(intervals) >= 2:
-        mats = IntervalSetMatrices(list(intervals))
-        matrix = (
-            mats.relation_matrix(spec)
-            if isinstance(spec, Relation)
-            else mats.spec_matrix(spec)
-        )
+        matrix = SynchronizationAnalyzer(
+            intervals[0].execution
+        ).relation_matrix(intervals, spec)
         for i, a in enumerate(names):
             for j, b in enumerate(names):
                 if i != j and matrix[i, j]:
@@ -91,7 +89,9 @@ def concurrent_pairs(
     names = _names(intervals)
     if len(intervals) < 2:
         return []
-    matrix = IntervalSetMatrices(list(intervals)).relation_matrix(Relation.R4)
+    matrix = SynchronizationAnalyzer(intervals[0].execution).relation_matrix(
+        intervals, Relation.R4
+    )
     out: list[tuple[str, str]] = []
     for i in range(len(intervals)):
         for j in range(i + 1, len(intervals)):

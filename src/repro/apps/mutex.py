@@ -90,7 +90,7 @@ class MutualExclusionChecker:
 
         The 2·C(k,2) ``R1(U,L)`` queries are answered through
         :meth:`SynchronizationAnalyzer.batch_holds`: one cut fill over
-        the occupancies' proxies and one gather-kernel pass.
+        the occupancies' proxy rows and one kernel pass.
         """
         occs = sorted(self.occupancies(prefix).values(), key=lambda o: o.name or "")
         pairs = [
@@ -107,25 +107,6 @@ class MutualExclusionChecker:
             for i, (x, y) in enumerate(pairs)
             if not (answers[i] or answers[n + i])
         ]
-
-    def check_vectorised(self, prefix: str = "cs:") -> list[ExclusionViolation]:
-        """Same verdicts as :meth:`check` via one all-pairs matrix.
-
-        Builds the ``R1(U,L)`` matrix over all occupancies with
-        :mod:`repro.core.pairwise` (one NumPy broadcast instead of k²
-        engine calls) — the fast path for large occupancy counts.
-        """
-        occs = sorted(self.occupancies(prefix).values(), key=lambda o: o.name or "")
-        if len(occs) < 2:
-            return []
-        m = self.context.matrices(occs).spec_matrix(_R1_UL)
-        serialised = m | m.T
-        violations: list[ExclusionViolation] = []
-        for i in range(len(occs)):
-            for j in range(i + 1, len(occs)):
-                if not serialised[i, j]:
-                    violations.append(ExclusionViolation(occs[i], occs[j]))
-        return violations
 
 
 def token_mutex_trace(

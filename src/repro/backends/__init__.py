@@ -1,12 +1,11 @@
-"""The causality backend and trace preprocessing.
+"""The causality backend.
 
 One encoding of the causal order ``≺`` answers every query:
 :class:`~repro.backends.vector.VectorClockBackend`, the columnar
 vector-clock substrate of the paper's Definitions 13 and 14.
 :mod:`repro.backends.base` is the seam through which the engines reach
 the clock substrate (streaming tables, pass counters), and
-:mod:`repro.backends.reduction` provides the commutativity-based
-trace-coarsening preprocessing pass.
+:mod:`repro.backends.stats` holds the columnar cut-stat kernels.
 
 Layering: this package sits between the events substrate and the
 evaluation engines (``events < nonatomic < backends < core``); nothing
@@ -20,19 +19,15 @@ from .base import (
     default_backend_name,
     make_streaming_table,
 )
-from .reduction import CommutativityRules, TraceReduction, reduce_trace
 from .stats import CutStats, cut_stats_from_arrays, cut_stats_from_extrema
 from .vector import VectorClockBackend
 
 __all__ = [
-    "CommutativityRules",
     "CutStats",
     "StreamingClockTable",
-    "TraceReduction",
     "VectorClockBackend",
     "cut_stats_from_arrays",
     "cut_stats_from_extrema",
     "default_backend_name",
     "make_streaming_table",
-    "reduce_trace",
 ]

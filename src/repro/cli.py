@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "default: report all 32 + strongest")
     p_rel.add_argument("--engine", default="linear",
                        choices=["naive", "polynomial", "linear"])
-    p_rel.add_argument("--reduce", action="store_true",
-                       help="merge commuting adjacent same-node internal "
-                            "events before analysing (verdict-preserving)")
 
     p_check = sub.add_parser("check", help="check a condition over a trace")
     p_check.add_argument("trace")
@@ -237,15 +234,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_relations(args) -> int:
     reset_clock_pass_counts()
-    if args.reduce:
-        from .backends.reduction import reduce_trace
-
-        red = reduce_trace(load(args.trace))
-        print(f"reduced {red.original_events} events to "
-              f"{red.reduced_events} ({red.ratio:.0%} fewer)")
-        ctx = AnalysisContext.of(Execution(red.trace))
-    else:
-        ctx = _load_context(args.trace)
+    ctx = _load_context(args.trace)
     ex = ctx.execution
     an = SynchronizationAnalyzer(ctx, engine=args.engine)
     x = by_label(ex, args.x)

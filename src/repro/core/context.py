@@ -17,8 +17,8 @@ intervals constructed twice paid the fold twice.
   on :attr:`Execution.version <repro.events.poset.Execution.version>`,
   which :meth:`Execution.extend` bumps, so stale future-side vectors
   can never be served;
-* a factory for :class:`~repro.core.pairwise.IntervalSetMatrices`
-  stacks that draws cut vectors from the cache instead of re-folding.
+* the shared ``≪``-subtest verdict cache
+  (:meth:`AnalysisContext.verdict_cache`).
 
 All three relation engines, the high-level
 :class:`~repro.core.evaluator.SynchronizationAnalyzer`, the online
@@ -43,7 +43,6 @@ from ..backends.vector import VectorClockBackend
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
-from ..nonatomic.proxies import Proxy, ProxyDefinition, proxy_of
 from .cuts import Cut, CutQuadruple, CutStats
 from .family import FamilyOperands
 from .versioning import versioned_state
@@ -51,7 +50,6 @@ from .versioning import versioned_state
 if TYPE_CHECKING:
     from ..events.trace import Trace
     from .evaluator import SharedVerdictCache
-    from .pairwise import IntervalSetMatrices
 
 __all__ = ["AnalysisContext", "CutCache"]
 
@@ -203,29 +201,6 @@ def _distinct_extrema(
     is_rep = head == every
     rank = np.cumsum(is_rep) - 1
     return np.flatnonzero(is_rep), rank[head]
-
-
-def _terms(
-    intervals: Sequence[NonatomicEvent],
-    proxies: "Sequence[Proxy | None] | None",
-    proxy_definition: ProxyDefinition,
-) -> "tuple[Sequence[NonatomicEvent], list[str | None] | None]":
-    """``CutCache._locate`` arguments for ``intervals`` or their proxies.
-
-    A Definition-2 proxy stays a ``(interval, "L"|"U")`` term; a
-    Definition-3 proxy is built by :func:`proxy_of`, which may raise
-    :class:`~repro.nonatomic.proxies.ProxyUndefinedError`.
-    """
-    if proxies is None:
-        return intervals, None
-    if proxy_definition is ProxyDefinition.GLOBAL:
-        return [
-            x if p is None else proxy_of(x, p, proxy_definition)
-            for x, p in zip(intervals, proxies, strict=True)
-        ], None
-    return intervals, [
-        None if p is None else "L" if p is Proxy.L else "U" for p in proxies
-    ]
 
 
 @versioned_state(
@@ -511,48 +486,31 @@ class CutCache:
         self._store = grown
         return grown
 
-    def stats(
-        self,
-        intervals: Sequence[NonatomicEvent],
-        proxies: "Sequence[Proxy | None] | None" = None,
-        proxy_definition: ProxyDefinition = ProxyDefinition.PER_NODE,
-    ) -> CutStats:
+    def stats(self, intervals: Sequence[NonatomicEvent]) -> CutStats:
         """Stacked cut/extremal matrices for ``intervals``, rows aligned
         with the input order.
 
-        With ``proxies``, row ``i`` is instead the ``proxies[i]`` proxy
-        of ``intervals[i]`` (``None`` keeps the interval itself).  Rows
-        already stored are copied out of the row store; every *missing*
-        one is filled by one batched backend pass
+        Rows already stored are copied out of the row store; every
+        *missing* one is filled by one batched backend pass
         (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`
         — gathers and segmented reductions over the ``(|E|, |P|)``
-        clock matrices, no per-interval fold loop)
-        and stored, so later scalar queries hit.  Definition-2 proxy
-        rows come from the intervals' own extrema; Definition-3
-        proxies (``ProxyDefinition.GLOBAL``) are built as objects by
-        :func:`~repro.nonatomic.proxies.proxy_of` and may raise
-        :class:`~repro.nonatomic.proxies.ProxyUndefinedError`.  This is
-        the construction path of
-        :class:`~repro.core.pairwise.IntervalSetMatrices` and the
-        :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`
-        gather driver.
+        clock matrices, no per-interval fold loop) and stored, so later
+        scalar queries hit.
         """
-        store, rows = self._locate(*_terms(intervals, proxies, proxy_definition))
+        store, rows = self._locate(intervals, None)
         out = [getattr(store, name)[rows] for name in _STATS]
         for mat in out:
             mat.setflags(write=False)
         return CutStats(*out)
 
     def family_operands(
-        self,
-        intervals: Sequence[NonatomicEvent],
-        proxy_definition: ProxyDefinition = ProxyDefinition.PER_NODE,
+        self, intervals: Sequence[NonatomicEvent]
     ) -> FamilyOperands:
         """The family kernel's operands for ``intervals``.
 
-        Looks up every interval's ``(L, U)`` proxy rows, keyed
-        ``(x.key, "L"|"U")``, and fills the missing ones in **one**
-        batched backend pass
+        Looks up every interval's Definition-2 ``(L, U)`` proxy rows,
+        keyed ``(x.key, "L"|"U")``, and fills the missing ones in
+        **one** batched backend pass
         (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`)
         straight from the intervals' per-node first/last indices, one
         flatten per interval: no proxy object and no
@@ -562,14 +520,11 @@ class CutCache:
         kernel (:func:`repro.core.family.verdict_matrix`) gathers each
         block's operands from it, so no ``(k, 12, P)`` copy exists.  The
         rows stay in the store, so later scalar queries of the proxies
-        hit.  ``ProxyDefinition.GLOBAL`` builds its proxies as objects
-        (:meth:`stats`).
+        hit.
         """
-        store, rows = self._locate(*_terms(
-            [x for x in intervals for _ in "LU"],
-            (Proxy.L, Proxy.U) * len(intervals),
-            proxy_definition,
-        ))
+        store, rows = self._locate(
+            [x for x in intervals for _ in "LU"], ("L", "U") * len(intervals)
+        )
         return FamilyOperands(store, rows[0::2], rows[1::2])
 
 
@@ -592,10 +547,9 @@ class AnalysisContext:
     the predicate detectors and the application verifiers all accept
     either.
 
-    The per-proxy-definition verdict caches need no version tracking
-    here: each :class:`~repro.core.evaluator.SharedVerdictCache`
-    freshness-checks itself against the execution version on every
-    read.
+    The verdict cache needs no version tracking here: the
+    :class:`~repro.core.evaluator.SharedVerdictCache` freshness-checks
+    itself against the execution version on every read.
     """
 
     __slots__ = ("_execution", "_backend", "_cut_cache", "_verdicts",
@@ -607,7 +561,7 @@ class AnalysisContext:
         self._execution = execution
         self._cut_cache = CutCache(execution)
         self._backend = self._cut_cache.backend
-        self._verdicts: dict[ProxyDefinition, SharedVerdictCache] = {}
+        self._verdicts: SharedVerdictCache | None = None
 
     @classmethod
     def of(cls, execution: "Execution | AnalysisContext") -> "AnalysisContext":
@@ -684,36 +638,24 @@ class AnalysisContext:
         return self._backend.concurrent(a, b)
 
     # ------------------------------------------------------------------
-    # batched structures
+    # shared verdicts
     # ------------------------------------------------------------------
-    def matrices(self, intervals: Sequence[NonatomicEvent]) -> IntervalSetMatrices:
-        """An :class:`~repro.core.pairwise.IntervalSetMatrices` stack
-        over ``intervals`` whose rows are drawn from the cut cache
-        (folds already paid are not repeated)."""
-        from .pairwise import IntervalSetMatrices
+    def verdict_cache(self) -> SharedVerdictCache:
+        """The shared ``≪``-subtest verdict cache (created on first use).
 
-        return IntervalSetMatrices(intervals, cache=self._cut_cache)
-
-    def verdict_cache(self, proxy_definition: ProxyDefinition) -> SharedVerdictCache:
-        """The shared ``≪``-subtest verdict cache for one proxy
-        definition (created on first use).
-
-        One :class:`~repro.core.evaluator.SharedVerdictCache` per
-        (context, proxy definition): every analyzer routing a
-        whole-family query through here amortizes the same ≤24 subtest
-        verdicts per ordered interval pair.
+        Every analyzer routing a whole-family query through here
+        amortizes the same ≤24 subtest verdicts per ordered interval
+        pair.  Its rows are over Definition-2 proxies: an analyzer with
+        Definition-3 proxies bypasses it.
         """
         from .evaluator import SharedVerdictCache
 
-        vc = self._verdicts.get(proxy_definition)
-        if vc is None:
-            vc = self._verdicts[proxy_definition] = SharedVerdictCache(
-                self, proxy_definition
-            )
-        return vc
+        if self._verdicts is None:
+            self._verdicts = SharedVerdictCache(self)
+        return self._verdicts
 
     def family_query_stats(self) -> dict[str, int]:
-        """Aggregated family verdict-cache counters (all proxy defs).
+        """The family verdict cache's counters.
 
         ``pairs`` — ordered pairs with a memoized 24-subtest verdict
         row; ``fills`` — batched kernel invocations; ``evals`` /
@@ -722,17 +664,15 @@ class AnalysisContext:
         from the cache.  All zero until a family query runs; the CLI
         run-stats line reads this.
         """
-        out = {
-            "pairs": 0, "fills": 0, "evals": 0,
-            "cut_pair_evals": 0, "hits": 0,
+        vc = self._verdicts
+        if vc is None:
+            return dict.fromkeys(
+                ("pairs", "fills", "evals", "cut_pair_evals", "hits"), 0
+            )
+        return {
+            "pairs": vc.pairs_cached, "fills": vc.fills, "evals": vc.evals,
+            "cut_pair_evals": vc.cut_pair_evals, "hits": vc.hits,
         }
-        for vc in self._verdicts.values():
-            out["pairs"] += vc.pairs_cached
-            out["fills"] += vc.fills
-            out["evals"] += vc.evals
-            out["cut_pair_evals"] += vc.cut_pair_evals
-            out["hits"] += vc.hits
-        return out
 
     # ------------------------------------------------------------------
     # growth
@@ -746,8 +686,8 @@ class AnalysisContext:
         """
         self._execution.extend(trace)
         self._cut_cache.invalidate()
-        for vc in self._verdicts.values():
-            vc.invalidate()
+        if self._verdicts is not None:
+            self._verdicts.invalidate()
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -24,10 +24,10 @@ import numpy as np
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
-from ..nonatomic.proxies import Proxy, ProxyDefinition
+from ..nonatomic.proxies import Proxy, ProxyDefinition, proxy_of
 from .context import AnalysisContext
 from .counting import ComparisonCounter
-from .family import N_SUBTESTS, RELATION_INDEX, gather_verdicts, verdict_matrix
+from .family import N_SUBTESTS, verdict_matrix
 from .versioning import versioned_state
 from .hierarchy import evaluate_all_pruned, maximal_true
 from .linear import LinearEvaluator
@@ -226,14 +226,31 @@ Query = tuple[SpecLike, NonatomicEvent, NonatomicEvent]
 
 
 @functools.lru_cache(maxsize=256)
-def _resolve(spec: SpecLike) -> tuple[int, Proxy | None, Proxy | None]:
-    """``spec`` → (gather-table relation index, X proxy, Y proxy); the
-    proxies are ``None`` for a base relation on the full intervals."""
+def _resolve(
+    spec: SpecLike, definition: ProxyDefinition
+) -> tuple[int, Proxy | None, Proxy | None]:
+    """``spec`` → (verdict column, X proxy, Y proxy).
+
+    The column is that of the spec's subtest
+    (:data:`~repro.core.relations.SUBTEST_COLUMNS`), read off the
+    per-node L/U rows of each side's term.  A side's term is the
+    interval itself, except for a Definition-3 family spec: its terms
+    are the global proxies it names (returned here; ``None`` otherwise),
+    and its column is the base relation's, since a base relation on any
+    two intervals is its subtest over their Definition-2 proxies."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if isinstance(spec, RelationSpec):
-        return RELATION_INDEX[spec.relation], spec.proxy_x, spec.proxy_y
-    return RELATION_INDEX[spec], None, None
+    if isinstance(spec, RelationSpec) and definition is ProxyDefinition.GLOBAL:
+        return (
+            SUBTEST_COLUMNS[subtest_key(spec.relation)],
+            spec.proxy_x, spec.proxy_y,
+        )
+    return SUBTEST_COLUMNS[subtest_key(spec)], None, None
+
+
+def _term(z: NonatomicEvent, proxy: Proxy | None) -> NonatomicEvent:
+    """The term a query side reads (see :func:`_resolve`)."""
+    return z if proxy is None else proxy_of(z, proxy, ProxyDefinition.GLOBAL)
 
 #: Engine registry: name -> evaluator class.
 ENGINES = {
@@ -300,17 +317,11 @@ class SharedVerdictCache:
         of one query batch).
     """
 
-    __slots__ = ("context", "proxy_definition", "_version", "_index",
-                 "_table", "_disjoint", "evals", "cut_pair_evals", "hits",
-                 "fills")
+    __slots__ = ("context", "_version", "_index", "_table", "_disjoint",
+                 "evals", "cut_pair_evals", "hits", "fills")
 
-    def __init__(
-        self,
-        context: "Execution | AnalysisContext",
-        proxy_definition: ProxyDefinition = ProxyDefinition.PER_NODE,
-    ) -> None:
+    def __init__(self, context: "Execution | AnalysisContext") -> None:
         self.context = AnalysisContext.of(context)
-        self.proxy_definition = proxy_definition
         self._version = self.context.execution.version
         # pair key -> table row; the first len(_index) rows are filled
         self._index: dict[tuple[bytes, bytes], int] = {}
@@ -405,9 +416,7 @@ class SharedVerdictCache:
                 if z.packed_ids not in row_of:
                     row_of[z.packed_ids] = len(intervals)
                     intervals.append(z)
-        ops = self.context.cut_cache.family_operands(
-            intervals, self.proxy_definition
-        )
+        ops = self.context.cut_cache.family_operands(intervals)
         xs = np.fromiter((row_of[kx] for kx, _ky in keys), np.intp, count=len(keys))
         ys = np.fromiter((row_of[ky] for _kx, ky in keys), np.intp, count=len(keys))
         matrix = verdict_matrix(ops, xs, ys)
@@ -544,7 +553,7 @@ class SynchronizationAnalyzer:
         # PER_NODE proxies satisfy the operand coincidences, and a
         # counted analyzer must keep its per-spec comparison accounting.
         self._verdict_cache = (
-            self.context.verdict_cache(proxy_definition)
+            self.context.verdict_cache()
             if engine == "linear"
             and proxy_definition is ProxyDefinition.PER_NODE
             and not counted
@@ -598,23 +607,23 @@ class SynchronizationAnalyzer:
     def batch_holds(
         self, queries: "Sequence[Query] | Iterable[Query]"
     ) -> list[bool]:
-        """Answer many ``(spec, X, Y)`` queries in one gather-kernel pass.
+        """Answer many ``(spec, X, Y)`` queries in one batched pass.
 
-        One pass over the queries resolves each to ``(base relation,
-        X̂, Ŷ)`` — a 32-family spec onto the proxies it names — and
-        gives every distinct interval or ``(interval, proxy)`` term a
-        row; **one** batched :meth:`~repro.core.context.CutCache.stats`
-        fill stacks their cut/extremal rows (warm rows come out of the
-        shared cache; per-node proxy rows come from the intervals' own
-        extrema, with no proxy object built), and
-        :func:`~repro.core.family.gather_verdicts` decides all Q
-        queries at once: ``O(Q · P)``, no ``(k, k, P)`` tensor, no
-        per-spec grouping.  Results align with the input order.
+        One pass over the queries resolves each to ``(subtest column,
+        X term, Y term)`` — a term is the interval itself, or for a
+        Definition-3 family spec the global proxy it names — and gives
+        every distinct term a row; **one** batched
+        :meth:`~repro.core.context.CutCache.family_operands` fill stores
+        the terms' per-node L/U proxy rows (warm rows come out of the
+        shared cache, with no proxy object built), and
+        :func:`~repro.core.family.verdict_matrix` runs once per distinct
+        column over that column's queries: ``O(Q · P)``, no per-query
+        Python dispatch.  Results align with the input order.
 
         Notes
         -----
         * Verdicts are identical to :meth:`holds` on every query (the
-          gathered conditions are the sound full-``|P|``-scan forms).
+          kernel's conditions are the sound full-``|P|``-scan forms).
         * The batch path is its own evaluation strategy: engine choice
           does not apply to it, and it does not tick the
           :class:`ComparisonCounter` (it is vectorised; count-exact
@@ -624,27 +633,25 @@ class SynchronizationAnalyzer:
         """
         qs = list(queries)  # keeps every object alive: ids below stay unique
         check = self.check_disjoint
+        definition = self.proxy_definition
         row_of: dict[object, int] = {}
-        intervals: list[NonatomicEvent] = []
-        proxies: list[Proxy | None] = []
+        terms: list[NonatomicEvent] = []
 
-        def row(z: NonatomicEvent, proxy: Proxy | None) -> int:
-            key = z.key if proxy is None else (z.key, proxy)
-            r = row_of.get(key)
+        def row(z: NonatomicEvent) -> int:
+            r = row_of.get(z.key)
             if r is None:
-                r = row_of[key] = len(intervals)
-                intervals.append(z)
-                proxies.append(proxy)
+                r = row_of[z.key] = len(terms)
+                terms.append(z)
             return r
 
-        # spec object -> (relation index, X/Y proxy, X/Y probe); a probe
-        # maps an interval object to its row for one proxy, so the
+        # spec object -> (column, X/Y proxy, X/Y probe); a probe maps an
+        # interval object to its term's row for one proxy, so the
         # per-query work is two int-keyed lookups (``row_of`` still
-        # dedups distinct-but-equal intervals and proxies)
+        # dedups distinct-but-equal terms)
         resolved: dict[int, tuple] = {}
-        probes: dict[int, dict[int, int]] = {}
+        probes: dict[Proxy | None, dict[int, int]] = {}
         last = None
-        rels: list[int] = []
+        cols: list[int] = []
         xs: list[int] = []
         ys: list[int] = []
         for spec, x, y in qs:
@@ -653,29 +660,34 @@ class SynchronizationAnalyzer:
             if spec is not last:
                 res = resolved.get(id(spec))
                 if res is None:
-                    rel, px, py = _resolve(spec)
+                    col, px, py = _resolve(spec, definition)
                     res = resolved[id(spec)] = (
-                        rel, px, py,
-                        probes.setdefault(id(px), {}),
-                        probes.setdefault(id(py), {}),
+                        col, px, py,
+                        probes.setdefault(px, {}),
+                        probes.setdefault(py, {}),
                     )
-                rel, px, py, xprobe, yprobe = res
+                col, px, py, xprobe, yprobe = res
                 last = spec
-            rels.append(rel)
+            cols.append(col)
             r = xprobe.get(id(x))
             if r is None:
-                r = xprobe[id(x)] = row(x, px)
+                r = xprobe[id(x)] = row(_term(x, px))
             xs.append(r)
             r = yprobe.get(id(y))
             if r is None:
-                r = yprobe[id(y)] = row(y, py)
+                r = yprobe[id(y)] = row(_term(y, py))
             ys.append(r)
-        if not rels:
+        if not cols:
             return []
-        stats = self.context.cut_cache.stats(
-            intervals, proxies, self.proxy_definition
-        )
-        return gather_verdicts(stats, rels, xs, ys).tolist()
+        ops = self.context.cut_cache.family_operands(terms)
+        col_of = np.array(cols, dtype=np.intp)
+        x_of = np.array(xs, dtype=np.intp)
+        y_of = np.array(ys, dtype=np.intp)
+        out = np.empty(len(cols), dtype=np.bool_)
+        for col in np.unique(col_of).tolist():
+            sel = np.flatnonzero(col_of == col)
+            out[sel] = verdict_matrix(ops, x_of[sel], y_of[sel], (col,))[:, 0]
+        return out.tolist()
 
     def _engine_holds(
         self,
@@ -852,20 +864,36 @@ class SynchronizationAnalyzer:
     ) -> np.ndarray:
         """``M[i, j] = spec(intervals[i], intervals[j])`` for all pairs.
 
-        Delegates to the vectorised kernel of
-        :mod:`repro.core.pairwise` (NumPy broadcasting over stacked cut
-        timestamps, drawn from the shared cut cache) — the fast path
-        for pairwise sweeps such as the mutual-exclusion verifier.
-        Engine choice does not apply here; the kernel is its own
-        (equivalent) evaluation strategy.
+        One :meth:`~repro.core.context.CutCache.family_operands` fill
+        over the intervals (or, for a Definition-3 family spec, the
+        global proxies it names), then one
+        :func:`~repro.core.family.verdict_matrix` call for the spec's
+        subtest column over the ``k × k`` grid: the kernel takes it in
+        row chunks of about :data:`~repro.core.family.VERDICT_BLOCK`
+        pairs, so beyond the ``k²``-byte result the scratch is
+        ``O(VERDICT_BLOCK · P)`` plus one ``(k, P)`` row gather.  With
+        ``mask_diagonal`` (default) the diagonal is forced False:
+        self-pairs violate the disjointness precondition and carry no
+        synchronization meaning.  Pairs are not checked for
+        disjointness, and engine choice does not apply here; the kernel
+        is its own (equivalent) evaluation strategy.
         """
-        if isinstance(spec, str):
-            spec = parse_spec(spec)
-        mats = self.context.matrices(list(intervals))
-        if isinstance(spec, Relation):
-            return mats.relation_matrix(spec, mask_diagonal=mask_diagonal)
-        return mats.spec_matrix(
-            spec,
-            proxy_definition=self.proxy_definition,
-            mask_diagonal=mask_diagonal,
-        )
+        seq = list(intervals)
+        if not seq:
+            raise ValueError("need at least one interval")
+        col, px, py = _resolve(spec, self.proxy_definition)
+        k = len(seq)
+        idx = np.arange(k, dtype=np.intp)
+        xt = [_term(z, px) for z in seq]
+        if py is px:
+            ops = self.context.cut_cache.family_operands(xt)
+            ys = idx
+        else:
+            ops = self.context.cut_cache.family_operands(
+                xt + [_term(z, py) for z in seq]
+            )
+            ys = idx + k
+        out = verdict_matrix(ops, idx[:, None], ys[None, :], (col,))[..., 0]
+        if mask_diagonal:
+            np.fill_diagonal(out, False)
+        return out

@@ -1,29 +1,27 @@
-"""The batched family-query kernel: all 24 ≪-subtests, all pairs at once.
+"""The batched family-query kernel: ≪-subtests over blocks of pairs.
 
 Theorem 19/20 reduce every one of the 40 evaluable specs (8 base
 relations + the 32-member proxy family) to one of 24 distinct vector
-subtests per ordered pair (:data:`~repro.core.relations.SUBTEST_KEYS`).
-The per-pair verdict cache exploited that factoring, but still paid one
-Python dispatch per spec per pair — and its op-count win once arrived
-with a wall-clock *loss* (0.80x the per-spec loop).  This module removes
-the per-pair loop entirely:
+subtests per ordered pair (:data:`~repro.core.relations.SUBTEST_KEYS`,
+:func:`~repro.core.relations.subtest_key`).  That table and
+:func:`compare_rows` are the one formula table; this module applies it
+to batched offline operands through one function:
 
 * :class:`FamilyOperands` names the ``(L, U)`` proxy rows of k
   intervals in one :class:`~repro.backends.stats.CutStats` row store —
   the twelve rows (six stats × two proxies) any subtest key can select;
-* :func:`verdict_matrix` answers **all 24 subtest columns for Q ordered
-  pairs**, gathering each block's operands straight from the row store
-  and running three comparison + reduction passes per block, producing
-  the ``(Q, 24)`` boolean verdict matrix that
-  :class:`~repro.core.evaluator.SharedVerdictCache` appends to its
-  verdict table in one pass;
-* :func:`gather_verdicts` answers **one relation per query for Q
-  queries** — the ``(Q,)`` gather driver behind
-  :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`;
-* :data:`RELATION_ROWS` / :func:`compare_rows` are the single source of
-  the per-relation comparison formulas, shared with the all-pairs
-  broadcast of :mod:`repro.core.pairwise` and the streaming monitor so
-  the batched, matrix, online and scalar surfaces cannot drift apart.
+* :func:`verdict_matrix` answers a set of subtest columns (all 24 by
+  default) for every pair its X and Y index arrays name.  The index
+  arrays broadcast: ``(Q,)``/``(Q,)`` lists pairs, ``(c, 1)``/``(1, k)``
+  is a ``c × k`` grid.  Pairs go through in blocks of
+  :data:`VERDICT_BLOCK`, each gathering its own operands from the row
+  store.
+
+Every batched surface is a driver over :func:`verdict_matrix`: the
+shared verdict cache (all 24 columns of listed pairs), ``batch_holds``
+(one column per distinct subtest) and ``relation_matrix`` (one column
+over the all-pairs grid) in :mod:`repro.core.evaluator`.  The streaming
+monitor reuses :func:`compare_rows` on its own running rows.
 
 Layering: this module sits beside :mod:`repro.core.relations` and below
 :mod:`repro.core.context` — it sees only stacked arrays, never
@@ -34,17 +32,15 @@ from __future__ import annotations
 
 # repro: hot, dtype-strict
 
+import functools
+import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from ..backends.stats import CutStats
-from .relations import (
-    SUBTEST_COLUMNS,
-    SUBTEST_KEYS,
-    Relation,
-    SubtestKind,
-)
+from .relations import SUBTEST_KEYS, SubtestKind
 
 __all__ = [
     "FamilyOperands",
@@ -52,10 +48,8 @@ __all__ = [
     "N_SUBTESTS",
     "OPERAND_ORDER",
     "OPERAND_INDEX",
-    "RELATION_ROWS",
-    "RELATION_INDEX",
+    "VERDICT_BLOCK",
     "verdict_matrix",
-    "gather_verdicts",
     "compare_rows",
 ]
 
@@ -77,46 +71,11 @@ OPERAND_INDEX: dict[tuple[str, str], int] = {
 N_OPERANDS: int = len(OPERAND_ORDER)
 N_SUBTESTS: int = len(SUBTEST_KEYS)
 
-#: Base relation → ``(kind, y_stat, x_stat)`` comparison row — the
-#: formula table behind the all-pairs/gather kernels
-#: (:mod:`repro.core.pairwise`).  Stat names select attributes of the
-#: *full-interval* :class:`~repro.backends.stats.CutStats`; the proxy
-#: coincidences of :func:`~repro.core.relations.subtest_key` make these
-#: rows identical to the canonical family subtests.
-RELATION_ROWS: dict[Relation, tuple[SubtestKind, str, str]] = {
-    Relation.R1: (SubtestKind.FORALL_PAST, "c1", "last"),
-    Relation.R1P: (SubtestKind.FORALL_PAST, "c1", "last"),
-    Relation.R2: (SubtestKind.FORALL_PAST, "c2", "last"),
-    Relation.R2P: (SubtestKind.EXISTS_CUT, "c2", "c4"),
-    Relation.R3: (SubtestKind.EXISTS_CUT, "c1", "c3"),
-    Relation.R3P: (SubtestKind.FORALL_FUTURE, "first", "c3"),
-    Relation.R4: (SubtestKind.EXISTS_CUT, "c2", "c3"),
-    Relation.R4P: (SubtestKind.EXISTS_CUT, "c2", "c3"),
-}
-
-#: Base relation → its row in the :func:`gather_verdicts` tables.
-RELATION_INDEX: dict[Relation, int] = {
-    rel: i for i, rel in enumerate(RELATION_ROWS)
-}
-
-_KINDS: tuple[SubtestKind, ...] = tuple(SubtestKind)
-
 
 def _readonly(values: list[int]) -> np.ndarray:
     arr = np.asarray(values, dtype=np.intp)
     arr.setflags(write=False)
     return arr
-
-
-#: RELATION_ROWS as index arrays: kind position in ``_KINDS`` and the
-#: Y/X stat rows of the ``(k, 6, P)`` stat tensor, per relation index.
-_REL_KIND = _readonly([_KINDS.index(k) for k, _, _ in RELATION_ROWS.values()])
-_REL_Y = _readonly(
-    [_OPERAND_STATS.index(y) for _, y, _ in RELATION_ROWS.values()]
-)
-_REL_X = _readonly(
-    [_OPERAND_STATS.index(x) for _, _, x in RELATION_ROWS.values()]
-)
 
 
 def compare_rows(
@@ -144,33 +103,34 @@ def compare_rows(
     raise ValueError(f"unknown subtest kind: {kind!r}")  # pragma: no cover
 
 
-def _column_groups() -> tuple[
+@functools.lru_cache(maxsize=64)
+def _column_groups(columns: tuple[int, ...]) -> tuple[
     tuple[SubtestKind, np.ndarray, np.ndarray, np.ndarray], ...
 ]:
-    """Per-kind column plans: (kind, columns, y operand rows, x rows).
+    """Per-kind plans for the subtest ``columns``: (kind, output
+    positions, y operand rows, x operand rows).
 
-    Grouping the 24 columns by kind lets :func:`verdict_matrix` answer
+    Grouping the columns by kind lets :func:`verdict_matrix` answer
     each group with one gather pair + one comparison/reduction pass.
     """
     groups = []
     for kind in SubtestKind:
         sel = [
-            (SUBTEST_COLUMNS[key], key)
-            for key in SUBTEST_KEYS
-            if key[0] is kind
+            (pos, SUBTEST_KEYS[col])
+            for pos, col in enumerate(columns)
+            if SUBTEST_KEYS[col][0] is kind
         ]
-        groups.append((
-            kind,
-            _readonly([c for c, _ in sel]),
-            _readonly([OPERAND_INDEX[key[1]] for _, key in sel]),
-            _readonly([OPERAND_INDEX[key[2]] for _, key in sel]),
-        ))
+        if sel:
+            groups.append((
+                kind,
+                _readonly([pos for pos, _ in sel]),
+                _readonly([OPERAND_INDEX[key[1]] for _, key in sel]),
+                _readonly([OPERAND_INDEX[key[2]] for _, key in sel]),
+            ))
     return tuple(groups)
 
 
-_GROUPS: tuple[
-    tuple[SubtestKind, np.ndarray, np.ndarray, np.ndarray], ...
-] = _column_groups()
+_ALL_COLUMNS: tuple[int, ...] = tuple(range(N_SUBTESTS))
 
 
 class FamilyOperands(NamedTuple):
@@ -191,10 +151,16 @@ def _gather(
     mats: tuple[np.ndarray, ...], rows: tuple[np.ndarray, np.ndarray],
     operands: np.ndarray,
 ) -> np.ndarray:
-    """``(len(operands), B, P)``: operand ``operands[j]`` of each interval
-    whose ``(L, U)`` store rows are ``rows``, in the store's dtype."""
-    out = np.empty((len(operands), rows[0].shape[0], mats[0].shape[1]),
-                   dtype=mats[0].dtype)
+    """``(len(operands), *rows[0].shape, P)``: operand ``operands[j]`` of
+    each interval whose ``(L, U)`` store rows are ``rows``, in the
+    store's dtype.
+
+    The node axis is outermost in memory: :func:`compare_rows` then
+    reduces it across whole contiguous planes, several times faster
+    than over ``P``-long rows."""
+    shape = rows[0].shape
+    out = np.empty((mats[0].shape[1], len(operands), *shape),
+                   dtype=mats[0].dtype).transpose(*range(1, len(shape) + 2), 0)
     for j, op in enumerate(operands.tolist()):
         stat, tag = divmod(op, 2)
         out[j] = mats[stat][rows[tag]]
@@ -208,66 +174,54 @@ VERDICT_BLOCK = 4096
 
 
 def verdict_matrix(
-    ops: FamilyOperands, xs: np.ndarray, ys: np.ndarray
+    ops: FamilyOperands, xs: np.ndarray, ys: np.ndarray,
+    columns: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """All 24 subtest verdicts for Q ordered pairs in one pass.
+    """Subtest verdicts for every pair ``(xs, ys)`` names, in one pass.
 
     ``ops`` holds the distinct intervals' proxy rows
-    (:class:`FamilyOperands`); ``xs``/``ys`` are length-Q interval
-    indices selecting each pair's X and Y.  Returns the ``(Q, 24)``
-    boolean verdict matrix whose column ``j`` answers
-    ``SUBTEST_KEYS[j]`` (:data:`~repro.core.relations.SUBTEST_COLUMNS`).
+    (:class:`FamilyOperands`); ``xs``/``ys`` are broadcast-compatible
+    interval-index arrays of at least one dimension selecting each
+    pair's X and Y: ``(Q,)``/``(Q,)`` lists Q pairs, ``(c, 1)``/``(1,
+    k)`` is the ``c × k`` grid.  ``columns`` picks subtest columns
+    (:data:`~repro.core.relations.SUBTEST_COLUMNS`), all 24 by default.
+    Returns a boolean array of the broadcast shape plus one trailing
+    axis, whose entry ``j`` answers ``SUBTEST_KEYS[columns[j]]``.
 
-    Cost: per subtest kind, one operand gather per column and side plus
-    one comparison/reduction pass — zero per-pair Python dispatch,
-    ``O(Q · P)`` total work for the whole 40-spec query surface.  The
-    pairs go through in blocks of :data:`VERDICT_BLOCK`, and each block
-    gathers its own operands from the row store, so the temporaries stay
-    ``O(VERDICT_BLOCK · P)`` whatever ``Q`` or the interval count is.
+    Cost: per subtest kind asked, one operand gather per column and side
+    plus one comparison/reduction pass — zero per-pair Python dispatch,
+    ``O(pairs · columns · P)`` work.  The pairs go through in blocks of
+    about :data:`VERDICT_BLOCK` along the first axis, and each block
+    gathers its own operands from the row store; a side whose first
+    axis is 1 is the same for every block and is gathered once.  So,
+    beyond one store-row index per interval index given, the
+    temporaries stay ``O(VERDICT_BLOCK · P)`` plus that side's rows,
+    whatever the pair count is: a grid block gathers ``c + k`` rows,
+    not ``2 · c · k``.
     """
-    stats, ls, us = ops
-    mats = tuple(getattr(stats, s) for s in _OPERAND_STATS)
+    mats = tuple(getattr(ops.stats, s) for s in _OPERAND_STATS)
     xs = np.asarray(xs, dtype=np.intp)
     ys = np.asarray(ys, dtype=np.intp)
-    out = np.empty((xs.shape[0], N_SUBTESTS), dtype=np.bool_)
-    for lo in range(0, xs.shape[0], VERDICT_BLOCK):
-        bx = xs[lo:lo + VERDICT_BLOCK]
-        by = ys[lo:lo + VERDICT_BLOCK]
-        x_rows = (ls[bx], us[bx])
-        y_rows = (ls[by], us[by])
-        for kind, cols, y_ops, x_ops in _GROUPS:
-            out[lo:lo + VERDICT_BLOCK, cols] = compare_rows(
-                kind, _gather(mats, y_rows, y_ops), _gather(mats, x_rows, x_ops)
-            ).T
-    return out
-
-
-def gather_verdicts(
-    stats: CutStats, rels: np.ndarray, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """One base-relation verdict per query for Q queries in one pass.
-
-    ``stats`` stacks the distinct intervals' cut/extremal rows;
-    ``rels`` holds each query's :data:`RELATION_INDEX`, ``xs``/``ys``
-    its X and Y row.  Returns the ``(Q,)`` verdicts of
-    ``RELATION_ROWS[rel](stats[x], stats[y])``.  A 32-family query is a
-    base relation over proxies, so the caller resolves it to proxy rows.
-
-    Cost: one ``(Q, P)`` gather pair + one comparison/reduction pass per
-    subtest kind — ``O(Q · P)``, no ``(k, k, P)`` tensor, zero per-query
-    Python dispatch.
-    """
-    rels = np.asarray(rels, dtype=np.intp)
-    xs = np.asarray(xs, dtype=np.intp)
-    ys = np.asarray(ys, dtype=np.intp)
-    ops = np.stack([getattr(stats, s) for s in _OPERAND_STATS], axis=1)
-    kinds = _REL_KIND[rels]
-    out = np.empty(rels.shape[0], dtype=np.bool_)
-    for code, kind in enumerate(_KINDS):
-        sel = np.flatnonzero(kinds == code)
-        if sel.size:
-            r = rels[sel]
-            out[sel] = compare_rows(
-                kind, ops[ys[sel], _REL_Y[r]], ops[xs[sel], _REL_X[r]]
+    columns = _ALL_COLUMNS if columns is None else tuple(map(int, columns))
+    shape = np.broadcast(xs, ys).shape
+    out = np.empty((*shape, len(columns)), dtype=np.bool_)
+    step = max(1, VERDICT_BLOCK // max(1, math.prod(shape[1:])))
+    x_rows = (ops.ls[xs], ops.us[xs])
+    y_rows = (ops.ls[ys], ops.us[ys])
+    for kind, pos, y_ops, x_ops in _column_groups(columns):
+        y_all = _gather(mats, y_rows, y_ops) if ys.shape[0] == 1 else None
+        x_all = _gather(mats, x_rows, x_ops) if xs.shape[0] == 1 else None
+        for lo in range(0, shape[0], step):
+            hi = lo + step
+            # the block's gathers are temporaries: freed before the next
+            verdicts = compare_rows(
+                kind,
+                y_all if y_all is not None else _gather(
+                    mats, (y_rows[0][lo:hi], y_rows[1][lo:hi]), y_ops),
+                x_all if x_all is not None else _gather(
+                    mats, (x_rows[0][lo:hi], x_rows[1][lo:hi]), x_ops),
+            )
+            out[lo:hi, ..., pos] = verdicts.transpose(
+                *range(1, verdicts.ndim), 0
             )
     return out

@@ -1,6 +1,6 @@
 """REP002 — canonical clock dtype discipline.
 
-Clock tables, cut vectors, and the pairwise kernels all run on
+Clock tables, cut vectors, and the family kernel all run on
 ``CLOCK_DTYPE`` (``np.int32``) arrays; an array constructed with a
 defaulted or platform-width dtype silently doubles memory traffic or,
 worse, widens one operand of a broadcast comparison.  In modules tagged

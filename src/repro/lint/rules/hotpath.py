@@ -1,7 +1,7 @@
 """REP004 — hot-path hygiene.
 
 Modules tagged ``# repro: hot`` hold the measured kernels (clock
-construction, cut folds, pairwise broadcasting, the online monitor).
+construction, cut folds, the family kernel, the online monitor).
 Three Python-level habits reliably show up in their profiles:
 
 * **per-event Python loops** — iterating ``Execution.events`` /

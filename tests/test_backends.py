@@ -1,4 +1,4 @@
-"""Backend oracle tests, seam enforcement, and trace reduction.
+"""Backend oracle tests and seam enforcement.
 
 The causality backend (:class:`~repro.backends.vector.VectorClockBackend`)
 must agree with the networkx transitive closure of the covering digraph
@@ -13,11 +13,6 @@ The seam itself is enforced structurally: no module under
 the clock substrate (``ClockTable``/``GrowableClockTable`` or the
 ``repro.events.clocks`` module) — everything flows through
 :mod:`repro.backends`.
-
-:func:`~repro.backends.reduction.reduce_trace` must preserve every
-verdict for label-selected intervals while merging commuting adjacent
-same-node internal events, and must shrink a commuting-heavy workload
-by at least 30%.
 """
 
 from __future__ import annotations
@@ -31,14 +26,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import CommutativityRules, reduce_trace
 from repro.core.context import AnalysisContext
 from repro.core.evaluator import SynchronizationAnalyzer
 from repro.core.relations import BASE_RELATIONS, FAMILY32
 from repro.events.builder import TraceBuilder
 from repro.events.poset import Execution
 from repro.nonatomic.event import NonatomicEvent
-from repro.nonatomic.selection import by_label
 
 from .strategies import closure_counts, execution_with_pair, executions
 
@@ -237,134 +230,3 @@ class TestSeamEnforcement:
         # guard against the seam test silently scanning nothing
         for layer in self._LAYERS:
             assert list((_SRC / layer).rglob("*.py")), layer
-
-
-def _labelled_trace(num_nodes, ops):
-    """A trace whose internal events carry cyclic labels (x/y/work/None)."""
-    labels = [None, "x", "y", "work", "work", None]
-    b = TraceBuilder(num_nodes)
-    in_flight = [[] for _ in range(num_nodes)]
-    t = 0.0
-    k = 0
-    for node, action, aux in ops:
-        node %= num_nodes
-        t += 1.0
-        if action == 1 and num_nodes > 1:
-            dst = aux % num_nodes
-            if dst == node:
-                dst = (dst + 1) % num_nodes
-            in_flight[dst].append(b.send(node, time=t))
-        elif action == 2 and in_flight[node]:
-            b.recv(node, in_flight[node].pop(0), time=t)
-        else:
-            b.internal(node, time=t, label=labels[k % len(labels)])
-            k += 1
-    for i in range(num_nodes):
-        if b.count(i) == 0:
-            t += 1.0
-            b.internal(i, time=t)
-    return b.build()
-
-
-def _commuting_workload(num_nodes: int = 3, rounds: int = 6, burst: int = 5):
-    """Bursts of commuting internal work punctuated by a message chain."""
-    b = TraceBuilder(num_nodes)
-    t = 0.0
-    for r in range(rounds):
-        for node in range(num_nodes):
-            for _ in range(burst):
-                t += 1.0
-                if r == 0 and node == 0:
-                    label = "x"
-                elif r == rounds - 1 and node == num_nodes - 1:
-                    label = "y"
-                else:
-                    label = "work"
-                b.internal(node, time=t, label=label)
-        for node in range(num_nodes - 1):
-            t += 1.0
-            m = b.send(node, time=t)
-            t += 1.0
-            b.recv(node + 1, m, time=t)
-    return b.build()
-
-
-class TestTraceReduction:
-    @given(st.integers(2, 4), _ops)
-    @settings(max_examples=40, deadline=None)
-    def test_reduction_is_a_quotient(self, num_nodes, ops):
-        trace = _labelled_trace(num_nodes, ops)
-        red = reduce_trace(trace)
-        # event_map is total over real events and lands in the quotient
-        originals = {ev.eid for ev in trace.iter_events()}
-        assert set(red.event_map) == originals
-        reduced_ids = {ev.eid for ev in red.trace.iter_events()}
-        assert set(red.event_map.values()) == reduced_ids
-        # groups partition the original events
-        members = [m for grp in red.groups.values() for m in grp]
-        assert sorted(members) == sorted(originals)
-        # sends/receives are never merged
-        for grp in red.groups.values():
-            if len(grp) > 1:
-                for mid in grp:
-                    assert trace.send_of(mid) is None
-        assert red.reduced_events <= red.original_events
-        assert 0.0 <= red.ratio < 1.0
-
-    @given(st.integers(2, 4), _ops)
-    @settings(max_examples=30, deadline=None)
-    def test_reduction_preserves_all_40_verdicts(self, num_nodes, ops):
-        trace = _labelled_trace(num_nodes, ops)
-        has_x = any(ev.label == "x" for ev in trace.iter_events())
-        has_y = any(ev.label == "y" for ev in trace.iter_events())
-        assume(has_x and has_y)
-        red = reduce_trace(trace)
-        ex = Execution(trace)
-        red_ex = Execution(red.trace)
-        an = SynchronizationAnalyzer(AnalysisContext(ex))
-        red_an = SynchronizationAnalyzer(AnalysisContext(red_ex))
-        before = _all_verdicts(an, by_label(ex, "x"), by_label(ex, "y"))
-        after = _all_verdicts(
-            red_an, by_label(red_ex, "x"), by_label(red_ex, "y")
-        )
-        assert before == after
-
-    def test_commuting_workload_shrinks_30_percent(self):
-        trace = _commuting_workload()
-        red = reduce_trace(trace)
-        assert red.ratio >= 0.30, red.ratio
-        # and every verdict survives the coarsening
-        ex = Execution(trace)
-        red_ex = Execution(red.trace)
-        an = SynchronizationAnalyzer(AnalysisContext(ex))
-        red_an = SynchronizationAnalyzer(AnalysisContext(red_ex))
-        before = _all_verdicts(an, by_label(ex, "x"), by_label(ex, "y"))
-        after = _all_verdicts(
-            red_an, by_label(red_ex, "x"), by_label(red_ex, "y")
-        )
-        assert before == after
-
-    def test_label_selected_intervals_map_through(self):
-        trace = _commuting_workload()
-        red = reduce_trace(trace)
-        ex = Execution(trace)
-        red_ex = Execution(red.trace)
-        for label in ("x", "y", "work"):
-            mapped = red.map_ids(by_label(ex, label).ids)
-            assert mapped == sorted(by_label(red_ex, label).ids)
-
-    def test_rules_restrict_merging(self):
-        trace = _commuting_workload()
-        none_commute = reduce_trace(
-            trace,
-            CommutativityRules(
-                commuting_labels=frozenset(), absorb_unlabeled=False
-            ),
-        )
-        assert none_commute.ratio == 0.0
-        assert none_commute.trace.total_events == trace.total_events
-        only_work = reduce_trace(
-            trace, CommutativityRules(commuting_labels=frozenset({"work"}))
-        )
-        full = reduce_trace(trace)
-        assert only_work.reduced_events >= full.reduced_events

@@ -313,13 +313,11 @@ class TestForeignIntervals:
         with pytest.raises(ValueError, match="does not belong"):
             cache.stats([intervals[0], foreign])
         with pytest.raises(ValueError, match="does not belong"):
-            cache.stats([foreign], [Proxy.L])
-        with pytest.raises(ValueError, match="does not belong"):
             cache.family_operands([intervals[0], foreign])
         with pytest.raises(ValueError, match="does not belong"):
             an.all_relations_batch([(intervals[0], foreign)])
         with pytest.raises(ValueError, match="does not belong"):
             an.batch_holds([(FAMILY32[0], intervals[0], foreign)])
         with pytest.raises(ValueError, match="does not belong"):
-            ctx.matrices([foreign])
+            an.relation_matrix([foreign], FAMILY32[0])
         del other_ctx

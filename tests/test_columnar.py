@@ -2,8 +2,9 @@
 
 Property tests for the columnar substrate: the one-pass cut fill
 (:func:`repro.core.cuts.cut_stats` and its raw-array variants), the
-per-query gather kernel (:func:`repro.core.family.gather_verdicts`),
-and :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`
+family kernel on one subtest column
+(:func:`repro.core.family.verdict_matrix`), and
+:meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`
 built on it must agree with the per-interval folds and the
 definition-level :class:`~repro.core.naive.NaiveEvaluator` on random
 executions — over all 8 base relations and all 32 family members.
@@ -26,8 +27,14 @@ from repro.core.cuts import (
 )
 from repro.core.evaluator import SynchronizationAnalyzer
 from repro.core.naive import NaiveEvaluator
-from repro.core.family import RELATION_INDEX, gather_verdicts
-from repro.core.relations import BASE_RELATIONS, FAMILY32
+from repro.core.context import CutCache
+from repro.core.family import verdict_matrix
+from repro.core.relations import (
+    BASE_RELATIONS,
+    FAMILY32,
+    SUBTEST_COLUMNS,
+    subtest_key,
+)
 from repro.events.poset import Execution
 from repro.simulation.workloads import random_trace
 
@@ -152,10 +159,12 @@ class TestGatherKernelVsNaive:
     def test_base_relations_match_naive(self, ex_pair):
         ex, x, y = ex_pair
         naive = NaiveEvaluator(ex)
-        stats = cut_stats(ex, [x, y])
+        ops = CutCache(ex).family_operands([x, y])
         for rel in BASE_RELATIONS:
-            got = gather_verdicts(stats, [RELATION_INDEX[rel]], [0], [1])
-            assert bool(got[0]) == naive.evaluate(rel, x, y), rel
+            col = SUBTEST_COLUMNS[subtest_key(rel)]
+            got = verdict_matrix(ops, [0], [1], [col])
+            assert got.shape == (1, 1)
+            assert bool(got[0, 0]) == naive.evaluate(rel, x, y), rel
 
     @given(execution_with_pair())
     @settings(max_examples=25, deadline=None)
