@@ -46,7 +46,7 @@ from repro.core.hierarchy import evaluate_all_pruned, maximal_true
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32
 
-from benchmarks.common import best_of, family_pairs
+from benchmarks.common import best_of_each, family_pairs
 from benchmarks.conftest import make_pair
 
 
@@ -125,9 +125,11 @@ def measure_family_surface(
         an.strongest_batch(pair_list)
         return an
 
-    loop_t, eng = best_of(per_spec_loop, reps=reps)
-    cached_t, can = best_of(cached_family, reps=reps)
-    batched_t, ban = best_of(batched_family, reps=reps)
+    # the three strategies run in turn within each round, so a burst of
+    # load from other processes skews no ratio the floors gate on
+    (loop_t, eng), (cached_t, can), (batched_t, ban) = best_of_each(
+        [per_spec_loop, cached_family, batched_family], reps=reps
+    )
     # verdicts surfaced per pair: 40 specs + the 32-entry family map
     # behind the strongest query
     verdicts = (len(FAMILY32) * 2 + len(BASE_RELATIONS)) * len(pair_list)

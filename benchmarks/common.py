@@ -14,7 +14,7 @@ reads.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "spanning_interval",
     "family_pairs",
     "best_of",
+    "best_of_each",
 ]
 
 
@@ -96,9 +97,23 @@ def family_pairs(
 
 def best_of(fn: Callable, reps: int = 5) -> tuple[float, object]:
     """``(best wall-clock seconds, last result)`` over ``reps`` runs."""
-    best, result = float("inf"), None
+    return best_of_each([fn], reps=reps)[0]
+
+
+def best_of_each(
+    fns: Sequence[Callable], reps: int = 5
+) -> list[tuple[float, object]]:
+    """``best_of`` for several functions timed in turn: each of ``reps``
+    rounds runs every function once, in order.  A burst of load from
+    other processes then slows the runs of one round alike, instead of
+    every run of whichever function it happens to overlap, so ratios
+    between the functions hold steadier than ``best_of`` run per
+    function."""
+    best = [float("inf")] * len(fns)
+    results: list[object] = [None] * len(fns)
     for _ in range(reps):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(best, results, strict=True))

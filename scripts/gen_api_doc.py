@@ -24,8 +24,7 @@ MODULES = [
     "repro.simulation.scenarios",
     "repro.nonatomic", "repro.nonatomic.event", "repro.nonatomic.proxies",
     "repro.nonatomic.selection",
-    "repro.backends", "repro.backends.base", "repro.backends.stats",
-    "repro.backends.vector",
+    "repro.backends", "repro.backends.base",
     "repro.core", "repro.core.context", "repro.core.cuts",
     "repro.core.relations", "repro.core.family",
     "repro.core.naive", "repro.core.polynomial", "repro.core.linear",

@@ -27,10 +27,10 @@ import sys
 from collections.abc import Sequence
 
 from .analysis.metrics import summarize
-from .backends.base import clock_pass_counts, reset_clock_pass_counts
 from .core.context import AnalysisContext
 from .core.evaluator import SynchronizationAnalyzer
 from .core.relations import FAMILY32
+from .events.clocks import clock_pass_counts, reset_clock_pass_counts
 from .events.poset import Execution
 from .events.serialization import load, save
 from .events.trace import causal_schedule

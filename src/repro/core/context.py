@@ -33,17 +33,23 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Hashable, Iterable, Sequence
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backends.stats import FILL_BLOCK, empty_stats, flatten_extrema
-from ..backends.vector import VectorClockBackend
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
-from .cuts import Cut, CutQuadruple, CutStats
+from . import cuts as _cuts
+from .cuts import (
+    Cut,
+    CutQuadruple,
+    CutStats,
+    _stats_from_extrema,
+    cut_vector,
+    empty_stats,
+    flatten_extrema,
+)
 from .family import FamilyOperands
 from .versioning import versioned_state
 
@@ -61,8 +67,8 @@ _Key = Hashable
 #: The six stacked rows of a :class:`CutStats`.
 _STATS = ("c1", "c2", "c3", "c4", "first", "last")
 
-#: Term part → code: the interval itself, its L proxy, its U proxy.
-_SIDE = {None: 0, "L": 1, "U": 2}
+#: The two terms of an interval: its L proxy (side 0), its U proxy (side 1).
+_PARTS = ("L", "U")
 
 #: Store column of each Table-2 cut name.
 _CUT_COLUMN = {"C1": "c1", "C2": "c2", "C3": "c3", "C4": "c4"}
@@ -85,45 +91,38 @@ def _term_entries(
     """Flattened extrema ``(nodes, first_idx, last_idx, counts)`` of the
     terms ``(owner[t], side[t])``.
 
-    Term ``t`` reads its owner's entries by index.  Side 0 is the owner
-    itself; a proxy holds one event per node, so side 1 (``L_X``) reads
-    X's first index twice and side 2 (``U_X``) its last.
+    Term ``t`` reads its owner's entries by index.  A proxy holds one
+    event per node, so side 0 (``L_X``) reads X's first index twice and
+    side 1 (``U_X``) its last.
     """
     nodes, first_idx, last_idx, counts, starts = flat
     cnt = counts[owner]
     shift = starts[owner] - (np.cumsum(cnt) - cnt)
     entries = np.repeat(shift, cnt) + np.arange(int(cnt.sum()), dtype=np.intp)
-    sides = np.repeat(side, cnt)
-    first = first_idx[entries]
-    last = last_idx[entries]
-    return (
-        nodes[entries],
-        np.where(sides == 2, last, first),
-        np.where(sides == 1, first, last),
-        cnt,
-    )
+    index = np.where(np.repeat(side, cnt) == 1, last_idx[entries],
+                     first_idx[entries])
+    return nodes[entries], index, index, cnt
 
 
 def _side_hashes(flat: _Flat) -> np.ndarray:
-    """``(3, owners)`` 64-bit extrema hashes of every owner as itself
-    (row 0), as its L proxy (row 1) and as its U proxy (row 2).
+    """``(2, owners)`` 64-bit extrema hashes of every owner as its L
+    proxy (row 0) and as its U proxy (row 1).
 
     A term's hash is the wrapping sum of its mixed ``(node, first,
     last)`` entries.  Owners go in blocks of
-    :data:`~repro.backends.stats.FILL_BLOCK`.
+    :data:`~repro.core.cuts.FILL_BLOCK`.
     """
     nodes, first_idx, last_idx, counts, starts = flat
     n = counts.shape[0]
-    out = np.empty((3, n), dtype=np.uint64)
-    for lo in range(0, n, FILL_BLOCK):
-        hi = min(lo + FILL_BLOCK, n)
+    out = np.empty((2, n), dtype=np.uint64)
+    for lo in range(0, n, _cuts.FILL_BLOCK):
+        hi = min(lo + _cuts.FILL_BLOCK, n)
         a = int(starts[lo])
         b = int(starts[hi - 1] + counts[hi - 1])
         first = first_idx[a:b].astype(np.uint64)
         last = last_idx[a:b].astype(np.uint64)
         shift = np.uint64(31)
-        word = np.stack(((first << shift) ^ last, (first << shift) ^ first,
-                         (last << shift) ^ last))
+        word = np.stack(((first << shift) ^ first, (last << shift) ^ last))
         word += nodes[a:b].astype(np.uint64) * _MIX[0]
         word ^= word >> np.uint64(30)
         word *= _MIX[1]
@@ -140,9 +139,9 @@ def _same_extrema(flat: _Flat, owner: np.ndarray, side: np.ndarray,
     same = flat[3][owner[t]] == flat[3][owner[r]]
     t, r = t[same], r[same]
     if t.size:
-        nt, ft, lt, cnt = _term_entries(flat, owner[t], side[t])
-        nr, fr, lr, _ = _term_entries(flat, owner[r], side[r])
-        differ = (nt != nr) | (ft != fr) | (lt != lr)
+        nt, it, _, cnt = _term_entries(flat, owner[t], side[t])
+        nr, ir, _, _ = _term_entries(flat, owner[r], side[r])
+        differ = (nt != nr) | (it != ir)
         same[same] = ~np.logical_or.reduceat(differ, np.cumsum(cnt) - cnt)
     return same
 
@@ -153,17 +152,18 @@ def _distinct_extrema(
     """Group the terms ``(owner[t], side[t])`` by their per-node extrema.
 
     A term's cut row depends on nothing else, so terms with equal
-    extrema (an interval and an equal proxy, two intervals sharing one
-    proxy) share one computed row.  Returns ``(reps, rank)``: ``reps``
-    are the ascending indices of each group's first term, ``rank[t]``
-    the position of term ``t``'s group in ``reps``.
+    extrema (the L and U proxies of an interval holding one event per
+    node, two intervals sharing one proxy) share one computed row.
+    Returns ``(reps, rank)``: ``reps`` are the ascending indices of each
+    group's first term, ``rank[t]`` the position of term ``t``'s group
+    in ``reps``.
 
     Terms are sorted by a 64-bit hash of their extrema
     (:func:`_side_hashes`); a term whose hash repeats an earlier
     term's is compared with that term entry by entry, and the terms of
     a hash that names unequal extrema are regrouped exactly, so the
     grouping never depends on the hash.  Hashes and comparisons go in
-    blocks of :data:`~repro.backends.stats.FILL_BLOCK`: the scratch is
+    blocks of :data:`~repro.core.cuts.FILL_BLOCK`: the scratch is
     a few words per term plus one block's entries.
     """
     k = owner.shape[0]
@@ -182,17 +182,17 @@ def _distinct_extrema(
     del order, run_start
     later = np.flatnonzero(head != every)
     clash = [later[:0]]
-    for lo in range(0, later.shape[0], FILL_BLOCK):
-        t = later[lo:lo + FILL_BLOCK]
+    for lo in range(0, later.shape[0], _cuts.FILL_BLOCK):
+        t = later[lo:lo + _cuts.FILL_BLOCK]
         clash.append(t[~_same_extrema(flat, owner, side, t, head[t])])
     bad = np.concatenate(clash)
     if bad.size:
         # a hash shared by unequal extrema: regroup its terms exactly
         members = np.flatnonzero(np.isin(h, h[bad]))
-        nodes, first, last, cnt = _term_entries(
+        nodes, index, _, cnt = _term_entries(
             flat, owner[members], side[members]
         )
-        entries = np.stack((nodes, first, last), axis=1)
+        entries = np.stack((nodes, index), axis=1)
         ends = np.cumsum(cnt).tolist()
         seen: dict[bytes, int] = {}
         for term, lo, hi in zip(members.tolist(), [0, *ends[:-1]], ends,
@@ -221,19 +221,19 @@ class CutCache:
     interval ``x``.
 
     Cost model (Key Idea 1: pay once, reuse cheaply).  The batched
-    fills (:meth:`stats`, :meth:`family_operands`) keep their rows as
-    arrays: one growable :class:`~repro.core.cuts.CutStats` row store
-    of ``CLOCK_DTYPE`` (int32) matrices and a key → row index, with no
+    fill (:meth:`family_operands`) keeps its rows as arrays: one
+    growable :class:`~repro.core.cuts.CutStats` row store of
+    ``CLOCK_DTYPE`` (int32) matrices and a key → row index, with no
     per-row Python object.  A per-node proxy's row is filled from its
     interval's own extrema — ``L_X`` is X's first event on each node,
     ``U_X`` its last — so no proxy object is built.  A fill writes its
-    rows into the store in blocks of
-    :data:`~repro.backends.stats.FILL_BLOCK`, so its scratch is a few
-    words per term plus one block's gathers.  A scalar :meth:`cut` /
-    :meth:`quadruple` / :meth:`extremal` read of a stored row counts as
-    a hit and builds its :class:`~repro.core.cuts.Cut` then, on first
-    read, widened to int64 like a computed one.  A scalar
-    read of a row nobody stored computes just the cut asked for.  The
+    rows into the store in blocks of :data:`~repro.core.cuts.FILL_BLOCK`,
+    so its scratch is a few words per term plus one block's gathers.  A
+    scalar :meth:`cut` / :meth:`quadruple` / :meth:`extremal` read of a
+    stored row counts as a hit and builds its
+    :class:`~repro.core.cuts.Cut` then, on first read, widened to int64
+    like a computed one.  A scalar read of a row nobody stored computes
+    just the cut asked for (:func:`~repro.core.cuts.cut_vector`).  The
     reuse runs one way only: cuts filled by scalar reads are not rows,
     so a later batch asking for that term computes its row again (a
     miss).  Keys are not merged either: a proxy from
@@ -248,17 +248,16 @@ class CutCache:
     Attributes
     ----------
     hits, misses:
-        Lookup counters.  ``misses`` counts rows or cuts the backend
-        computed; ``hits`` counts requests served without computing
-        one.  Benchmarks and the acceptance tests assert on them.
+        Lookup counters.  ``misses`` counts rows or cuts computed;
+        ``hits`` counts requests served without computing one.
+        Benchmarks and the acceptance tests assert on them.
     """
 
-    __slots__ = ("_execution", "_backend", "_version", "_cuts", "_extremal",
+    __slots__ = ("_execution", "_version", "_cuts", "_extremal",
                  "_rows", "_store", "_size", "hits", "misses")
 
     def __init__(self, execution: Execution) -> None:
         self._execution = execution
-        self._backend = VectorClockBackend(execution)
         self._version = execution.version
         self._cuts: dict[tuple[_Key, str], Cut] = {}
         self._extremal: dict[_Key, tuple[np.ndarray, np.ndarray]] = {}
@@ -274,11 +273,6 @@ class CutCache:
     def execution(self) -> Execution:
         """The execution the cached structures belong to."""
         return self._execution
-
-    @property
-    def backend(self) -> VectorClockBackend:
-        """The causality backend filling cache misses."""
-        return self._backend
 
     def __len__(self) -> int:
         """Stored batch rows plus scalar-filled cuts."""
@@ -310,7 +304,12 @@ class CutCache:
         A row a batched fill stored is read, not recomputed.  Otherwise
         only the requested cut is computed: past-only consumers asking
         for C1/C2 never force the reverse clock pass that C3/C4 need.
+        Any other ``which`` is a :class:`ValueError` that moves no
+        counter.
         """
+        column = _CUT_COLUMN.get(which)
+        if column is None:
+            raise ValueError(f"unknown cut: {which!r}")
         self._check_interval(x)
         self._fresh()
         key = x.key
@@ -319,13 +318,12 @@ class CutCache:
             self.hits += 1
             return cached
         row = self._rows.get(key)
-        column = _CUT_COLUMN.get(which)
-        if row is not None and column is not None and self._store is not None:
+        if row is not None and self._store is not None:
             self.hits += 1
             vec = getattr(self._store, column)[row]  # _trusted copies it up
         else:
             self.misses += 1
-            vec = self._backend.cut_vector(x, which)
+            vec = cut_vector(x, which)
         result = self._cuts[(key, which)] = Cut._trusted(self._execution, vec)
         return result
 
@@ -375,16 +373,23 @@ class CutCache:
     # ------------------------------------------------------------------
     # columnar batch fill
     # ------------------------------------------------------------------
-    def _locate(
-        self,
-        intervals: Sequence[NonatomicEvent],
-        parts: "Iterable[str | None] | None",
-    ) -> tuple[CutStats, np.ndarray]:
-        """The row store and the store row of every requested term.
+    def family_operands(
+        self, intervals: Sequence[NonatomicEvent]
+    ) -> FamilyOperands:
+        """The family kernel's operands for ``intervals``.
 
-        Term ``i`` is ``intervals[i]`` itself, or with ``parts[i]`` set
-        (``"L"``/``"U"``) its Definition-2 proxy.  Terms with no stored
-        row are filled by one :meth:`_fill`.
+        Looks up every interval's Definition-2 ``(L, U)`` proxy rows,
+        keyed ``(x.key, "L"|"U")``, and fills the missing ones in
+        **one** batched pass (:meth:`_fill`) straight from the
+        intervals' per-node first/last indices, one flatten per
+        interval: no proxy object and no
+        :class:`~repro.core.cuts.Cut` is built.  Returns the row store
+        with each interval's L and U row index
+        (:class:`~repro.core.family.FamilyOperands`); the batched family
+        kernel (:func:`repro.core.family.verdict_matrix`) gathers each
+        block's operands from it, so no ``(k, 12, P)`` copy exists.  The
+        rows stay in the store, so later scalar queries of the proxies
+        hit.
         """
         self._fresh()
         ex = self._execution
@@ -392,33 +397,32 @@ class CutCache:
         found: list[int] = []
         todo: dict[_Key, int] = {}
         terms: list[NonatomicEvent] = []
-        term_parts: list[str | None] = []
+        sides: list[int] = []
         hits = 0
-        if parts is None:
-            parts = repeat(None, len(intervals))
-        for x, part in zip(intervals, parts, strict=True):
+        for x in intervals:
             if x.execution is not ex:
                 raise ValueError(
                     "interval does not belong to this context's execution"
                 )
-            key = x.key if part is None else (x.key, part)
-            row = stored.get(key)
-            if row is None:
-                t = todo.get(key)
-                if t is None:
-                    t = todo[key] = len(terms)
-                    terms.append(x)
-                    term_parts.append(part)
+            for side, part in enumerate(_PARTS):
+                key = (x.key, part)
+                row = stored.get(key)
+                if row is None:
+                    t = todo.get(key)
+                    if t is None:
+                        t = todo[key] = len(terms)
+                        terms.append(x)
+                        sides.append(side)
+                    else:
+                        hits += 1
+                    row = ~t  # negative: a pending term, resolved below
                 else:
                     hits += 1
-                row = ~t  # negative: a pending term, resolved below
-            else:
-                hits += 1
-            found.append(row)
+                found.append(row)
         self.hits += hits
         rows = np.fromiter(found, np.intp, count=len(found))
         if terms:
-            filled = self._fill(terms, term_parts)
+            filled = self._fill(terms, sides)
             stored.update(zip(todo, filled.tolist(), strict=True))
             pending = rows < 0
             rows[pending] = filled[~rows[pending]]
@@ -428,20 +432,22 @@ class CutCache:
         view = store.rows(0, self._size)
         for name in _STATS:
             getattr(view, name).setflags(write=False)
-        return view, rows
+        return FamilyOperands(view, rows[0::2], rows[1::2])
 
     def _fill(
-        self, terms: Sequence[NonatomicEvent], parts: Sequence[str | None]
+        self, terms: Sequence[NonatomicEvent], sides: Sequence[int]
     ) -> np.ndarray:
-        """Compute the rows of ``terms`` (none stored yet), append them to
-        the store and return their store rows.
+        """Compute the rows of the proxy terms ``(terms[t], sides[t])``
+        (none stored yet; side 0 is the L proxy, 1 the U proxy), append
+        them to the store and return their store rows.
 
         Each distinct interval object is flattened once, however many
-        of its terms (itself, its L and U proxies) are asked for; a term
-        reads its owner's entries by index.  Terms with equal extrema
-        share one row (:func:`_distinct_extrema`).  The rows are filled
-        in blocks of :data:`~repro.backends.stats.FILL_BLOCK`, each
-        written straight into the store."""
+        of its terms are asked for; a term reads its owner's entries by
+        index.  Terms with equal extrema share one row
+        (:func:`_distinct_extrema`).  The rows are filled by the
+        batched cut kernel (:func:`~repro.core.cuts._stats_from_extrema`)
+        in blocks of :data:`~repro.core.cuts.FILL_BLOCK`, each written
+        straight into the store."""
         self._fresh()
         slot: dict[int, int] = {}
         owners: list[NonatomicEvent] = []
@@ -450,7 +456,7 @@ class CutCache:
                 slot[id(x)] = len(owners)
                 owners.append(x)
         owner = np.fromiter((slot[id(x)] for x in terms), np.intp, count=len(terms))
-        side = np.fromiter((_SIDE[p] for p in parts), np.int8, count=len(parts))
+        side = np.fromiter(sides, np.int8, count=len(sides))
         nodes, first_idx, last_idx, counts = flatten_extrema(owners)
         flat = (nodes, first_idx, last_idx, counts, np.cumsum(counts) - counts)
         reps, rank = _distinct_extrema(flat, owner, side)
@@ -458,9 +464,10 @@ class CutCache:
         n = reps.shape[0]
         base = self._size
         store = self._reserve(base + n)
-        for lo in range(0, n, FILL_BLOCK):
-            hi = min(lo + FILL_BLOCK, n)
-            self._backend.cut_stats_arrays(
+        for lo in range(0, n, _cuts.FILL_BLOCK):
+            hi = min(lo + _cuts.FILL_BLOCK, n)
+            _stats_from_extrema(
+                self._execution,
                 *_term_entries(flat, owner[lo:hi], side[lo:hi]),
                 out=store.rows(base + lo, base + hi),
             )
@@ -485,47 +492,6 @@ class CutCache:
                 getattr(grown, name)[:self._size] = getattr(store, name)[:self._size]
         self._store = grown
         return grown
-
-    def stats(self, intervals: Sequence[NonatomicEvent]) -> CutStats:
-        """Stacked cut/extremal matrices for ``intervals``, rows aligned
-        with the input order.
-
-        Rows already stored are copied out of the row store; every
-        *missing* one is filled by one batched backend pass
-        (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`
-        — gathers and segmented reductions over the ``(|E|, |P|)``
-        clock matrices, no per-interval fold loop) and stored, so later
-        scalar queries hit.
-        """
-        store, rows = self._locate(intervals, None)
-        out = [getattr(store, name)[rows] for name in _STATS]
-        for mat in out:
-            mat.setflags(write=False)
-        return CutStats(*out)
-
-    def family_operands(
-        self, intervals: Sequence[NonatomicEvent]
-    ) -> FamilyOperands:
-        """The family kernel's operands for ``intervals``.
-
-        Looks up every interval's Definition-2 ``(L, U)`` proxy rows,
-        keyed ``(x.key, "L"|"U")``, and fills the missing ones in
-        **one** batched backend pass
-        (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats_arrays`)
-        straight from the intervals' per-node first/last indices, one
-        flatten per interval: no proxy object and no
-        :class:`~repro.core.cuts.Cut` is built.  Returns the row store
-        with each interval's L and U row index
-        (:class:`~repro.core.family.FamilyOperands`); the batched family
-        kernel (:func:`repro.core.family.verdict_matrix`) gathers each
-        block's operands from it, so no ``(k, 12, P)`` copy exists.  The
-        rows stay in the store, so later scalar queries of the proxies
-        hit.
-        """
-        store, rows = self._locate(
-            [x for x in intervals for _ in "LU"], ("L", "U") * len(intervals)
-        )
-        return FamilyOperands(store, rows[0::2], rows[1::2])
 
 
 #: One shared context per live execution (weak: contexts die with them).
@@ -552,15 +518,13 @@ class AnalysisContext:
     itself against the execution version on every read.
     """
 
-    __slots__ = ("_execution", "_backend", "_cut_cache", "_verdicts",
-                 "__weakref__")
+    __slots__ = ("_execution", "_cut_cache", "_verdicts", "__weakref__")
 
     def __init__(self, execution: Execution) -> None:
         if isinstance(execution, AnalysisContext):  # idempotent wrap
             execution = execution.execution
         self._execution = execution
         self._cut_cache = CutCache(execution)
-        self._backend = self._cut_cache.backend
         self._verdicts: SharedVerdictCache | None = None
 
     @classmethod
@@ -586,9 +550,15 @@ class AnalysisContext:
         return self._execution
 
     @property
-    def backend(self) -> VectorClockBackend:
-        """The causality backend answering this context's queries."""
-        return self._backend
+    def backend(self) -> Execution:
+        """The analysed execution, under its former name.
+
+        Kept for ``benchmarks/suite/offline_prog.py``, which times
+        ``ctx.backend.reverse_rows`` as its reverse-clock layer and
+        cannot change with the library; new code reads
+        :attr:`execution`.
+        """
+        return self._execution
 
     @property
     def cut_cache(self) -> CutCache:
@@ -625,17 +595,6 @@ class AnalysisContext:
     def extremal(self, x: NonatomicEvent) -> tuple[np.ndarray, np.ndarray]:
         """Memoized ``(first, last)`` extremal index vectors of ``x``."""
         return self._cut_cache.extremal(x)
-
-    # ------------------------------------------------------------------
-    # pairwise causality
-    # ------------------------------------------------------------------
-    def precedes(self, a: EventId, b: EventId) -> bool:
-        """``a ≺ b`` for real events, answered by the backend."""
-        return self._backend.precedes(a, b)
-
-    def concurrent(self, a: EventId, b: EventId) -> bool:
-        """``a ∥ b`` for real events, answered by the backend."""
-        return self._backend.concurrent(a, b)
 
     # ------------------------------------------------------------------
     # shared verdicts

@@ -21,7 +21,10 @@ This module implements:
   ``max``, intersection = componentwise ``min``);
 * the special cuts ``↓e`` (Def. 8) and ``e↑`` (Def. 9);
 * the four cuts of a nonatomic event (Table 2 / Definition 10):
-  ``C1(X)=∩⇓X``, ``C2(X)=∪⇓X``, ``C3(X)=∩⇑X``, ``C4(X)=∪⇑X``;
+  ``C1(X)=∩⇓X``, ``C2(X)=∪⇓X``, ``C3(X)=∩⇑X``, ``C4(X)=∪⇑X``,
+  computed two ways only: one interval at a time (:func:`cut_vector`)
+  or for a whole interval set by one blocked array kernel
+  (:func:`cut_stats`, :class:`CutStats`);
 * the ``≪`` relation in its canonical vector form *and* in the four
   literal set-based forms of Definition 7 (property-tested equivalent);
 * slow reference (set-based) constructions of all the above, used as
@@ -34,16 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backends.stats import (  # noqa: F401  (re-exported)
-    CutStats,
-    cut_stats_from_arrays,
-    cut_stats_from_extrema,
-)
-from ..backends.vector import VectorClockBackend
+from ..events.clocks import CLOCK_DTYPE
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
@@ -55,10 +54,12 @@ __all__ = [
     "Cut",
     "CutQuadruple",
     "CutStats",
+    "FILL_BLOCK",
+    "check_extrema",
     "cut_stats",
-    "cut_stats_from_arrays",
-    "cut_stats_from_extrema",
-    "batch_quadruples",
+    "cut_vector",
+    "empty_stats",
+    "flatten_extrema",
     "past_cut",
     "future_cut",
     "cut_intersection",
@@ -321,66 +322,69 @@ def cut_union(cuts: Iterable[Cut]) -> Cut:
 # ----------------------------------------------------------------------
 # the four cuts of a nonatomic event (Table 2)
 # ----------------------------------------------------------------------
-def _stack_clocks(x: NonatomicEvent, ids: Sequence[EventId], reverse: bool) -> np.ndarray:
+def cut_vector(x: NonatomicEvent, which: str) -> np.ndarray:
+    """One Table-2 cut timestamp of ``x``, uncached, as a read-only
+    int64 vector (``which`` in ``C1``/``C2``/``C3``/``C4``).
+
+    Per the observation at the end of Section 2.3, only the per-node
+    *least* (C1, C3) or *greatest* (C2, C4) component events need to be
+    folded: one gather of their clock rows and one componentwise
+    ``min``/``max``, ``O(|N_X| · |P|)``.  Past cuts (C1/C2) never force
+    the lazy reverse pass.  The one scalar cut computation: the
+    memoized :func:`cut_C1`–:func:`cut_C4` and every
+    :meth:`~repro.core.context.CutCache.cut` miss call it.
+    """
     ex = x.execution
-    fetch = ex.rclock if reverse else ex.clock
-    return np.stack([fetch(eid) for eid in ids])
+    if which == "C1":
+        vec = ex.forward_rows(x.first_ids()).min(axis=0)
+    elif which == "C2":
+        vec = ex.forward_rows(x.last_ids()).max(axis=0)
+    elif which in ("C3", "C4"):
+        beyond = np.asarray(ex.lengths, dtype=np.int64) + 1
+        if which == "C3":
+            vec = beyond - ex.reverse_rows(x.first_ids()).max(axis=0)
+        else:
+            vec = beyond - ex.reverse_rows(x.last_ids()).min(axis=0)
+    else:
+        raise ValueError(f"unknown cut: {which!r}")
+    vec = np.ascontiguousarray(vec, dtype=np.int64)
+    vec.setflags(write=False)
+    return vec
+
+
+def _memo_cut(x: NonatomicEvent, which: str) -> Cut:
+    """:func:`cut_vector` memoized in ``x``'s own cache per version."""
+    key = ("cut", which, x.execution.version)
+    cached = x.cache.get(key)
+    if cached is None:
+        cached = x.cache[key] = Cut._trusted(x.execution, cut_vector(x, which))
+    return cached
 
 
 def cut_C1(x: NonatomicEvent) -> Cut:
     """``C1(X) = ∩⇓X = ∩_{x∈X} ↓x`` — the maximum execution prefix
-    every component event of X has knowledge of.
-
-    Per the observation at the end of Section 2.3, only the per-node
-    *least* component events need to be folded, so the computation is
-    an ``O(|N_X| · |P|)`` componentwise ``min``.
-    """
-    key = ("cut", "C1", x.execution.version)
-    cached = x.cache.get(key)
-    if cached is None:
-        rows = _stack_clocks(x, x.first_ids(), reverse=False)
-        cached = Cut(x.execution, rows.min(axis=0))
-        x.cache[key] = cached
-    return cached
+    every component event of X has knowledge of (a componentwise
+    ``min`` over the per-node least component events)."""
+    return _memo_cut(x, "C1")
 
 
 def cut_C2(x: NonatomicEvent) -> Cut:
     """``C2(X) = ∪⇓X = ∪_{x∈X} ↓x`` — the maximum prefix the events of
     X *collectively* have knowledge of.  Folds the per-node *greatest*
     component events with componentwise ``max``."""
-    key = ("cut", "C2", x.execution.version)
-    cached = x.cache.get(key)
-    if cached is None:
-        rows = _stack_clocks(x, x.last_ids(), reverse=False)
-        cached = Cut(x.execution, rows.max(axis=0))
-        x.cache[key] = cached
-    return cached
+    return _memo_cut(x, "C2")
 
 
 def cut_C3(x: NonatomicEvent) -> Cut:
     """``C3(X) = ∩⇑X = ∩_{x∈X} x↑`` — its surface holds the earliest
     event per node causally preceded by *some* component of X."""
-    key = ("cut", "C3", x.execution.version)
-    cached = x.cache.get(key)
-    if cached is None:
-        lengths = np.asarray(x.execution.lengths, dtype=np.int64)
-        rows = _stack_clocks(x, x.first_ids(), reverse=True)
-        cached = Cut(x.execution, lengths + 1 - rows.max(axis=0))
-        x.cache[key] = cached
-    return cached
+    return _memo_cut(x, "C3")
 
 
 def cut_C4(x: NonatomicEvent) -> Cut:
     """``C4(X) = ∪⇑X = ∪_{x∈X} x↑`` — its surface holds the earliest
     event per node causally preceded by *every* component of X."""
-    key = ("cut", "C4", x.execution.version)
-    cached = x.cache.get(key)
-    if cached is None:
-        lengths = np.asarray(x.execution.lengths, dtype=np.int64)
-        rows = _stack_clocks(x, x.last_ids(), reverse=True)
-        cached = Cut(x.execution, lengths + 1 - rows.min(axis=0))
-        x.cache[key] = cached
-    return cached
+    return _memo_cut(x, "C4")
 
 
 @dataclass(frozen=True, slots=True)
@@ -401,9 +405,196 @@ def cuts_of(x: NonatomicEvent) -> CutQuadruple:
 # ----------------------------------------------------------------------
 # columnar batch kernel: all four cuts for a whole interval set at once
 # ----------------------------------------------------------------------
-# CutStats and the raw-array kernels (cut_stats_from_arrays /
-# cut_stats_from_extrema) live in repro.backends.stats, below the
-# backend seam; the Execution-level fill delegates to the backend.
+@dataclass(frozen=True, slots=True)
+class CutStats:
+    """Stacked per-interval cut and extremal vectors for k intervals.
+
+    Six ``(k, P)`` ``CLOCK_DTYPE`` (int32, the clock width) matrices,
+    rows aligned with the interval order they were built from: the four
+    Table-2 cut timestamps plus the per-node first/last component
+    indices (0 encoding "node not in ``N_X``").  Every value is a local
+    event index or ``k_i + 1``, so the clock width holds it.  This is
+    the complete per-interval state the vectorized relation conditions
+    consume: :class:`~repro.core.context.CutCache` keeps its row store
+    in one, and the family kernel
+    (:func:`repro.core.family.verdict_matrix`) gathers its operands
+    from it.
+    """
+
+    c1: np.ndarray  # T(∩⇓X)
+    c2: np.ndarray  # T(∪⇓X)
+    c3: np.ndarray  # T(∩⇑X)
+    c4: np.ndarray  # T(∪⇑X)
+    first: np.ndarray
+    last: np.ndarray
+
+    def __len__(self) -> int:
+        return self.c1.shape[0]
+
+    def rows(self, lo: int, hi: int) -> "CutStats":
+        """Rows ``lo:hi`` of every matrix, as views (no copy)."""
+        return CutStats(
+            self.c1[lo:hi], self.c2[lo:hi], self.c3[lo:hi], self.c4[lo:hi],
+            self.first[lo:hi], self.last[lo:hi],
+        )
+
+
+#: Intervals per block of the batched cut fill
+#: (:func:`_stats_from_extrema`): each block gathers at most
+#: ``FILL_BLOCK · P`` clock rows, whatever the interval count.
+FILL_BLOCK = 4096
+
+
+def empty_stats(k: int, num_nodes: int) -> CutStats:
+    """A writable, uninitialised ``k``-row :class:`CutStats`: a fill's ``out``.
+
+    Six ``(k, num_nodes)`` ``CLOCK_DTYPE`` matrices.
+    """
+    return CutStats(*(
+        np.empty((k, num_nodes), dtype=CLOCK_DTYPE) for _ in range(6)
+    ))
+
+
+def flatten_extrema(
+    intervals: Sequence[NonatomicEvent],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten ``intervals``' per-node extremal events, interval-major.
+
+    Returns ``(nodes, first_idx, last_idx, counts)`` — the input of the
+    batched cut fill (:func:`_stats_from_extrema`), with ``counts[i]``
+    entries for interval ``i``.  This is the single adapter from
+    interval objects to that kernel, so the layout cannot drift between
+    callers.  It reads each interval's aligned node/first/last tuples
+    as they are stored.  Nodes and local indices are ``CLOCK_DTYPE``: a
+    local index is a clock value.
+    """
+    k = len(intervals)
+    counts = np.fromiter((iv.width for iv in intervals), np.intp, count=k)
+    total = int(counts.sum())
+    nodes = np.fromiter(
+        chain.from_iterable(iv.node_set for iv in intervals),
+        CLOCK_DTYPE, count=total,
+    )
+    first_idx = np.fromiter(
+        chain.from_iterable(iv.first_indices() for iv in intervals),
+        CLOCK_DTYPE, count=total,
+    )
+    last_idx = np.fromiter(
+        chain.from_iterable(iv.last_indices() for iv in intervals),
+        CLOCK_DTYPE, count=total,
+    )
+    return nodes, first_idx, last_idx, counts
+
+
+def check_extrema(
+    lengths: np.ndarray,
+    nodes: np.ndarray,
+    first_idx: np.ndarray,
+    last_idx: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Reject flattened extrema that name no real event range.
+
+    Every entry must satisfy ``0 <= node < P`` and ``1 <= first_idx <=
+    last_idx <= lengths[node]``, and every interval needs at least one
+    entry.  One vectorised test; raises :class:`ValueError` naming the
+    first bad entry (a ``⊥`` index 0 or an index past ``k_node`` would
+    otherwise gather a neighbouring node's clock row).
+    """
+    if int(counts.sum()) != nodes.shape[0] or (counts.size and counts.min() < 1):
+        raise ValueError("counts must be positive and sum to the number of entries")
+    num_nodes = lengths.shape[0]
+    on_node = (nodes >= 0) & (nodes < num_nodes)
+    bad = ~on_node | (first_idx < 1) | (first_idx > last_idx)
+    bad |= last_idx > lengths[np.where(on_node, nodes, 0)]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"extremal entry {i}: node {int(nodes[i])}, indices "
+            f"{int(first_idx[i])}..{int(last_idx[i])} name no real events "
+            f"of the execution ({num_nodes} nodes)"
+        )
+
+
+def _stats_from_extrema(
+    execution: Execution,
+    nodes: np.ndarray,
+    first_idx: np.ndarray,
+    last_idx: np.ndarray,
+    counts: np.ndarray,
+    out: CutStats | None = None,
+) -> CutStats:
+    """The batched cut fill: the one array kernel behind
+    :func:`cut_stats` and :class:`~repro.core.context.CutCache`.
+
+    ``nodes``/``first_idx``/``last_idx`` are the flattened per-node
+    extremal events of all intervals (interval-major, ``counts[i]``
+    entries for interval ``i``, as :func:`flatten_extrema` lays them
+    out).  A cut depends on an interval only through these extrema, so
+    a caller holding them (a Definition-2 proxy *is* one extremal event
+    per node) needs no interval object.  All four Table-2 cut vectors
+    for every interval come out of four gathers and four segmented
+    min/max reductions over ``execution``'s columnar clock tables — no
+    per-interval Python loop.  The intervals go through in blocks of
+    :data:`FILL_BLOCK`, each reduced straight into its rows of ``out``
+    (``k`` writable ``CLOCK_DTYPE`` rows, :func:`empty_stats`; a new
+    read-only :class:`CutStats` when omitted), so no gather spans all
+    intervals.  Out-of-range extrema raise :class:`ValueError`
+    (:func:`check_extrema`) before the reverse table is read.
+    """
+    fwd = execution.forward_table
+    lengths = fwd.lengths
+    check_extrema(lengths, nodes, first_idx, last_idx, counts)
+    rev = execution.reverse_table
+    k = len(counts)
+    stats = empty_stats(k, fwd.data.shape[1]) if out is None else out
+    if len(stats) != k:
+        raise ValueError(f"out holds {len(stats)} rows, not {k}")
+    ends = np.cumsum(counts)
+    beyond = (lengths + 1).astype(CLOCK_DTYPE)  # T(e↑) = k_i + 1 - T^R(e)
+    for lo in range(0, k, FILL_BLOCK):
+        hi = min(lo + FILL_BLOCK, k)
+        a = int(ends[lo - 1]) if lo else 0
+        b = int(ends[hi - 1])
+        _fill_block(
+            fwd.data, rev.data, fwd.offsets, beyond, nodes[a:b],
+            first_idx[a:b], last_idx[a:b], counts[lo:hi], stats.rows(lo, hi),
+        )
+    if out is None:
+        for mat in (stats.c1, stats.c2, stats.c3, stats.c4, stats.first,
+                    stats.last):
+            mat.setflags(write=False)
+    return stats
+
+
+def _fill_block(
+    fwd: np.ndarray,
+    rev: np.ndarray,
+    offsets: np.ndarray,
+    beyond: np.ndarray,
+    nodes: np.ndarray,
+    first_idx: np.ndarray,
+    last_idx: np.ndarray,
+    counts: np.ndarray,
+    out: CutStats,
+) -> None:
+    """One block of :func:`_stats_from_extrema`, written into ``out``."""
+    starts = np.zeros(len(counts), dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    base = offsets[nodes] - 1
+    fi = base + first_idx
+    li = base + last_idx
+    np.minimum.reduceat(fwd[fi], starts, axis=0, out=out.c1)
+    np.maximum.reduceat(fwd[li], starts, axis=0, out=out.c2)
+    np.maximum.reduceat(rev[fi], starts, axis=0, out=out.c3)
+    np.subtract(beyond, out.c3, out=out.c3)
+    np.minimum.reduceat(rev[li], starts, axis=0, out=out.c4)
+    np.subtract(beyond, out.c4, out=out.c4)
+    row_of = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    out.first.fill(0)
+    out.last.fill(0)
+    out.first[row_of, nodes] = first_idx
+    out.last[row_of, nodes] = last_idx
 
 
 def cut_stats(
@@ -414,42 +605,17 @@ def cut_stats(
 
     Row ``i`` equals ``cuts_of(intervals[i])``'s vectors — the
     equivalence is property-tested — but the fill is a single
-    gather-and-reduce over the ``(|E|, |P|)`` matrices instead of a
-    per-interval Python fold, which is what the ``≥5x`` cut-fill
-    speedup of ``benchmarks/bench_setup_amortization.py`` measures.
-
-    Runs the backend's fill
-    (:meth:`~repro.backends.vector.VectorClockBackend.cut_stats`) with
-    no caching; :meth:`repro.core.context.CutCache.stats` is the
-    memoized entry point.
+    gather-and-reduce over the ``(|E|, |P|)`` matrices
+    (:func:`_stats_from_extrema`) instead of a per-interval Python
+    fold, which is what the ``≥5x`` cut-fill speedup of
+    ``benchmarks/bench_setup_amortization.py`` measures.  Nothing is
+    cached; :meth:`repro.core.context.CutCache.family_operands` is the
+    memoized batch entry point.
     """
-    return VectorClockBackend(execution).cut_stats(intervals)
-
-
-def batch_quadruples(
-    execution: Execution, intervals: Sequence[NonatomicEvent]
-) -> list[CutQuadruple]:
-    """The cut quadruples of many intervals via one columnar fill.
-
-    Semantically ``[cuts_of(iv) for iv in intervals]`` without the
-    per-interval fold loop; the returned cuts wrap read-only rows of
-    the batch matrices, widened to int64 once per matrix.
-    """
-    st = cut_stats(execution, intervals)
-    c1, c2, c3, c4 = (
-        mat.astype(np.int64) for mat in (st.c1, st.c2, st.c3, st.c4)
-    )
-    for mat in (c1, c2, c3, c4):
-        mat.setflags(write=False)
-    return [
-        CutQuadruple(
-            Cut._trusted(execution, c1[i]),
-            Cut._trusted(execution, c2[i]),
-            Cut._trusted(execution, c3[i]),
-            Cut._trusted(execution, c4[i]),
-        )
-        for i in range(len(intervals))
-    ]
+    for iv in intervals:
+        if iv.execution is not execution:
+            raise ValueError("interval does not belong to this execution")
+    return _stats_from_extrema(execution, *flatten_extrema(intervals))
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ subtests per ordered pair (:data:`~repro.core.relations.SUBTEST_KEYS`,
 to batched offline operands through one function:
 
 * :class:`FamilyOperands` names the ``(L, U)`` proxy rows of k
-  intervals in one :class:`~repro.backends.stats.CutStats` row store —
+  intervals in one :class:`~repro.core.cuts.CutStats` row store —
   the twelve rows (six stats × two proxies) any subtest key can select;
 * :func:`verdict_matrix` answers a set of subtest columns (all 24 by
   default) for every pair its X and Y index arrays name.  The index
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..backends.stats import CutStats
+from .cuts import CutStats
 from .relations import SUBTEST_KEYS, SubtestKind
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
     "compare_rows",
 ]
 
-#: Stat row names in :class:`~repro.backends.stats.CutStats` order.
+#: Stat row names in :class:`~repro.core.cuts.CutStats` order.
 _OPERAND_STATS: tuple[str, ...] = ("c1", "c2", "c3", "c4", "first", "last")
 
 #: The twelve operand rows of one interval — ``(stat, proxy_tag)`` in a

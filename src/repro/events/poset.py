@@ -17,7 +17,7 @@ from __future__ import annotations
 
 # repro: hot
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -286,6 +286,25 @@ class Execution:
         First access triggers the one-time reverse clock pass.
         """
         return self._reverse()
+
+    def forward_rows(self, ids: Sequence[EventId]) -> np.ndarray:
+        """Stacked ``T(e)`` rows of real events ``ids``, as a read-only
+        int64 matrix: one gather from the forward table."""
+        table = self._fwd
+        rows = table.data[table.flat_indices(ids)].astype(np.int64)
+        rows.setflags(write=False)
+        return rows
+
+    def reverse_rows(self, ids: Sequence[EventId]) -> np.ndarray:
+        """Stacked ``T^R(e)`` rows of real events ``ids``, as a
+        read-only int64 matrix: one gather from the reverse table.
+
+        First access triggers the one-time reverse clock pass.
+        """
+        table = self._reverse()
+        rows = table.data[table.flat_indices(ids)].astype(np.int64)
+        rows.setflags(write=False)
+        return rows
 
     # ------------------------------------------------------------------
     # causality

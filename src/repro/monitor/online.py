@@ -24,7 +24,7 @@ price of not knowing the future.)
 Streaming fast path
 -------------------
 Ingestion writes forward clocks straight into a
-streaming clock table (:func:`~repro.backends.base.make_streaming_table`)
+streaming clock table (:class:`~repro.events.clocks.GrowableClockTable`)
 — capacity-doubling
 ``(cap, |P|)`` int32 blocks, one amortized-O(|P|) in-place row write
 per event, no per-event allocation.  Each :class:`OnlineInterval`
@@ -80,7 +80,7 @@ import numpy as np
 from ..core.family import compare_rows
 from ..core.relations import Relation, RelationSpec, SubtestKind, parse_spec
 from ..events.builder import MessageHandle, TraceBuilder
-from ..backends.base import CLOCK_DTYPE, StreamingClockTable, make_streaming_table
+from ..events.clocks import CLOCK_DTYPE, GrowableClockTable
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.proxies import Proxy
@@ -155,7 +155,7 @@ class OnlineInterval:
     )
 
     def __init__(
-        self, name: str, table: StreamingClockTable | None = None
+        self, name: str, table: GrowableClockTable | None = None
     ) -> None:
         self.name = name
         self.first: dict[int, int] = {}
@@ -315,7 +315,7 @@ class OnlineMonitor:
     def __init__(self, num_nodes: int) -> None:
         self._builder = TraceBuilder(num_nodes)
         self.num_nodes = num_nodes
-        self._table = make_streaming_table(num_nodes)
+        self._table = GrowableClockTable(num_nodes)
         self._intervals: dict[str, OnlineInterval] = {}
         # watch id (registration order) → pending watch
         self._pending: dict[int, _PendingWatch] = {}

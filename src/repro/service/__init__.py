@@ -9,8 +9,8 @@ long-running service.  The pieces, bottom-up:
 * :mod:`~repro.service.log` — the append-only, fsync-batched,
   replayable event log every accepted operation is written to;
 * :mod:`~repro.service.core` — the transport-agnostic ingest state
-  machine: per-node shards feeding a streaming clock table through
-  :func:`~repro.backends.base.make_streaming_table`, causal parking of
+  machine: per-node shards feeding a streaming clock table
+  (:class:`~repro.events.clocks.GrowableClockTable`), causal parking of
   receives ahead of their sends, deferred interval closes, monotone
   watch-sequence numbering, and warm-standby record application;
 * :mod:`~repro.service.server` — the asyncio front end

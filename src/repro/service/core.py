@@ -8,8 +8,8 @@ failover tests can drive the state machine directly:
   shard groups ``num_nodes / num_shards`` of them for the counters;
   the default is one shard per node).  Events flow through the
   wrapped :class:`~repro.monitor.online.OnlineMonitor`, whose clock
-  storage comes from the
-  :func:`~repro.backends.base.make_streaming_table` seam — ingest and
+  storage is a streaming
+  :class:`~repro.events.clocks.GrowableClockTable` — ingest and
   finalisation keep the streaming fast path's **zero offline clock
   passes**.
 * **Causal parking** — a receive arriving before its send (normal
@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
-from ..backends.base import clock_pass_counts
+from ..events.clocks import clock_pass_counts
 from ..events.event import EventId
 from ..monitor.online import OnlineMonitor, WatchNotification
 from .log import EventLog, LogError

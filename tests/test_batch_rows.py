@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import AnalysisContext
-from repro.core.cuts import Cut
+from repro.core.cuts import Cut, cut_stats
 from repro.core.evaluator import SynchronizationAnalyzer
 from repro.core.hierarchy import maximal_true
 from repro.core.linear import LinearEvaluator
@@ -158,24 +158,6 @@ class TestScalarReadsHit:
                 lin.evaluate_spec(spec, x, y)
         assert cache.misses == misses
 
-    def test_interval_reads_after_stats_batch_hit(self):
-        ctx, intervals = _workload(seed=9)
-        cache = ctx.cut_cache
-        cache.stats(intervals)
-        misses = cache.misses
-        hits = cache.hits
-        fresh = AnalysisContext(ctx.execution)
-        for x in intervals:
-            quad = ctx.cuts(NonatomicEvent(x.execution, x.ids))  # equal, fresh object
-            first, last = ctx.extremal(x)
-            expect = fresh.cuts(x)  # misses: the scalar fold
-            for name in ("c1", "c2", "c3", "c4"):
-                _assert_same_cut(getattr(quad, name), getattr(expect, name))
-            _assert_same_vector(first, fresh.extremal(x)[0])
-            _assert_same_vector(last, fresh.extremal(x)[1])
-        assert cache.misses == misses
-        assert cache.hits == hits + 5 * len(intervals)
-
     def test_repeat_batch_is_all_hits(self):
         ctx, intervals = _workload(seed=13)
         an = SynchronizationAnalyzer(ctx)
@@ -192,17 +174,20 @@ class TestScalarEntriesStayApart:
         ctx, intervals = _workload(seed=17)
         cache = ctx.cut_cache
         x = intervals[0]
-        quad = cache.quadruple(x)
-        first, last = cache.extremal(x)
+        # L and U differ, so the batch below computes two rows
+        assert x.first_indices() != x.last_indices()
+        px = proxy_of(x, Proxy.L)  # keyed (x.key, "L"), as the batch's term
+        quad = cache.quadruple(px)
+        first, last = cache.extremal(px)
         misses = cache.misses
-        got = cache.stats([x])
-        assert cache.misses == misses + 1
+        store, ls, _us = cache.family_operands([x])
+        assert cache.misses == misses + 2
         for name in ("c1", "c2", "c3", "c4"):
             np.testing.assert_array_equal(
-                getattr(got, name)[0], getattr(quad, name).vector
+                getattr(store, name)[ls[0]], getattr(quad, name).vector
             )
-        np.testing.assert_array_equal(got.first[0], first)
-        np.testing.assert_array_equal(got.last[0], last)
+        np.testing.assert_array_equal(store.first[ls[0]], first)
+        np.testing.assert_array_equal(store.last[ls[0]], last)
 
     def test_proxy_and_equal_interval_are_stored_apart(self):
         ctx, intervals = _workload(seed=19)
@@ -267,7 +252,7 @@ class TestNoObjectsOnBatchPath:
         trace = loads(text)
         ex = Execution(trace)
         ctx = AnalysisContext(ex)
-        ctx.backend.reverse_rows([next(ex.iter_ids())])
+        ex.reverse_rows([next(ex.iter_ids())])
         intervals = [
             NonatomicEvent(ex, [(node, j), ((node + 1) % 6, j + 1)])
             for node in range(6) for j in range(1, 23, 4)
@@ -311,7 +296,7 @@ class TestForeignIntervals:
         an = SynchronizationAnalyzer(ctx, check_disjoint=False)
         cache = ctx.cut_cache
         with pytest.raises(ValueError, match="does not belong"):
-            cache.stats([intervals[0], foreign])
+            cut_stats(ctx.execution, [intervals[0], foreign])
         with pytest.raises(ValueError, match="does not belong"):
             cache.family_operands([intervals[0], foreign])
         with pytest.raises(ValueError, match="does not belong"):

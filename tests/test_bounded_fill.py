@@ -2,7 +2,8 @@
 
 * Filling in blocks of ``FILL_BLOCK`` intervals gives the rows one
   block gives, at block boundaries and for intervals spanning one node
-  or all of them (``cut_stats_arrays`` and ``CutCache.family_operands``).
+  or all of them (the array kernel behind ``cut_stats`` and
+  ``CutCache.family_operands``).
 * Terms with equal extrema share one row whatever the hash says: a
   hash shared by unequal extrema is regrouped exactly.
 * ``family_operands`` keeps its scratch, above the row store and index
@@ -17,11 +18,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.backends import stats
-from repro.backends.base import CLOCK_DTYPE
-from repro.backends.stats import flatten_extrema
-from repro.core import context
+from repro.core import context, cuts
 from repro.core.context import AnalysisContext
+from repro.core.cuts import flatten_extrema
+from repro.events.clocks import CLOCK_DTYPE
 from repro.events.poset import Execution
 from repro.nonatomic.event import NonatomicEvent
 from repro.simulation.workloads import random_trace
@@ -30,7 +30,6 @@ NODES = 16
 PER_NODE = 64
 
 EX = Execution(random_trace(NODES, events_per_node=PER_NODE, msg_prob=0.3, seed=6))
-EX_BACKEND = AnalysisContext(EX).backend
 
 _STATS = ("c1", "c2", "c3", "c4", "first", "last")
 
@@ -50,9 +49,9 @@ def _intervals(count: int, seed: int, widths=None) -> list[NonatomicEvent]:
     return out
 
 
-def _set_block(monkeypatch, block: int) -> None:
-    monkeypatch.setattr(stats, "FILL_BLOCK", block)
-    monkeypatch.setattr(context, "FILL_BLOCK", block)
+def _fill(flat, out=None):
+    """The batched cut kernel over flattened extrema of ``EX``."""
+    return cuts._stats_from_extrema(EX, *flat, out=out)
 
 
 def _operand_rows(intervals: list[NonatomicEvent]) -> tuple[dict, int]:
@@ -74,10 +73,10 @@ class TestFillBlocks:
     def test_blocks_match_one_block(self, monkeypatch, k, widths):
         intervals = _intervals(k, seed=k, widths=widths)
         flat = flatten_extrema(intervals)
-        whole = EX_BACKEND.cut_stats_arrays(*flat)
+        whole = _fill(flat)
         whole_ops, whole_misses = _operand_rows(intervals)
-        _set_block(monkeypatch, self.BLOCK)
-        blocked = EX_BACKEND.cut_stats_arrays(*flat)
+        monkeypatch.setattr(cuts, "FILL_BLOCK", self.BLOCK)
+        blocked = _fill(flat)
         blocked_ops, blocked_misses = _operand_rows(intervals)
         for name in _STATS:
             got = getattr(blocked, name)
@@ -89,7 +88,7 @@ class TestFillBlocks:
     def test_out_rows_must_match(self):
         flat = flatten_extrema(_intervals(3, seed=1))
         with pytest.raises(ValueError, match="rows"):
-            EX_BACKEND.cut_stats_arrays(*flat, out=stats.empty_stats(4, NODES))
+            _fill(flat, out=cuts.empty_stats(4, NODES))
 
 
 class TestExactDedup:
@@ -100,7 +99,7 @@ class TestExactDedup:
         want, want_misses = _operand_rows(intervals)
 
         def constant_hash(flat):
-            return np.zeros((3, flat[3].shape[0]), dtype=np.uint64)
+            return np.zeros((2, flat[3].shape[0]), dtype=np.uint64)
 
         monkeypatch.setattr(context, "_side_hashes", constant_hash)
         got, got_misses = _operand_rows(intervals)
@@ -113,17 +112,17 @@ class TestExactDedup:
         owners = intervals
         nodes, first, last, counts = flatten_extrema(owners)
         flat = (nodes, first, last, counts, np.cumsum(counts) - counts)
-        owner = np.repeat(np.arange(len(owners)), 3)
-        side = np.tile(np.array([0, 1, 2], dtype=np.int8), len(owners))
+        owner = np.repeat(np.arange(len(owners)), 2)
+        side = np.tile(np.array([0, 1], dtype=np.int8), len(owners))
         reps, rank = context._distinct_extrema(flat, owner, side)
-        # reference: group terms by their (node, first, last) tuples
+        # reference: group the L (side 0) and U (side 1) proxy terms by
+        # their (nodes, indices) tuples
         seen: dict[tuple, int] = {}
         head = []
         for t, (o, s) in enumerate(zip(owner.tolist(), side.tolist())):
             x = owners[o]
-            f = x.first_indices() if s != 2 else x.last_indices()
-            g = x.last_indices() if s != 1 else x.first_indices()
-            head.append(seen.setdefault((x.node_set, f, g), t))
+            index = x.last_indices() if s else x.first_indices()
+            head.append(seen.setdefault((x.node_set, index), t))
         np.testing.assert_array_equal(reps, sorted(set(head)))
         np.testing.assert_array_equal(reps[rank], head)
 
@@ -149,5 +148,5 @@ def test_family_operands_scratch_is_bounded(count):
     finally:
         tracemalloc.stop()
     scratch = peak - resident
-    bound = TERM_BUDGET * 2 * count + BLOCK_BUDGET * stats.FILL_BLOCK * NODES
+    bound = TERM_BUDGET * 2 * count + BLOCK_BUDGET * cuts.FILL_BLOCK * NODES
     assert scratch <= bound, (scratch, bound)

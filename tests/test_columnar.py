@@ -1,7 +1,7 @@
 """Columnar kernels and the batch gather driver vs the reference engines.
 
 Property tests for the columnar substrate: the one-pass cut fill
-(:func:`repro.core.cuts.cut_stats` and its raw-array variants), the
+(:func:`repro.core.cuts.cut_stats` and the array kernel under it), the
 family kernel on one subtest column
 (:func:`repro.core.family.verdict_matrix`), and
 :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`
@@ -16,15 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.backends.vector import VectorClockBackend
-from repro.core.cuts import (
-    CutStats,
-    batch_quadruples,
-    cut_stats,
-    cut_stats_from_arrays,
-    cut_stats_from_extrema,
-    cuts_of,
-)
+from repro.core.cuts import CutStats, _stats_from_extrema, cut_stats, cuts_of
 from repro.core.evaluator import SynchronizationAnalyzer
 from repro.core.naive import NaiveEvaluator
 from repro.core.context import CutCache
@@ -41,6 +33,26 @@ from repro.simulation.workloads import random_trace
 from .strategies import execution_with_intervals, execution_with_pair
 
 ALL_SPECS = list(BASE_RELATIONS) + list(FAMILY32)
+
+
+def _extrema_of_ids(id_groups):
+    """Flattened ``(nodes, first_idx, last_idx, counts)`` of raw id
+    groups, derived per node from the sorted ids (no interval object)."""
+    nodes, firsts, lasts, counts = [], [], [], []
+    for ids in id_groups:
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for node, idx in sorted(ids):
+            first.setdefault(node, idx)
+            last[node] = idx
+        counts.append(len(first))
+        nodes.extend(first)
+        firsts.extend(first.values())
+        lasts.extend(last.values())
+    return (
+        np.asarray(nodes, dtype=np.int64), np.asarray(firsts, dtype=np.int64),
+        np.asarray(lasts, dtype=np.int64), np.asarray(counts, dtype=np.intp),
+    )
 
 
 def _assert_stats_match_folds(ex, intervals, stats: CutStats) -> None:
@@ -70,45 +82,25 @@ class TestColumnarCutFill:
     @given(execution_with_intervals(k=3))
     @settings(max_examples=40, deadline=None)
     def test_raw_array_variants_match(self, ex_ivs):
+        """The array kernel on extrema derived from raw ids (int64, not
+        the interval's stored ``CLOCK_DTYPE`` tuples) fills the rows
+        :func:`cut_stats` fills."""
         ex, intervals = ex_ivs
-        fwd, rev = ex.forward_table, ex.reverse_table
         reference = cut_stats(ex, intervals)
-        from_ids = cut_stats_from_arrays(
-            fwd.data, rev.data, fwd.offsets, fwd.lengths,
-            [sorted(iv.ids) for iv in intervals],
+        got = _stats_from_extrema(
+            ex, *_extrema_of_ids([iv.ids for iv in intervals])
         )
-        from_extrema = cut_stats_from_extrema(
-            fwd.data, rev.data, fwd.offsets, fwd.lengths,
-            [
-                (
-                    iv.node_set,
-                    tuple(iv.first_at(n) for n in iv.node_set),
-                    tuple(iv.last_at(n) for n in iv.node_set),
-                )
-                for iv in intervals
-            ],
-        )
-        for got in (from_ids, from_extrema):
-            for name in ("c1", "c2", "c3", "c4", "first", "last"):
-                np.testing.assert_array_equal(
-                    getattr(got, name), getattr(reference, name)
-                )
-
-    @given(execution_with_intervals(k=3))
-    @settings(max_examples=30, deadline=None)
-    def test_batch_quadruples_matches_folds(self, ex_ivs):
-        ex, intervals = ex_ivs
-        for quad, iv in zip(batch_quadruples(ex, intervals), intervals, strict=True):
-            expect = cuts_of(iv)
-            for name in ("c1", "c2", "c3", "c4"):
-                np.testing.assert_array_equal(
-                    getattr(quad, name).vector, getattr(expect, name).vector
-                )
+        for name in ("c1", "c2", "c3", "c4", "first", "last"):
+            np.testing.assert_array_equal(
+                getattr(got, name), getattr(reference, name)
+            )
 
 
 class TestExtremaValidation:
-    """Extrema naming no real event raise ValueError on every raw-array
-    entry point, instead of gathering a neighbouring node's clock row."""
+    """Extrema naming no real event raise ValueError in the array
+    kernel behind every batched cut fill, instead of gathering a
+    neighbouring node's clock row — whether the bad entry is an
+    interval's only one or sits beside a good one."""
 
     BAD_IDS = [(0, 4), (1, 4), (0, 0), (2, 1), (-1, 1)]
     BAD_NAMES = ["past-end", "past-end-last-node", "bottom", "node-past-P",
@@ -116,41 +108,42 @@ class TestExtremaValidation:
 
     @pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_NAMES)
     def test_cut_stats_from_arrays(self, message_exec, bad):
-        fwd, rev = message_exec.forward_table, message_exec.reverse_table
+        # the bad id sits beside a good one in the same interval
         with pytest.raises(ValueError, match="name no real events"):
-            cut_stats_from_arrays(
-                fwd.data, rev.data, fwd.offsets, fwd.lengths,
-                [[(0, 1)], [(1, 2), bad]],
+            _stats_from_extrema(
+                message_exec, *_extrema_of_ids([[(0, 1)], [(1, 2), bad]])
             )
+        assert not message_exec.reverse_ready  # rejected before the pass
 
     @pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_NAMES)
     def test_cut_stats_from_extrema(self, message_exec, bad):
-        fwd, rev = message_exec.forward_table, message_exec.reverse_table
-        node, idx = bad
+        # the bad id is its interval's only entry
         with pytest.raises(ValueError, match="name no real events"):
-            cut_stats_from_extrema(
-                fwd.data, rev.data, fwd.offsets, fwd.lengths,
-                [((0,), (1,), (2,)), ((node,), (idx,), (idx,))],
-            )
+            _stats_from_extrema(message_exec, *_extrema_of_ids([[(0, 1)], [bad]]))
+        assert not message_exec.reverse_ready
 
     @pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_NAMES)
     def test_backend_array_entry_point(self, message_exec, bad):
-        b = VectorClockBackend(message_exec)
         node, idx = bad
         arr = np.asarray
         with pytest.raises(ValueError, match="name no real events"):
-            b.cut_stats_arrays(
+            _stats_from_extrema(
+                message_exec,
                 arr([0, node], dtype=np.int64), arr([1, idx], dtype=np.int64),
                 arr([2, idx], dtype=np.int64), arr([1, 1], dtype=np.intp),
             )
+        assert not message_exec.reverse_ready
 
     def test_backend_rejects_first_after_last_and_empty(self, message_exec):
-        b = VectorClockBackend(message_exec)
         arr = np.asarray
         with pytest.raises(ValueError, match="name no real events"):
-            b.cut_stats_arrays(arr([0]), arr([3]), arr([2]), arr([1]))
+            _stats_from_extrema(
+                message_exec, arr([0]), arr([3]), arr([2]), arr([1])
+            )
         with pytest.raises(ValueError, match="counts"):
-            b.cut_stats_arrays(arr([0]), arr([1]), arr([1]), arr([0, 1]))
+            _stats_from_extrema(
+                message_exec, arr([0]), arr([1]), arr([1]), arr([0, 1])
+            )
 
 
 class TestGatherKernelVsNaive:

@@ -5,8 +5,8 @@ Property tests for the amortization layer:
 * the lazy reverse-clock substrate returns exactly the eager pass'
   timestamps, and is only built when a future-side consumer asks;
 * :class:`~repro.core.context.CutCache` results are identical to
-  uncached folds, and repeated queries over one interval pair pay the
-  fold exactly once;
+  uncached folds, repeated queries over one interval pair pay the
+  fold exactly once, and an unknown cut name moves no counter;
 * :meth:`Execution.extend` + cache invalidation never serves stale
   vectors — post-growth cuts equal a from-scratch analysis;
 * :meth:`SynchronizationAnalyzer.batch_holds` agrees with the scalar
@@ -152,6 +152,19 @@ class TestCutCache:
         cache = CutCache(ex)
         with pytest.raises(ValueError):
             cache.cut(NonatomicEvent(other, [f0]), "C1")
+
+    @pytest.mark.parametrize("which", ["C5", "c1", "C0", ""])
+    def test_unknown_cut_name_moves_no_counter(self, message_exec, which):
+        ctx = AnalysisContext(message_exec)
+        x = ctx.interval([(0, 1), (0, 2)])
+        ctx.cut(x, "C1")  # one miss, then the next read of it hits
+        ctx.cut(x, "C1")
+        counts = (ctx.cache_hits, ctx.cache_misses)
+        assert counts == (1, 1)
+        with pytest.raises(ValueError, match="unknown cut"):
+            ctx.cut(x, which)
+        assert (ctx.cache_hits, ctx.cache_misses) == counts
+        assert len(ctx.cut_cache) == 1
 
 
 class TestExtendInvalidation:

@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.backends.base import CLOCK_DTYPE
 from repro.core import evaluator, family
 from repro.core.context import AnalysisContext
+from repro.core.cuts import CutStats
 from repro.core.evaluator import SynchronizationAnalyzer, VerdictTable
-from repro.backends.stats import CutStats
 from repro.core.family import (
     N_OPERANDS,
     OPERAND_INDEX,
@@ -34,6 +33,7 @@ from repro.core.hierarchy import evaluate_all_pruned, maximal_true
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32, SUBTEST_KEYS, Relation
 from repro.events.builder import TraceBuilder
+from repro.events.clocks import CLOCK_DTYPE
 from repro.events.poset import Execution
 from repro.nonatomic.event import NonatomicEvent
 from repro.nonatomic.proxies import ProxyDefinition

@@ -11,8 +11,7 @@ The headline property mirrors the repo's online/offline agreement
 suite: N concurrent clients streaming a labelled trace through the
 live service produce exactly the watch verdicts the offline
 :class:`~repro.core.evaluator.SynchronizationAnalyzer` computes from
-the recorded trace — on both causality backends — with zero offline
-clock passes during ingest.
+the recorded trace, with zero offline clock passes during ingest.
 """
 
 from __future__ import annotations

@@ -57,15 +57,20 @@ def _feed(om, trace, steps, chunk, state):
 
 
 def _assert_quadruples_match(context, cold_ex, tags, names):
-    """Cut quadruples + extremal vectors from the streamed context's
-    cache == per-interval folds on a cold offline execution."""
-    ivs = [NonatomicEvent(context.execution, tags[n]) for n in names]
-    stats = context.cut_cache.stats(tuple(ivs))
+    """Cut quadruples + extremal vectors read from the streamed
+    context's cache == the batched fill on a cold offline execution."""
     cold = cut_stats(cold_ex, [NonatomicEvent(cold_ex, tags[n]) for n in names])
-    for field in ("c1", "c2", "c3", "c4", "first", "last"):
-        np.testing.assert_array_equal(
-            getattr(stats, field), getattr(cold, field), err_msg=field
-        )
+    for row, name in enumerate(names):
+        iv = NonatomicEvent(context.execution, tags[name])
+        quad = context.cuts(iv)
+        first, last = context.extremal(iv)
+        got = {"c1": quad.c1.vector, "c2": quad.c2.vector,
+               "c3": quad.c3.vector, "c4": quad.c4.vector,
+               "first": first, "last": last}
+        for field, vec in got.items():
+            np.testing.assert_array_equal(
+                vec, getattr(cold, field)[row], err_msg=f"{name} {field}"
+            )
 
 
 class TestStreamedEqualsColdOffline:
