@@ -10,7 +10,7 @@ anything suspicious.
 The rule works on the project call graph:
 
 1. A seed set of known-blocking primitives (``time.sleep``,
-   ``os.fsync``, ``open``/file I/O, ``socket.*``, blocking
+   ``os.fsync``, ``open``/``os.pread``/file I/O, ``socket.*``, blocking
    ``queue.Queue`` operations, ``subprocess.run`` and friends) marks
    external calls as blocking.
 2. Every *synchronous* project function that calls a seed — or calls a
@@ -44,6 +44,9 @@ BLOCKING_SEEDS: tuple[str, ...] = (
     "os.waitpid",
     "open",
     "io.open",
+    "os.open",
+    "os.read",
+    "os.pread",
     "socket.*",
     "select.select",
     "subprocess.run",

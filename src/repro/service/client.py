@@ -86,6 +86,9 @@ class MonitorClient:
         self._closed = False
         sock = socket.create_connection((host, port), timeout=timeout)
         try:
+            # frames are small and go out one per call: Nagle's
+            # algorithm would hold each back until the last is ACKed
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock = sock
             hello: dict[str, Any] = {
                 "type": "hello",

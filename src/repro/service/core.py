@@ -20,6 +20,8 @@ failover tests can drive the state machine directly:
 * **The log** — every applied operation is appended (in application
   order, which makes the log replayable without parking) before its
   effects are visible to any client; see :mod:`repro.service.log`.
+  Without a log file the core keeps the records in a dense in-memory
+  store under the same sequencing rule.
 * **Exactly-once watch notifications** — emitted verdicts get a
   monotone ``watch_seq`` and are themselves logged; a replica stashes
   the notifications it derives from replayed closes as *unconfirmed*
@@ -31,19 +33,24 @@ failover tests can drive the state machine directly:
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 from ..events.clocks import clock_pass_counts
 from ..events.event import EventId
 from ..monitor.online import OnlineMonitor, WatchNotification
-from .log import EventLog, LogError
+from .log import TAIL_RECORDS, EventLog, LogError
 
 __all__ = ["MonitorCore", "ShardCounters"]
 
 _KINDS = ("internal", "send", "recv")
+
+_SEQ = itemgetter("seq")
 
 
 @dataclass
@@ -87,8 +94,8 @@ class MonitorCore:
         per node (``shard = node % num_shards``).
     log:
         The durable :class:`~repro.service.log.EventLog`; ``None``
-        keeps records in memory only (tests, benchmarks) with the same
-        sequencing semantics.
+        keeps every record in memory (tests, benchmarks) with the same
+        dense sequencing rule.
     role:
         ``"primary"`` emits watch verdicts as they fire; ``"replica"``
         stashes them unconfirmed until the primary's verdict records
@@ -124,7 +131,6 @@ class MonitorCore:
         self._log = log
         self._mem_records: list[dict[str, Any]] = []
         self._mem_next_seq = 1
-        self._replayed_last_seq = 0
         self.throttles = 0
         self._watch_seq = 0
         self._emitted: set[str] = set()
@@ -138,9 +144,7 @@ class MonitorCore:
         # this core came up (other code in the process may run offline
         # analyses of its own)
         self._passes_at_start = dict(clock_pass_counts())
-        if log is not None and not log.records:
-            self._append({"op": "init", "num_nodes": num_nodes})
-        elif log is None:
+        if log is None or log.last_seq == 0:
             self._append({"op": "init", "num_nodes": num_nodes})
 
     # ------------------------------------------------------------------
@@ -149,7 +153,7 @@ class MonitorCore:
     @classmethod
     def from_records(
         cls,
-        records: list[dict[str, Any]],
+        records: Iterable[dict[str, Any]],
         *,
         log: EventLog | None = None,
         role: str = "primary",
@@ -158,17 +162,20 @@ class MonitorCore:
         """Rebuild the full monitor state by replaying log records.
 
         ``records`` is typically :func:`~repro.service.log.read_records`
-        output (or :attr:`EventLog.records` of a freshly opened log —
-        pass that same log as ``log`` and the replay will not
-        re-append).  The returned core resumes at the records' last
-        sequence number; when ``role`` is ``"primary"`` (promotion from
-        a dead primary's replicated log), watches that were decidable
-        but have no logged verdict are re-derived and will be emitted
-        by the first :meth:`promote` call.
+        output, or :meth:`EventLog.iter_from` of a freshly opened log —
+        pass that same log as ``log`` and the replay neither re-appends
+        nor keeps the records (they stay on disk).  Without ``log`` the
+        records become the core's in-memory store.  The returned core
+        resumes at the records' last sequence number; when ``role`` is
+        ``"primary"`` (promotion from a dead primary's replicated log),
+        watches that were decidable but have no logged verdict are
+        re-derived and will be emitted by the first :meth:`promote`
+        call.
         """
-        if not records:
+        records = iter(records)
+        head = next(records, None)
+        if head is None:
             raise LogError("cannot rebuild from an empty record list")
-        head = records[0]
         if head.get("op") != "init" or "num_nodes" not in head:
             raise LogError("log must start with an init record")
         core = cls(
@@ -178,10 +185,14 @@ class MonitorCore:
             role="replica",
         )
         core._mem_records.clear()  # drop the fresh init; replay the real one
-        for rec in records:
+        for rec in chain((head,), records):
             core._replay(rec)
-        core._mem_records = list(records)
-        core._mem_next_seq = core._replayed_last_seq + 1
+            if log is None:
+                # kept as given: a caller may replay a log with records
+                # dropped (lost verdicts), so seqs need not be dense
+                core._mem_records.append(rec)
+        if log is None:
+            core._mem_next_seq = core._mem_records[-1]["seq"] + 1
         core._log = log
         if role == "primary":
             core.role = "primary"
@@ -191,14 +202,23 @@ class MonitorCore:
     # record plumbing
     # ------------------------------------------------------------------
     def _append(self, record: dict[str, Any]) -> int:
-        """Durably record one applied operation; returns its seq."""
+        """Durably record one applied operation; returns its seq.
+
+        A record that already carries a ``seq`` (replication, replay)
+        must be exactly the next one, as :meth:`EventLog.append`
+        requires."""
         if self._log is not None:
             return self._log.append(record)
         seq = record.get("seq")
         if seq is None:
             record = {"seq": self._mem_next_seq, **record}
+        elif seq != self._mem_next_seq:
+            raise LogError(
+                f"out-of-order append: got seq {seq}, "
+                f"expected {self._mem_next_seq}"
+            )
         self._mem_records.append(record)
-        self._mem_next_seq = record["seq"] + 1
+        self._mem_next_seq += 1
         return record["seq"]
 
     @property
@@ -208,12 +228,45 @@ class MonitorCore:
             return self._log.last_seq
         return self._mem_next_seq - 1
 
+    @property
+    def tail_floor(self) -> int:
+        """The lowest replication cursor served by live pushes: a
+        replica further behind catches up through :meth:`read_from`.
+        For a log it is the start of the in-memory tail; the in-memory
+        store holds everything but applies the same window, so a
+        far-behind replica is paced the same way."""
+        if self._log is not None:
+            return self._log.tail_floor
+        first = self._mem_records[0]["seq"] if self._mem_records else 1
+        return max(self.last_seq - TAIL_RECORDS, first - 1)
+
     def records_from(self, seq: int) -> list[dict[str, Any]]:
-        """Records with sequence number strictly greater than ``seq``
-        (replication catch-up reads)."""
+        """Records with sequence number strictly greater than ``seq``,
+        from memory only (live replication pushes).  A log serves
+        cursors from :attr:`tail_floor` on and raises
+        :class:`~repro.service.log.LogError` below it."""
         if self._log is not None:
             return self._log.records_from(seq)
-        return [r for r in self._mem_records if r["seq"] > seq]
+        return self._mem_slice(seq, None)
+
+    def _mem_slice(self, seq: int, stop: int | None) -> list[dict[str, Any]]:
+        """In-memory records with ``seq < record seq <= stop``: two
+        bisections on the (increasing) seqs, then one slice."""
+        recs = self._mem_records
+        lo = bisect_right(recs, seq, key=_SEQ)
+        hi = len(recs) if stop is None else bisect_right(recs, stop, key=_SEQ)
+        return recs[lo:max(hi, lo)]
+
+    def read_from(
+        self, seq: int, stop: int | None = None
+    ) -> list[dict[str, Any]]:
+        """Records with ``seq < record seq <= stop`` (``stop`` defaults
+        to the last record) — replication catch-up reads.  Blocking
+        for a log (a file read): event loops call it through
+        ``asyncio.to_thread``."""
+        if self._log is not None:
+            return self._log.read_from(seq, stop)
+        return self._mem_slice(seq, stop)
 
     @property
     def log_needs_sync(self) -> bool:
@@ -490,8 +543,6 @@ class MonitorCore:
             self._watch_seq = max(self._watch_seq, int(rec["watch_seq"]))
         else:
             raise LogError(f"unknown log op: {op!r}")
-        if "seq" in rec:
-            self._replayed_last_seq = int(rec["seq"])
 
     def apply_record(self, rec: dict[str, Any]) -> None:
         """Standby path: durably append one replicated record, then

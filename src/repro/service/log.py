@@ -13,11 +13,20 @@ visible to any client.  The log is:
   :meth:`~EventLog.close` — amortising durability cost across the
   ingest batch while keeping the blocking syscall out of every
   coroutine's call graph;
-* **replayable** — :func:`read_records` tolerates a trailing partial
-  line (a crash mid-write loses at most the unsynced suffix, never the
-  parseable prefix), and
+* **on disk, not in memory** — an open log keeps one 8-byte line
+  offset per record plus the decoded records of a bounded tail of
+  recent appends (:data:`TAIL_RECORDS`), so its memory does not grow
+  with the records it holds.  :meth:`~EventLog.records_from` serves
+  the tail from memory; :meth:`~EventLog.read_from` reads older
+  records back from the file and is blocking (restart replay, and
+  replica catch-up through ``asyncio.to_thread``);
+* **replayable** — a trailing partial line (a crash mid-write) is
+  dropped: :func:`read_records` ignores it and opening an
+  :class:`EventLog` truncates it away, so the next append starts on a
+  clean line and the log loses at most the unsynced suffix, never the
+  parseable prefix.
   :meth:`repro.service.core.MonitorCore.from_records` rebuilds the
-  whole monitor state from it;
+  whole monitor state from the records;
 * **replicated** — a warm-standby service tails the primary's appends
   over the wire (``replicate`` frames) into its own ``EventLog``, so
   promotion starts from local durable state.
@@ -41,13 +50,53 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+import threading
+from array import array
+from collections import deque
+from collections.abc import Iterator
+from typing import IO, Any
 
-__all__ = ["EventLog", "LogError", "read_records"]
+__all__ = ["TAIL_RECORDS", "EventLog", "LogError", "read_records"]
+
+#: Decoded records of the most recent appends an :class:`EventLog`
+#: keeps in memory for the live replication pushes; older records are
+#: read back from the file.
+TAIL_RECORDS = 1024
 
 
 class LogError(ValueError):
     """Raised when a log file or record sequence is invalid."""
+
+
+def _scan(fh: IO[bytes], path: str) -> Iterator[tuple[int, int, dict[str, Any]]]:
+    """Yield ``(start, end, record)`` for every complete record of an
+    open log file, ``end`` being the offset just past its line.
+
+    A trailing partial line (crash mid-append) ends the scan quietly; a
+    corrupt line *followed by* further records raises
+    :class:`LogError`, since that indicates real damage rather than a
+    torn tail.  So do malformed records and sequence gaps.
+    """
+    pos = 0
+    prev_seq: int | None = None
+    for lineno, line in enumerate(fh, 1):
+        start, pos = pos, pos + len(line)
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:  # bad JSON, or a multibyte char cut short
+            if any(later.strip() for later in fh):
+                raise LogError(
+                    f"{path}: corrupt record at line {lineno}: {exc}"
+                ) from exc
+            return  # torn tail from a crash mid-write; safe to drop
+        if not isinstance(rec, dict) or "seq" not in rec or "op" not in rec:
+            raise LogError(f"{path}: malformed record at line {lineno}")
+        if prev_seq is not None and rec["seq"] != prev_seq + 1:
+            raise LogError(f"{path}: sequence gap {prev_seq} -> {rec['seq']}")
+        prev_seq = rec["seq"]
+        yield start, pos, rec
 
 
 def read_records(path: str) -> list[dict[str, Any]]:
@@ -57,33 +106,10 @@ def read_records(path: str) -> list[dict[str, Any]]:
     line *followed by* further records raises :class:`LogError`, since
     that indicates real damage rather than a torn tail.
     """
-    records: list[dict[str, Any]] = []
     if not os.path.exists(path):
-        return records
+        return []
     with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = raw.split(b"\n")
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            trailing = all(not later.strip() for later in lines[i + 1 :])
-            if trailing:
-                break  # torn tail from a crash mid-write; safe to drop
-            raise LogError(
-                f"{path}: corrupt record at line {i + 1}: {exc}"
-            ) from exc
-        if not isinstance(rec, dict) or "seq" not in rec or "op" not in rec:
-            raise LogError(f"{path}: malformed record at line {i + 1}")
-        records.append(rec)
-    for prev, cur in zip(records, records[1:]):
-        if cur["seq"] != prev["seq"] + 1:
-            raise LogError(
-                f"{path}: sequence gap {prev['seq']} -> {cur['seq']}"
-            )
-    return records
+        return [rec for _, _, rec in _scan(fh, path)]
 
 
 class EventLog:
@@ -92,9 +118,10 @@ class EventLog:
     Parameters
     ----------
     path:
-        File to append to.  Existing complete records are loaded (and
-        kept in memory for replication catch-up); appending resumes at
-        the next sequence number.
+        File to append to.  Existing complete records are validated
+        and indexed by line offset (the last :data:`TAIL_RECORDS` are
+        kept decoded); a torn last line is truncated away, and
+        appending resumes at the next sequence number.
     fsync_every:
         Batch size for durability: an ``fsync`` is issued every this
         many appends.  ``0`` disables fsync entirely (tests,
@@ -104,10 +131,35 @@ class EventLog:
     def __init__(self, path: str, *, fsync_every: int = 64) -> None:
         self.path = path
         self.fsync_every = fsync_every
-        self._records = read_records(path)
-        self._next_seq = self._records[-1]["seq"] + 1 if self._records else 1
+        # start offset of every record: seq s begins at _offsets[s - _base - 1]
+        self._offsets = array("Q")
+        self._tail: deque[dict[str, Any]] = deque(maxlen=TAIL_RECORDS)
+        self._base = 0  # the seq just before the first record
+        end = 0
+        terminated = True
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                for start, end, rec in _scan(fh, path):
+                    if not self._offsets:
+                        self._base = rec["seq"] - 1
+                    self._offsets.append(start)
+                    self._tail.append(rec)
+                if self._offsets:
+                    fh.seek(end - 1)
+                    terminated = fh.read(1) == b"\n"
+            if os.path.getsize(path) > end:
+                # appending after a torn tail would glue the next record
+                # to its partial bytes and corrupt the log for good
+                os.truncate(path, end)
+        self._end = end
+        self._next_seq = self._base + len(self._offsets) + 1
         self._unsynced = 0
+        # serialises read_from's flush against close from other threads
+        self._lock = threading.Lock()
         self._fh = open(path, "ab")
+        if not terminated:
+            self._fh.write(b"\n")  # a complete last record lost its newline
+            self._end += 1
 
     # ------------------------------------------------------------------
     # appending
@@ -132,10 +184,11 @@ class EventLog:
             raise LogError(
                 f"out-of-order append: got seq {seq}, expected {self._next_seq}"
             )
-        self._fh.write(
-            json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
-        )
-        self._records.append(record)
+        line = json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+        self._fh.write(line)
+        self._offsets.append(self._end)
+        self._end += len(line)
+        self._tail.append(record)
         self._next_seq += 1
         self._unsynced += 1
         return record["seq"]
@@ -160,9 +213,10 @@ class EventLog:
 
     def close(self) -> None:
         """Sync and close the file (idempotent)."""
-        if not self._fh.closed:
-            self.sync()
-            self._fh.close()
+        with self._lock:
+            if not self._fh.closed:
+                self.sync()
+                self._fh.close()
 
     # ------------------------------------------------------------------
     # reading
@@ -173,18 +227,77 @@ class EventLog:
         return self._next_seq - 1
 
     @property
-    def records(self) -> list[dict[str, Any]]:
-        """All records, oldest first (live list — do not mutate)."""
-        return self._records
+    def tail_floor(self) -> int:
+        """The lowest cursor :meth:`records_from` serves from memory:
+        records after it are all in the tail."""
+        return self.last_seq - len(self._tail)
 
     def records_from(self, seq: int) -> list[dict[str, Any]]:
-        """Records with sequence number strictly greater than ``seq``."""
-        if not self._records or seq >= self._next_seq - 1:
+        """Records with sequence number strictly greater than ``seq``,
+        from the in-memory tail (no I/O).
+
+        Raises :class:`LogError` when ``seq`` is below
+        :attr:`tail_floor`; :meth:`read_from` serves those records.
+        """
+        seq = max(seq, self._base)
+        if seq < self.tail_floor:
+            raise LogError(
+                f"records after seq {seq} are not all in the in-memory "
+                f"tail (it starts after seq {self.tail_floor}); use read_from"
+            )
+        tail = self._tail
+        return [tail[i] for i in range(seq - self.last_seq, 0)]
+
+    def read_from(
+        self, seq: int, stop: int | None = None
+    ) -> list[dict[str, Any]]:
+        """Records with ``seq < record seq <= stop`` (``stop`` defaults
+        to the last record), read back from the file.
+
+        Blocking: flushes the writer, then reads the byte span with
+        ``os.pread``.
+        Event-loop owners call it through ``asyncio.to_thread``; it is
+        safe against appends on the loop thread, since the span ends at
+        an offset recorded before the flush and decoding stops at
+        ``stop``.
+        """
+        seq = max(seq, self._base)
+        stop = self.last_seq if stop is None else min(stop, self.last_seq)
+        count = stop - seq
+        if count <= 0:
             return []
-        # records are dense (seq i lives at index i - first_seq)
-        first = self._records[0]["seq"]
-        start = max(seq + 1 - first, 0)
-        return self._records[start:]
+        with self._lock:
+            if not self._fh.closed:
+                self._fh.flush()
+            lo = self._offsets[seq - self._base]
+            hi = (
+                self._offsets[stop - self._base]
+                if stop - self._base < len(self._offsets)
+                else self._end
+            )
+            fd = os.open(self.path, os.O_RDONLY)
+            try:
+                data = os.pread(fd, hi - lo, lo)
+            finally:
+                os.close(fd)
+        out: list[dict[str, Any]] = []
+        for line in data.split(b"\n"):
+            if line.strip():
+                out.append(json.loads(line))
+                if len(out) == count:
+                    break
+        return out
+
+    def iter_from(self, seq: int = 0) -> Iterator[dict[str, Any]]:
+        """Every record after ``seq``, read back from the file
+        :data:`TAIL_RECORDS` at a time (blocking; restart replay holds
+        one chunk, not the whole log)."""
+        while True:
+            chunk = self.read_from(seq, seq + TAIL_RECORDS)
+            if not chunk:
+                return
+            yield from chunk
+            seq = chunk[-1]["seq"]
 
     def __enter__(self) -> "EventLog":
         return self

@@ -23,8 +23,15 @@ buffers without bound:
 Replication
 -----------
 A peer connecting with ``hello role="replica"`` receives every log
-record from its ``resume_seq`` on as ``replicate`` frames — catch-up
-from the in-memory log tail, then live pushes as records append.  A
+record from its ``resume_seq`` on as ``replicate`` frames.  While its
+cursor is inside the log's in-memory tail (and the records fit the
+session's outbound queue) it gets live pushes as records append.  A
+replica further behind — attaching to a long log, or after one close
+appended more verdict records than the tail holds — is caught up by a
+per-session task: it reads a bounded chunk of records back from the
+log file off the loop (``asyncio.to_thread``), queues them as the
+replica drains its socket, and repeats until the cursor reaches the
+newest record; live pushes then resume.  A
 *standby* service is a ``MonitorService`` constructed with
 ``primary=(host, port)``: its :meth:`start` tails the primary instead
 of listening (retrying an unreachable primary with backoff — loss is
@@ -45,7 +52,7 @@ from collections.abc import Callable, Coroutine
 from typing import Any
 
 from .core import MonitorCore
-from .log import EventLog
+from .log import TAIL_RECORDS, EventLog
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -64,7 +71,7 @@ class _Session:
 
     __slots__ = (
         "sid", "role", "writer", "queue", "task",
-        "throttled", "repl_cursor", "closed",
+        "throttled", "repl_cursor", "catchup", "closed",
     )
 
     def __init__(
@@ -77,6 +84,7 @@ class _Session:
         self.task: asyncio.Task | None = None
         self.throttled = False
         self.repl_cursor = 0
+        self.catchup: asyncio.Task | None = None
         self.closed = False
 
 
@@ -127,13 +135,13 @@ class MonitorService:
                 if log_path
                 else None
             )
-            if log is not None and log.records:
+            if log is not None and log.last_seq:
                 # restart over an existing log: replaying it is the only
                 # way the core's handles/intervals/emitted-watch state
                 # matches the sequence numbers the log resumes at
                 try:
                     core = MonitorCore.from_records(
-                        log.records,
+                        log.iter_from(0),
                         log=log,
                         role=role,
                         num_shards=num_shards,
@@ -313,13 +321,52 @@ class MonitorService:
                 self._push(sess, frame)
 
     def _flush_replication(self) -> None:
-        """Push newly appended log records to every replica session."""
+        """Push newly appended log records to every replica session on
+        live pushes; start a catch-up for one that fell behind."""
         for sess in self._sessions.values():
-            if sess.role != "replica":
+            if sess.role != "replica" or sess.catchup is not None:
+                continue
+            behind = self.core.last_seq - sess.repl_cursor
+            if (
+                sess.repl_cursor < self.core.tail_floor
+                or behind + sess.queue.qsize() >= self.throttle_at
+            ):
+                sess.catchup = asyncio.ensure_future(self._catch_up(sess))
                 continue
             for rec in self.core.records_from(sess.repl_cursor):
                 self._push(sess, {"type": "replicate", "record": rec})
                 sess.repl_cursor = rec["seq"]
+
+    async def _catch_up(self, sess: _Session) -> None:
+        """Stream the records a replica is missing, paced by its reads.
+
+        Each round takes at most :data:`~repro.service.log.TAIL_RECORDS`
+        records up to the newest one at that moment: from the log file
+        in a worker thread when the cursor is below the in-memory tail,
+        from the tail otherwise.  Frames go in with an awaited ``put``,
+        so a burst waits for queue room instead of overflowing it.
+        Once the cursor reaches the newest record — checked with no
+        await before the hand-back, so no append slips in between —
+        the session returns to live pushes.  A log that cannot be read
+        back ends the session with an ``error`` frame.
+        """
+        try:
+            while sess.repl_cursor < self.core.last_seq and not sess.closed:
+                stop = min(self.core.last_seq, sess.repl_cursor + TAIL_RECORDS)
+                if sess.repl_cursor < self.core.tail_floor:
+                    chunk = await asyncio.to_thread(
+                        self.core.read_from, sess.repl_cursor, stop
+                    )
+                else:
+                    chunk = self.core.records_from(sess.repl_cursor)
+                for rec in chunk:
+                    if rec["seq"] > stop:
+                        break
+                    await sess.queue.put({"type": "replicate", "record": rec})
+                    sess.repl_cursor = rec["seq"]
+        except (OSError, ValueError) as exc:
+            self._cut_session(sess, error_frame("replication", str(exc)))
+        sess.catchup = None
 
     def _after_mutation(self, verdicts: list[dict[str, Any]]) -> None:
         for verdict in verdicts:
@@ -365,6 +412,10 @@ class MonitorService:
         sess.closed = True
         self._sessions.pop(sess.sid, None)
         self.core.session_gone(sess.sid)
+        if sess.catchup is not None:
+            sess.catchup.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await sess.catchup
         if sess.task is not None and not sess.task.done():
             try:
                 sess.queue.put_nowait(None)

@@ -280,6 +280,31 @@ def test_project_finding_honours_inline_suppression(tmp_path):
     assert project_codes_in(path) == ["REP007"]
 
 
+def test_rep007_flags_positional_file_reads(tmp_path):
+    """A log read back with ``os.open``/``os.pread`` from a sync helper
+    is as blocking as ``open``: a coroutine reaching it is flagged,
+    while one handing it to ``asyncio.to_thread`` is not."""
+    path = tmp_path / "reader.py"
+    path.write_text(
+        "import asyncio\nimport os\n\n\n"
+        "def read_span(path, lo, hi):\n"
+        "    fd = os.open(path, os.O_RDONLY)\n"
+        "    try:\n"
+        "        return os.pread(fd, hi - lo, lo)\n"
+        "    finally:\n"
+        "        os.close(fd)\n\n\n"
+        "async def on_loop(path):\n"
+        "    return read_span(path, 0, 10)\n\n\n"
+        "async def off_loop(path):\n"
+        "    return await asyncio.to_thread(read_span, path, 0, 10)\n"
+    )
+    findings = [
+        f for f in run_paths([path], project=True) if f.rule == "REP007"
+    ]
+    assert len(findings) == 1
+    assert "on_loop" in findings[0].message
+
+
 def test_rep007_catches_reverted_fsync_offload(tmp_path):
     """The acceptance gate: re-adding the inline fsync to
     ``EventLog.append`` must make REP007 fire on the coroutines of

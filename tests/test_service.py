@@ -50,6 +50,7 @@ from repro.service import (
     read_records,
 )
 from repro.service.client import replay_trace
+from repro.service.protocol import PROTOCOL_VERSION
 from repro.simulation.workloads import barrier_trace
 from tests.strategies import traces
 
@@ -102,6 +103,19 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 # event log
 # ----------------------------------------------------------------------
+@pytest.fixture
+def small_tail(monkeypatch):
+    """Shrink the log's in-memory tail (and with it the replication
+    window and the catch-up chunk) to 8 records."""
+    import repro.service.core as core_mod
+    import repro.service.log as log_mod
+    import repro.service.server as server_mod
+
+    for mod in (log_mod, core_mod, server_mod):
+        monkeypatch.setattr(mod, "TAIL_RECORDS", 8)
+    return 8
+
+
 class TestEventLog:
     def test_append_assigns_dense_seq(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
@@ -152,6 +166,83 @@ class TestEventLog:
             with pytest.raises(LogError, match="out-of-order"):
                 log.append({"seq": 7, "op": "event"})
 
+    def test_append_after_torn_tail_keeps_log_readable(self, tmp_path):
+        """Reopening over a torn tail truncates it, so the next append
+        starts on a clean line and a further reopen reads every record
+        (appending after the partial bytes made that open fail)."""
+        path = str(tmp_path / "log.jsonl")
+        with EventLog(path, fsync_every=0) as log:
+            log.append({"op": "init", "num_nodes": 2})
+            log.append({"op": "event", "node": 0})
+            log.append({"op": "event", "node": 1})
+        with open(path, "ab") as fh:
+            fh.write(b'{"seq":4,"op":"ev')  # crash mid-append
+        with EventLog(path, fsync_every=0) as log:
+            assert log.last_seq == 3
+            assert log.append({"op": "event", "node": 0}) == 4
+        with EventLog(path, fsync_every=0) as log:
+            assert log.last_seq == 4
+            assert [r["seq"] for r in log.read_from(0)] == [1, 2, 3, 4]
+        assert [r["node"] for r in read_records(path)[1:]] == [0, 1, 0]
+
+    def test_complete_last_record_without_newline_kept(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b'{"seq":1,"op":"init","num_nodes":1}\n')
+            fh.write(b'{"seq":2,"op":"event","node":0}')  # newline lost
+        with EventLog(path, fsync_every=0) as log:
+            assert log.last_seq == 2
+            log.append({"op": "event", "node": 0})
+        assert [r["seq"] for r in read_records(path)] == [1, 2, 3]
+
+    def test_tail_in_memory_older_records_from_file(self, tmp_path, small_tail):
+        path = str(tmp_path / "log.jsonl")
+        bodies = [{"op": "event", "node": i} for i in range(20)]
+        with EventLog(path, fsync_every=0) as log:
+            for body in bodies:
+                log.append(dict(body))
+            assert log.tail_floor == 20 - small_tail
+            assert [r["seq"] for r in log.records_from(15)] == [16, 17, 18, 19, 20]
+            assert log.records_from(20) == []
+            with pytest.raises(LogError, match="tail"):
+                log.records_from(11)
+            # unflushed appends are read back too
+            expected = [{"seq": i + 1, **b} for i, b in enumerate(bodies)]
+            assert log.read_from(0) == expected
+            assert log.read_from(3, 7) == expected[3:7]
+            assert list(log.iter_from(5)) == expected[5:]
+        with EventLog(path, fsync_every=0) as log:  # tail refilled on open
+            assert log.records_from(12) == expected[12:]
+
+    def test_memory_stays_flat_per_record(self, tmp_path):
+        """An open log keeps a line offset per record, not the record:
+        20,000 appends past a full tail grow what stays allocated by at
+        most 16 bytes each."""
+        import tracemalloc
+
+        from repro.service.log import TAIL_RECORDS
+
+        def record(i):
+            return {
+                "op": "event", "node": i % 8, "kind": "send",
+                "label": f"l{i}", "interval": f"w{i // 250}",
+                "time": float(i),
+            }
+
+        n = 20_000
+        with EventLog(str(tmp_path / "mem.jsonl"), fsync_every=0) as log:
+            tracemalloc.start()
+            try:
+                for i in range(TAIL_RECORDS):
+                    log.append(record(i))
+                full_tail = tracemalloc.get_traced_memory()[0]
+                for i in range(TAIL_RECORDS, TAIL_RECORDS + n):
+                    log.append(record(i))
+                grown = tracemalloc.get_traced_memory()[0] - full_tail
+            finally:
+                tracemalloc.stop()
+        assert grown <= 16 * n, f"{grown / n:.1f} B kept per record"
+
 
 # ----------------------------------------------------------------------
 # core state machine
@@ -161,6 +252,49 @@ def _ev(node, kind="internal", **kw):
 
 
 class TestMonitorCore:
+    def test_memory_store_rejects_seq_gap(self):
+        core = MonitorCore(1, role="replica")
+        with pytest.raises(LogError, match="out-of-order"):
+            core.apply_record(
+                {"seq": 7, "op": "event", "node": 0, "kind": "internal"}
+            )
+        assert core.last_seq == 1
+        assert [r["seq"] for r in core.records_from(0)] == [1]
+
+    def test_memory_store_reads_by_slicing(self):
+        """Replication reads locate the cursor by bisection and slice:
+        they never walk the whole store."""
+
+        class _NoScan(list):
+            def __iter__(self):
+                raise AssertionError("records_from scanned the whole store")
+
+        core = MonitorCore(1)
+        for _ in range(50):
+            core.submit_event(_ev(0))
+        core._mem_records = _NoScan(core._mem_records)
+        for seq in (-1, 0, 1, 25, 50, 51, 60):
+            got = [r["seq"] for r in core.records_from(seq)]
+            assert got == list(range(max(seq, 0) + 1, 52))
+        assert [r["seq"] for r in core.read_from(10, 20)] == list(range(11, 21))
+
+    def test_from_records_over_a_log_keeps_no_records(self, tmp_path):
+        core = MonitorCore(1)
+        core.submit_watch("w", "R4(X, Y)")
+        core.submit_event(_ev(0, interval="X"))
+        path = str(tmp_path / "log.jsonl")
+        with EventLog(path, fsync_every=0) as log:
+            for rec in core.records_from(0):
+                log.append(rec)
+        log = EventLog(path, fsync_every=0)
+        try:
+            rebuilt = MonitorCore.from_records(log.iter_from(0), log=log)
+            assert rebuilt._mem_records == []
+            assert rebuilt.last_seq == core.last_seq
+            assert rebuilt.has_watch("w")
+        finally:
+            log.close()
+
     def test_receive_parks_until_send(self):
         core = MonitorCore(2)
         core.submit_event(_ev(1, "recv", send=[0, 1], interval="Y"))
@@ -275,9 +409,9 @@ class TestMonitorCore:
         records = primary.records_from(0)
         assert records[-1]["op"] == "verdict"
 
-        replica = MonitorCore(1, role="replica")
-        replica._mem_records.clear()  # adopt the primary's log wholesale
-        for rec in records[:-1]:  # verdict record lost with the primary
+        # adopt the primary's log wholesale, init record included
+        replica = MonitorCore.from_records(records[:1], role="replica")
+        for rec in records[1:-1]:  # verdict record lost with the primary
             replica.apply_record(rec)
         assert replica.stats()["verdicts_emitted"] == 0
         emitted = replica.promote()
@@ -293,9 +427,9 @@ class TestMonitorCore:
         primary.submit_event(_ev(0, interval="Y"))
         primary.submit_close("X", expected=1)
         primary.submit_close("Y", expected=1)
-        replica = MonitorCore(1, role="replica")
-        replica._mem_records.clear()
-        for rec in primary.records_from(0):  # verdict record included
+        records = primary.records_from(0)
+        replica = MonitorCore.from_records(records[:1], role="replica")
+        for rec in records[1:]:  # verdict record included
             replica.apply_record(rec)
         assert replica.promote() == []
 
@@ -358,6 +492,16 @@ class TestLiveService:
             assert stats["clock_passes"] == {
                 "forward": 0, "reverse": 0, "extend": 0,
             }
+        finally:
+            handle.stop()
+
+    def test_client_disables_nagle(self):
+        handle = _serve(num_nodes=1)
+        try:
+            host, port = handle.address
+            with MonitorClient(host, port, num_nodes=1) as client:
+                sock = client._sock
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         finally:
             handle.stop()
 
@@ -601,6 +745,27 @@ class TestServiceRestart:
         assert ops.count("watch") == 1
         assert ops.count("verdict") == 1
         assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
+
+    def test_restart_over_torn_tail_twice(self, tmp_path):
+        """A crash mid-append leaves a partial line; the restarted
+        service must drop it before appending, so the restart after
+        that opens the log too."""
+        path = str(tmp_path / "log.jsonl")
+        for restart in range(3):
+            handle = _serve(num_nodes=1, log_path=path, fsync_every=0)
+            try:
+                host, port = handle.address
+                with MonitorClient(host, port, num_nodes=1) as client:
+                    client.send_event(0)
+                    assert client.stats()["events_applied"] == restart + 1
+            finally:
+                handle.stop()
+            if restart == 0:
+                with open(path, "ab") as fh:
+                    fh.write(b'{"seq":3,"op":"event","no')
+        records = read_records(path)
+        assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
+        assert [r["op"] for r in records] == ["init"] + ["event"] * 3
 
     def test_restart_rejects_num_nodes_mismatch(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
@@ -907,6 +1072,115 @@ class TestFailover:
             assert standby.stats()["verdicts_emitted"] == 1
         finally:
             standby.stop()
+
+
+# ----------------------------------------------------------------------
+# replication across the in-memory tail boundary
+# ----------------------------------------------------------------------
+class _RawReplica:
+    """A bare replication peer: says hello with a resume seq, then
+    collects the ``replicate`` records the primary streams."""
+
+    def __init__(self, host, port, num_nodes, resume_seq):
+        self.sock = socket.create_connection((host, port), timeout=10)
+        self.sock.sendall(encode_frame({
+            "type": "hello",
+            "version": PROTOCOL_VERSION,
+            "role": "replica",
+            "num_nodes": num_nodes,
+            "resume_seq": resume_seq,
+        }))
+        self.decoder = FrameDecoder()
+        self.records: list[dict] = []
+
+    def read_until(self, seq):
+        while not self.records or self.records[-1]["seq"] < seq:
+            data = self.sock.recv(65536)
+            if not data:
+                raise ConnectionError("primary closed the stream")
+            for frame in self.decoder.feed(data):
+                assert frame["type"] != "error", frame
+                if frame["type"] == "replicate":
+                    self.records.append(frame["record"])
+        return self.records
+
+    def close(self):
+        self.sock.close()
+
+
+def _wait_seq(handle, target):
+    deadline = time.monotonic() + 10
+    while handle.stats()["last_seq"] < target:
+        assert time.monotonic() < deadline, "standby never caught up"
+        time.sleep(0.02)
+
+
+class TestReplicationTail:
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_replica_attaching_to_long_log_gets_every_record_once(
+        self, tmp_path, small_tail, durable
+    ):
+        """resume_seq=0 against a log many tails long, with appends
+        racing the catch-up: every record arrives once, in order."""
+        path = str(tmp_path / "primary.jsonl") if durable else None
+        handle = _serve(num_nodes=2, log_path=path, fsync_every=0)
+        try:
+            host, port = handle.address
+            with MonitorClient(host, port, num_nodes=2) as client:
+                for i in range(100):
+                    client.send_event(i % 2, interval="X")
+                assert client.stats()["last_seq"] > 10 * small_tail
+                replica = _RawReplica(host, port, 2, resume_seq=0)
+                try:
+                    for i in range(100):  # appends during the catch-up
+                        client.send_event(i % 2, interval="Y")
+                    client.close_interval("X", expected=100)
+                    last = client.stats()["last_seq"]
+                    got = replica.read_until(last)
+                finally:
+                    replica.close()
+        finally:
+            handle.stop()
+        assert [r["seq"] for r in got] == list(range(1, last + 1))
+        if durable:
+            assert got == read_records(path)
+
+    def test_close_with_more_verdicts_than_tail_replicates(
+        self, tmp_path, small_tail
+    ):
+        """One close that appends more verdict records than the tail
+        holds sends the live standby through a catch-up; it still ends
+        with the primary's exact log and every verdict confirmed."""
+        ppath = str(tmp_path / "primary.jsonl")
+        spath = str(tmp_path / "standby.jsonl")
+        primary = _serve(num_nodes=1, log_path=ppath, fsync_every=0)
+        host, port = primary.address
+        standby = _serve(
+            num_nodes=1, log_path=spath, fsync_every=0, primary=(host, port)
+        )
+        try:
+            with MonitorClient(host, port, num_nodes=1) as client:
+                for k in range(3 * small_tail):
+                    client.watch(f"w{k}", "R4(X, Y)")
+                client.send_event(0, interval="X")
+                client.send_event(0, interval="Y")
+                client.close_interval("X", expected=1)
+                _wait_seq(standby, client.stats()["last_seq"])  # live now
+                client.close_interval("Y", expected=1)
+                assert len(client.wait_verdicts(3 * small_tail)) == 3 * small_tail
+                _wait_seq(standby, client.stats()["last_seq"])
+            primary.stop()
+
+            async def wait_loss(service):
+                await asyncio.wait_for(service.wait_primary_loss(), 5.0)
+
+            standby.call(wait_loss)
+            assert standby.promote() == []  # every verdict was confirmed
+            assert standby.stats()["verdicts_emitted"] == 3 * small_tail
+        finally:
+            primary.stop()
+            standby.stop()
+        assert read_records(spath) == read_records(ppath)
 
 
 # ----------------------------------------------------------------------
