@@ -13,6 +13,7 @@ reads.
 
 from __future__ import annotations
 
+import statistics
 import time
 from collections.abc import Callable, Sequence
 
@@ -29,6 +30,8 @@ __all__ = [
     "family_pairs",
     "best_of",
     "best_of_each",
+    "round_ratio",
+    "timed_rounds",
 ]
 
 
@@ -100,20 +103,37 @@ def best_of(fn: Callable, reps: int = 5) -> tuple[float, object]:
     return best_of_each([fn], reps=reps)[0]
 
 
-def best_of_each(
+def timed_rounds(
     fns: Sequence[Callable], reps: int = 5
-) -> list[tuple[float, object]]:
-    """``best_of`` for several functions timed in turn: each of ``reps``
-    rounds runs every function once, in order.  A burst of load from
-    other processes then slows the runs of one round alike, instead of
-    every run of whichever function it happens to overlap, so ratios
-    between the functions hold steadier than ``best_of`` run per
-    function."""
-    best = [float("inf")] * len(fns)
+) -> tuple[list[list[float]], list[object]]:
+    """Time several functions in turn: each of ``reps`` rounds runs
+    every function once, in order.  Returns each function's wall-clock
+    seconds per round and its last result."""
+    times: list[list[float]] = [[] for _ in fns]
     results: list[object] = [None] * len(fns)
     for _ in range(reps):
         for i, fn in enumerate(fns):
             t0 = time.perf_counter()
             results[i] = fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return list(zip(best, results, strict=True))
+            times[i].append(time.perf_counter() - t0)
+    return times, results
+
+
+def best_of_each(
+    fns: Sequence[Callable], reps: int = 5
+) -> list[tuple[float, object]]:
+    """``best_of`` for several functions timed in turn
+    (:func:`timed_rounds`).  A burst of load from other processes then
+    slows the runs of one round alike, instead of every run of
+    whichever function it happens to overlap."""
+    times, results = timed_rounds(fns, reps)
+    return [(min(t), r) for t, r in zip(times, results, strict=True)]
+
+
+def round_ratio(num: Sequence[float], den: Sequence[float]) -> float:
+    """Median over rounds of ``num[r] / den[r]``, for round times from
+    :func:`timed_rounds`.  Both sides of each ratio ran back to back,
+    so a host that switches speed every few seconds moves both alike;
+    a ratio of separate best-of times can pair one side's fast sample
+    with the other's slow ones."""
+    return statistics.median(a / b for a, b in zip(num, den, strict=True))

@@ -34,7 +34,13 @@ and watch firing evaluate the past-only conditions with **zero
 re-scans** of previously tagged events; the only deferred fold is
 ``T(∩⇓U_Y)`` (a min over per-node *last* rows, which is not
 incrementally foldable — a later last event can *raise* the min) and
-it is computed once at close.  Finalisation
+it is computed once at close.  The events themselves are recorded
+as columns by a :class:`~repro.events.builder.TraceBuilder` (a kind
+byte, a received flag, label/time slots, interned labels, message
+endpoints in one integer array): ingestion builds no
+:class:`~repro.events.event.Event`, and :meth:`OnlineMonitor.recv`
+checks its handle against those columns (:meth:`OnlineMonitor.receivable`)
+before anything is recorded.  Finalisation
 (:meth:`OnlineMonitor.to_execution`) hands the live table to
 :class:`~repro.events.poset.Execution` via its version-keyed snapshot:
 **zero** forward/extend clock passes, and the reverse pass stays
@@ -83,6 +89,7 @@ from ..events.builder import MessageHandle, TraceBuilder
 from ..events.clocks import CLOCK_DTYPE, GrowableClockTable
 from ..events.event import EventId
 from ..events.poset import Execution
+from ..events.trace import TraceError
 from ..nonatomic.proxies import Proxy
 from .predicates import Atom, Condition, parse_condition
 
@@ -331,6 +338,16 @@ class OnlineMonitor:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
+    def _check_open(self, interval: str | None, time: float | None) -> None:
+        """Refuse an event tagged into a closed interval before anything
+        of it is recorded; then advance the monitor's clock."""
+        if interval is not None:
+            iv = self._intervals.get(interval)
+            if iv is not None and iv.closed:
+                raise ValueError(f"interval {interval!r} is already closed")
+        if time is not None:
+            self._now = max(self._now, time)
+
     def _tag(
         self, eid: EventId, interval: str | None, row: np.ndarray
     ) -> EventId:
@@ -340,8 +357,6 @@ class OnlineMonitor:
                 iv = self._intervals[interval] = OnlineInterval(
                     interval, self._table
                 )
-            if iv.closed:
-                raise ValueError(f"interval {interval!r} is already closed")
             iv.add(eid, row)
         return eid
 
@@ -354,8 +369,7 @@ class OnlineMonitor:
         interval: str | None = None,
     ) -> EventId:
         """Observe an internal event (optionally tagged into an interval)."""
-        if time is not None:
-            self._now = max(self._now, time)
+        self._check_open(interval, time)
         eid = self._builder.internal(node, label=label, time=time)
         row = self._table.advance(node)
         return self._tag(eid, interval, row)
@@ -369,8 +383,7 @@ class OnlineMonitor:
         interval: str | None = None,
     ) -> MessageHandle:
         """Observe a send event; returns the handle for its receive."""
-        if time is not None:
-            self._now = max(self._now, time)
+        self._check_open(interval, time)
         handle = self._builder.send(node, label=label, time=time)
         row = self._table.advance(node)
         self._tag(handle.send, interval, row)
@@ -385,15 +398,52 @@ class OnlineMonitor:
         time: float | None = None,
         interval: str | None = None,
     ) -> EventId:
-        """Observe the receive matching ``handle``."""
-        if time is not None:
-            self._now = max(self._now, time)
-        s_node, s_idx = handle.send
-        if s_idx > self._table.count(s_node):
+        """Observe the receive matching ``handle``.
+
+        Raises
+        ------
+        ValueError
+            If ``handle`` names no observed send event (a receive
+            before its send), a non-send event, or a message already
+            received (:class:`~repro.events.trace.TraceError`); nothing
+            is recorded then.
+        """
+        if not self.receivable(handle.send):
             raise ValueError("receive observed before its send")
+        self._check_open(interval, time)
         eid = self._builder.recv(node, handle, label=label, time=time)
-        row = self._table.advance(node, self._table.row(s_node, s_idx))
+        row = self._table.advance(node, self._table.row(*handle.send))
         return self._tag(eid, interval, row)
+
+    def count(self, node: int) -> int:
+        """Number of events observed on ``node`` so far."""
+        return self._table.count(node)
+
+    def receivable(self, send: EventId) -> bool:
+        """Whether a receive matching ``send`` can be observed now.
+
+        True for an observed, not yet received send event; False while
+        ``send``'s node has not observed that many events (the receive
+        has to wait).  Two reads of the recorded columns, no
+        :class:`~repro.events.event.Event` built.
+
+        Raises
+        ------
+        TraceError
+            If ``send`` names an observed event that is not a send, a
+            node outside the monitor, or a message already received —
+            a receive that can never be observed.
+        """
+        s_node, s_idx = send
+        if not 0 <= s_node < self.num_nodes:
+            raise TraceError(f"receive names {send}: no such node")
+        if s_idx > self._table.count(s_node):
+            return False
+        if not self._builder.is_send(send):
+            raise TraceError(f"receive names {send}, which is not a send event")
+        if self._builder.is_received(send):
+            raise TraceError(f"message from {send} already received")
+        return True
 
     # ------------------------------------------------------------------
     # clock queries

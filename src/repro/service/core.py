@@ -14,7 +14,11 @@ failover tests can drive the state machine directly:
   passes**.
 * **Causal parking** — a receive arriving before its send (normal
   under multi-client sharded replay) parks its node's queue; the pump
-  re-sweeps after every application until a fixpoint.  Interval
+  re-sweeps after every application until a fixpoint.  A receive that
+  could never apply (its send is a non-send event or already
+  received) is refused at submit instead of parking.  The core keeps
+  no per-send state: whether a send was applied, is a send and was
+  received is read from the monitor's recorded columns.  Interval
   closes carry the *expected* tag count and apply once the count is
   reached, so any client of a sharded replay may issue them.
 * **The log** — every applied operation is appended (in application
@@ -41,8 +45,10 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any
 
+from ..events.builder import MessageHandle
 from ..events.clocks import clock_pass_counts
 from ..events.event import EventId
+from ..events.trace import TraceError
 from ..monitor.online import OnlineMonitor, WatchNotification
 from .log import TAIL_RECORDS, EventLog, LogError
 
@@ -123,8 +129,9 @@ class MonitorCore:
         self.role = role
         self._clock = clock
         self._monitor = OnlineMonitor(num_nodes)
-        self._handles: dict[EventId, Any] = {}
         self._queues: list[deque] = [deque() for _ in range(num_nodes)]
+        # sends named by queued (not yet applied) receives
+        self._named: set[EventId] = set()
         self._pending_closes: list[_PendingClose] = []
         self._pending_by_session: dict[int, int] = {}
         self.shards = [ShardCounters() for _ in range(self.num_shards)]
@@ -323,6 +330,44 @@ class MonitorCore:
             raise ValueError("only recv events carry a send reference")
         return out
 
+    def _check_causal(self, rec: dict[str, Any]) -> None:
+        """Reject a validated event that could never apply, before it
+        is queued: O(1), with reads of the monitor's kind column and
+        received flags, the queue of the send's node and the sends that
+        queued receives name.
+
+        Raises
+        ------
+        TraceError
+            For a receive that names a non-send event (applied or
+            queued), a message already received (applied or queued), or
+            a later event of its own node; and for a non-send event that
+            a queued receive names as its send.
+        """
+        node, kind = rec["node"], rec["kind"]
+        # the id the event takes once its node's queue ahead of it drains
+        eid = (node, self._monitor.count(node) + len(self._queues[node]) + 1)
+        if kind != "send" and eid in self._named:
+            raise TraceError(
+                f"event {eid} ({kind}) is named as a send by a queued receive"
+            )
+        if kind != "recv":
+            return
+        send = s_node, s_idx = tuple(rec["send"])
+        if send in self._named:
+            raise TraceError(f"message from {send} already received")
+        if self._monitor.receivable(send):
+            return
+        ahead = s_idx - self._monitor.count(s_node)
+        queue = self._queues[s_node]
+        if ahead <= len(queue):
+            if queue[ahead - 1][0]["kind"] != "send":
+                raise TraceError(f"receive names {send}, which is not a send event")
+        elif s_node == node:
+            raise TraceError(
+                f"receive {eid} names {send}, which its node has not sent before it"
+            )
+
     def submit_event(
         self, rec: dict[str, Any], session: int | None = None
     ) -> list[dict[str, Any]]:
@@ -331,11 +376,18 @@ class MonitorCore:
         The event is validated, queued on its node's shard, and the
         pump applies everything that became applicable (this event,
         parked receives it unblocked, deferred closes it completed).
+        A receive parks only while its send may still arrive: one that
+        can never apply (see :meth:`_check_causal`) is refused with a
+        :class:`~repro.events.trace.TraceError` and leaves every
+        counter as it was.
         """
         rec = self._validate_event(rec)
         node = rec["node"]
+        self._check_causal(rec)
         shard = self.shards[node % self.num_shards]
         self._queues[node].append((rec, session))
+        if rec["kind"] == "recv":
+            self._named.add(tuple(rec["send"]))
         shard.queued += 1
         shard.queued_peak = max(shard.queued_peak, shard.queued)
         if session is not None:
@@ -400,9 +452,15 @@ class MonitorCore:
     # the pump
     # ------------------------------------------------------------------
     def _applicable(self, rec: dict[str, Any]) -> bool:
+        """Whether ``rec`` can apply now: anything but a receive whose
+        send the monitor has not observed yet.  Whether that send is a
+        send, and not received yet, was checked at submit
+        (:meth:`_check_causal`) and is checked again by the monitor when
+        the receive applies."""
         if rec["kind"] != "recv":
             return True
-        return tuple(rec["send"]) in self._handles
+        s_node, s_idx = rec["send"]
+        return s_idx <= self._monitor.count(s_node)
 
     def _apply_event(self, rec: dict[str, Any]) -> None:
         """Feed one validated event into the monitor (no logging here:
@@ -412,10 +470,9 @@ class MonitorCore:
         t = rec.get("time")
         tag = rec.get("interval")
         if kind == "send":
-            handle = self._monitor.send(node, label=label, time=t, interval=tag)
-            self._handles[handle.send] = handle
+            self._monitor.send(node, label=label, time=t, interval=tag)
         elif kind == "recv":
-            handle = self._handles[tuple(rec["send"])]
+            handle = MessageHandle(send=tuple(rec["send"]))
             self._monitor.recv(node, handle, label=label, time=t, interval=tag)
         else:
             self._monitor.internal(node, label=label, time=t, interval=tag)
@@ -439,11 +496,15 @@ class MonitorCore:
                 shard = self.shards[node % self.num_shards]
                 while queue and self._applicable(queue[0][0]):
                     rec, session = queue.popleft()
+                    # settled before applying: an op the monitor refuses
+                    # is dropped, and leaves no count behind
+                    shard.queued -= 1
+                    self._settle(session)
+                    if rec["kind"] == "recv":
+                        self._named.discard(tuple(rec["send"]))
                     self._apply_event(rec)
                     self._append({"op": "event", **rec})
-                    shard.queued -= 1
                     shard.applied += 1
-                    self._settle(session)
                     progressed = True
             still: list[_PendingClose] = []
             for close in self._pending_closes:

@@ -67,6 +67,36 @@ class TestIngestion:
         with pytest.raises(ValueError, match="before its send"):
             om.recv(1, MessageHandle(send=(0, 1)))
 
+    def test_receive_of_a_non_send_rejected(self):
+        """A handle naming an observed internal event, a node outside the
+        monitor or a message already received is refused at ``recv`` and
+        records nothing, so the finalised trace stays valid."""
+        from repro.events.builder import MessageHandle
+
+        om = OnlineMonitor(2)
+        om.internal(0)
+        h = om.send(0)
+        om.recv(1, h)
+        for send, match in [
+            ((0, 1), "not a send"), ((0, 0), "not a send"),
+            ((5, 1), "no such node"), ((-1, 1), "no such node"),
+            (h.send, "already received"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                om.recv(1, MessageHandle(send=send), interval="Y")
+        assert [om.count(n) for n in (0, 1)] == [2, 1]
+        assert "Y" not in om._intervals
+        assert om.to_execution().trace.send_of((1, 1)) == h.send
+
+    def test_event_into_closed_interval_records_nothing(self):
+        om = OnlineMonitor(1)
+        om.internal(0, interval="X")
+        om.close("X")
+        with pytest.raises(ValueError, match="already closed"):
+            om.internal(0, interval="X")
+        assert om.count(0) == 1
+        assert om.to_execution().trace.total_events == 1
+
     def test_to_execution(self, message_exec):
         om = replay_into_monitor(message_exec.trace)
         assert om.to_execution().trace == message_exec.trace

@@ -31,7 +31,7 @@ from repro.core.context import AnalysisContext
 from repro.core.evaluator import SynchronizationAnalyzer
 from repro.events.poset import Execution
 from repro.events.serialization import loads, save
-from repro.events.trace import Trace, causal_schedule
+from repro.events.trace import Trace, TraceError, causal_schedule
 from repro.monitor.checker import ConditionChecker
 from repro.nonatomic.selection import by_label
 from repro.service import (
@@ -302,6 +302,79 @@ class TestMonitorCore:
         core.submit_event(_ev(0, "send", interval="X"))
         assert core.pending() == 0
         assert core.stats()["events_applied"] == 2
+
+    @staticmethod
+    def _counters(core):
+        return (
+            core.pending(), core.pending(1), core.last_seq,
+            [s.as_dict() for s in core.shards],
+        )
+
+    def _refused(self, core, frame, match):
+        """``frame`` is refused with a TraceError and changes no counter."""
+        before = self._counters(core)
+        with pytest.raises(TraceError, match=match):
+            core.submit_event(frame, session=1)
+        assert self._counters(core) == before
+
+    def test_duplicate_receive_after_the_first_applied(self):
+        core = MonitorCore(2)
+        core.submit_event(_ev(0, "send"), session=1)
+        core.submit_event(_ev(1, "recv", send=[0, 1]), session=1)
+        self._refused(core, _ev(1, "recv", send=[0, 1]), "already received")
+        assert core.pending(1) == 0 and core.shards[1].queued == 0
+        assert core.stats()["events_applied"] == 2
+
+    def test_duplicate_receive_while_both_park(self):
+        core = MonitorCore(2)
+        core.submit_event(_ev(1, "recv", send=[0, 1]), session=1)
+        self._refused(core, _ev(1, "recv", send=[0, 1]), "already received")
+        core.submit_event(_ev(0, "send"), session=1)
+        assert core.pending() == 0 and core.pending(1) == 0
+        assert [s.queued for s in core.shards] == [0, 0]
+        assert core.stats()["events_applied"] == 2
+
+    def test_receive_naming_a_non_send_is_refused(self):
+        core = MonitorCore(2)
+        core.submit_event(_ev(0), session=1)  # (0, 1) is internal
+        self._refused(core, _ev(1, "recv", send=[0, 1]), "not a send")
+        core.submit_event(_ev(1, "recv", send=[0, 3]), session=1)
+        core.submit_event(_ev(1, "recv", send=[0, 2]), session=1)
+        assert core.pending() == 2  # both wait for sends not applied yet
+        # node 0's next event becomes (0, 2), which a parked receive names
+        self._refused(core, _ev(0), "named as a send")
+        core.submit_event(_ev(0, "send"), session=1)
+        assert core.pending() == 2  # (0, 2)'s receive waits behind (0, 3)'s
+        self._refused(core, _ev(1, "recv", send=[0, 2]), "already received")
+        core.submit_event(_ev(0, "send"), session=1)
+        assert core.pending() == 0 and core.pending(1) == 0
+        trace = core.monitor.to_execution().trace
+        assert [trace.send_of((1, i)) for i in (1, 2)] == [(0, 3), (0, 2)]
+
+    def test_receive_naming_a_queued_non_send_is_refused(self):
+        core = MonitorCore(3)
+        core.submit_event(_ev(0, "recv", send=[2, 1]), session=1)  # parks (0, 1)
+        core.submit_event(_ev(0), session=1)  # queued as (0, 2)
+        self._refused(core, _ev(1, "recv", send=[0, 2]), "not a send")
+        self._refused(core, _ev(0, "recv", send=[0, 3]), "has not sent before it")
+        core.submit_event(_ev(2, "send"), session=1)
+        assert core.pending() == 0 and core.pending(1) == 0
+
+    def test_event_the_monitor_refuses_leaves_no_count(self):
+        """An event tagged into a closed interval is refused when it
+        applies: it is neither recorded nor logged, and no counter keeps
+        it."""
+        core = MonitorCore(1)
+        core.submit_event(_ev(0, interval="X"), session=1)
+        core.submit_close("X", expected=1, session=1)
+        seq = core.last_seq
+        with pytest.raises(ValueError, match="already closed"):
+            core.submit_event(_ev(0, interval="X"), session=1)
+        assert core.pending() == 0 and core.pending(1) == 0
+        assert core.shards[0].queued == 0 and core.last_seq == seq
+        assert core.monitor.count(0) == 1
+        core.submit_event(_ev(0), session=1)
+        assert core.monitor.count(0) == 2 and core.last_seq == seq + 1
 
     def test_close_defers_until_expected_count(self):
         core = MonitorCore(1)
