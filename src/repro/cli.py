@@ -135,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="listen port (0 picks a free one)")
     p_serve.add_argument("--log", default=None, metavar="PATH",
                          help="append-only replicated event log file")
-    p_serve.add_argument("--shards", type=int, default=None,
-                         help="ingest shard count (default: one per node)")
     p_serve.add_argument("--watch", action="append", default=[],
                          metavar="NAME=CONDITION",
                          help="watch registered at startup (repeatable)")
@@ -366,8 +364,8 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 def _print_service_stats(stats: dict) -> None:
     """One stat line for the service: ingest, queue depths, latency,
     and the clock-pass proof that ingest stayed streaming."""
-    shards = " ".join(
-        f"s{i}={s['applied']}/{s['queued_peak']}"
+    nodes = " ".join(
+        f"n{i}={s['applied']}/{s['queued_peak']}"
         for i, s in enumerate(stats["shards"])
     )
     lat = stats["watch_latency"]
@@ -376,7 +374,7 @@ def _print_service_stats(stats: dict) -> None:
           f"{stats['closes_applied']} closes, "
           f"{stats['verdicts_emitted']} verdicts, "
           f"{stats['throttles']} throttles, {stats['parked']} parked | "
-          f"shard applied/peak-depth: {shards} | "
+          f"node applied/peak-depth: {nodes} | "
           f"watch latency: n={lat['count']} avg={lat['avg_ms']:.2f}ms "
           f"max={lat['max_ms']:.2f}ms | "
           f"clock passes: forward={passes['forward']} "
@@ -408,7 +406,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             log_path=args.log,
-            num_shards=args.shards,
             fsync_every=args.fsync_every,
             throttle_at=args.throttle_at,
             disconnect_at=args.disconnect_at,

@@ -51,7 +51,6 @@ from .cuts import (
     flatten_extrema,
 )
 from .family import FamilyOperands
-from .versioning import versioned_state
 
 if TYPE_CHECKING:
     from ..events.trace import Trace
@@ -203,11 +202,6 @@ def _distinct_extrema(
     return np.flatnonzero(is_rep), rank[head]
 
 
-@versioned_state(
-    version="_version",
-    caches=("_cuts", "_extremal", "_rows", "_store", "_size"),
-    guards=("invalidate", "_fresh"),
-)
 class CutCache:
     """Memoized cut quadruples and extremal vectors for one execution.
 
@@ -252,6 +246,14 @@ class CutCache:
         ``hits`` counts requests served without computing one.
         Benchmarks and the acceptance tests assert on them.
     """
+
+    # Version-discipline contract enforced by `python -m repro lint`
+    # (REP001/REP005).
+    _REPRO_VERSIONED = {
+        "version": "_version",
+        "caches": ("_cuts", "_extremal", "_rows", "_store", "_size"),
+        "guards": ("invalidate", "_fresh"),
+    }
 
     __slots__ = ("_execution", "_version", "_cuts", "_extremal",
                  "_rows", "_store", "_size", "hits", "misses")

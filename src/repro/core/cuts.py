@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,9 +45,6 @@ from ..events.clocks import CLOCK_DTYPE
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
-
-if TYPE_CHECKING:
-    from .relations import SubtestKind
 
 __all__ = [
     "Cut",
@@ -71,7 +67,6 @@ __all__ = [
     "cuts_of",
     "ll",
     "not_ll",
-    "evaluate_subtest",
     "ll_form1",
     "not_ll_form2",
     "ll_form3",
@@ -639,22 +634,6 @@ def not_ll(c: Cut, cp: Cut) -> bool:
     causally after some surface event of C'.  This is the form the
     relation evaluations of Table 1 consume."""
     return not ll(c, cp)
-
-
-def evaluate_subtest(kind: "SubtestKind", y_vec: np.ndarray, x_vec: np.ndarray) -> bool:
-    """Evaluate one canonical ``≪`` subtest (Theorem 19/20 factoring).
-
-    ``kind`` is a :class:`~repro.core.relations.SubtestKind`; ``y_vec``
-    and ``x_vec`` are the length-``|P|`` operand rows its key selects
-    (past-cut timestamps / extremal indices of Ŷ against future-cut
-    timestamps / extremal indices of X̂).  The three shapes are the
-    shared full-``|P|``-scan forms of
-    :func:`repro.core.family.compare_rows`, so verdicts agree with
-    every batched surface and engine on disjoint intervals.
-    """
-    from .family import compare_rows
-
-    return bool(compare_rows(kind, y_vec, x_vec))
 
 
 # Literal set-based renderings of Definition 7's four forms.  Forms 1

@@ -28,7 +28,6 @@ from ..nonatomic.proxies import Proxy, ProxyDefinition, proxy_of
 from .context import AnalysisContext
 from .counting import ComparisonCounter
 from .family import N_SUBTESTS, verdict_matrix
-from .versioning import versioned_state
 from .hierarchy import evaluate_all_pruned, maximal_true
 from .linear import LinearEvaluator
 from .naive import NaiveEvaluator
@@ -260,11 +259,6 @@ ENGINES = {
 }
 
 
-@versioned_state(
-    version="_version",
-    caches=("_index", "_table", "_disjoint"),
-    guards=("invalidate", "_fresh"),
-)
 class SharedVerdictCache:
     """Memoized ``≪``-subtest verdict rows shared across family queries.
 
@@ -316,6 +310,14 @@ class SharedVerdictCache:
         Batched kernel invocations (each fill covers every missing pair
         of one query batch).
     """
+
+    # Version-discipline contract enforced by `python -m repro lint`
+    # (REP001/REP005).
+    _REPRO_VERSIONED = {
+        "version": "_version",
+        "caches": ("_index", "_table", "_disjoint"),
+        "guards": ("invalidate", "_fresh"),
+    }
 
     __slots__ = ("context", "_version", "_index", "_table", "_disjoint",
                  "evals", "cut_pair_evals", "hits", "fills")

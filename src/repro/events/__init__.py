@@ -14,7 +14,6 @@ from .clocks import (
     clock_pass_counts,
     compute_forward_clocks,
     compute_reverse_clocks,
-    extend_forward_clocks,
     reset_clock_pass_counts,
 )
 from .event import Event, EventId, EventKind
@@ -45,7 +44,6 @@ __all__ = [
     "Ordering",
     "compute_forward_clocks",
     "compute_reverse_clocks",
-    "extend_forward_clocks",
     "clock_pass_counts",
     "reset_clock_pass_counts",
     "compute_lamport_clocks",

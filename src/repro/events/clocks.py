@@ -70,7 +70,6 @@ __all__ = [
     "extend_forward_table",
     "compute_forward_clocks",
     "compute_reverse_clocks",
-    "extend_forward_clocks",
     "anchor_schedule",
     "message_dependencies",
     "clock_pass_counts",
@@ -224,8 +223,7 @@ class GrowableClockTable:
                  "_snapshot_version")
 
     # Version-discipline contract enforced by `python -m repro lint`
-    # (REP001/REP005); the decorator form lives in repro.core.versioning,
-    # which this layer cannot import (core depends on events).
+    # (REP001/REP005).
     _REPRO_VERSIONED = {
         "version": "_version",
         "state": ("_blocks", "_counts"),
@@ -533,20 +531,6 @@ def compute_reverse_table(trace: Trace) -> ClockTable:
     return _run_clock_pass(trace, reverse=True)
 
 
-def _table_from_node_matrices(matrices: Sequence[np.ndarray]) -> ClockTable:
-    """Stack caller-supplied per-node matrices into one :class:`ClockTable`."""
-    if not len(matrices):
-        raise ValueError("need at least one node matrix")
-    lengths = [int(mat.shape[0]) for mat in matrices]
-    num_nodes = len(matrices)
-    data = np.zeros((sum(lengths), num_nodes), dtype=CLOCK_DTYPE)
-    pos = 0
-    for mat in matrices:
-        data[pos:pos + mat.shape[0]] = mat
-        pos += mat.shape[0]
-    return ClockTable(data, lengths)
-
-
 # ----------------------------------------------------------------------
 # per-node list API (thin wrappers over the columnar tables)
 # ----------------------------------------------------------------------
@@ -563,23 +547,6 @@ def compute_forward_clocks(trace: Trace) -> list[np.ndarray]:
         If the trace's happened-before relation is cyclic.
     """
     return compute_forward_table(trace).views()
-
-
-def extend_forward_clocks(
-    trace: Trace, prior: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Advance forward timestamps to cover an append-only trace extension.
-
-    Per-node-matrix wrapper over :func:`extend_forward_table`; ``prior``
-    is a sequence of per-node matrices (as returned by
-    :func:`compute_forward_clocks`).
-
-    Raises
-    ------
-    CyclicTraceError
-        If the extension's happened-before relation is cyclic.
-    """
-    return extend_forward_table(trace, _table_from_node_matrices(prior)).views()
 
 
 def compute_reverse_clocks(trace: Trace) -> list[np.ndarray]:

@@ -5,17 +5,25 @@ tables, stacked matrices) keyed by ``Execution.version``.  A method
 that mutates tracked state without bumping the version, or that reads a
 memoized field without first validating it against the version, silently
 serves stale physics.  These rules enforce the protocol on every class
-registered for version discipline via either spelling:
+that declares it in a ``_REPRO_VERSIONED`` dict class attribute::
 
-* the :func:`repro.core.versioning.versioned_state` decorator, or
-* a ``_REPRO_VERSIONED`` dict class attribute (for layers that cannot
-  import :mod:`repro.core`).
+    class CutCache:
+        _REPRO_VERSIONED = {
+            "version": "_version",
+            "state": (),                       # mutation is a new version
+            "caches": ("_cuts", "_extremal"),  # derived, version-checked
+            "guards": ("invalidate", "_fresh"),
+        }
 
 REP001 (version-discipline)
     A method that rebinds/mutates a declared *state* attribute must bump
     the version attribute in the same method.  A method that
     rebinds/mutates a declared *cache* attribute must bump the version,
-    call a declared guard, or compare against the version.
+    call a declared guard, or compare against the version.  The
+    declaration itself must be readable (literal strings and tuples),
+    name only guards that are methods of the class, and, in a class
+    with ``__slots__``, only attributes listed there: a typo in either
+    would silently switch the checks off.
 
 REP005 (cache-read-before-check)
     A method that reads a declared *cache* attribute must call a guard
@@ -76,44 +84,9 @@ def _literal_str_tuple(node: ast.AST) -> tuple[str, ...] | None:
     return None
 
 
-def _registration_from_decorator(cls: ast.ClassDef) -> tuple[Registration | None, bool]:
-    """Return (registration, found) from a ``@versioned_state(...)`` mark."""
-    for deco in cls.decorator_list:
-        if not isinstance(deco, ast.Call):
-            continue
-        func = deco.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name != "versioned_state":
-            continue
-        version: str | None = None
-        state: tuple[str, ...] = ()
-        caches: tuple[str, ...] = ()
-        guards: tuple[str, ...] = ("invalidate",)
-        ok = True
-        for kw in deco.keywords:
-            if kw.arg == "version":
-                if isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, str):
-                    version = kw.value.value
-                else:
-                    ok = False
-            elif kw.arg in ("state", "caches", "guards"):
-                tup = _literal_str_tuple(kw.value)
-                if tup is None:
-                    ok = False
-                elif kw.arg == "state":
-                    state = tup
-                elif kw.arg == "caches":
-                    caches = tup
-                else:
-                    guards = tup
-        if not ok or version is None:
-            return None, True
-        return Registration(version, state, caches, guards), True
-    return None, False
-
-
 def _registration_from_attr(cls: ast.ClassDef) -> tuple[Registration | None, bool]:
-    """Return (registration, found) from a ``_REPRO_VERSIONED`` dict."""
+    """Return (registration, found) from a ``_REPRO_VERSIONED`` dict;
+    ``found`` with no registration means the dict is unreadable."""
     for stmt in cls.body:
         if not isinstance(stmt, ast.Assign):
             continue
@@ -274,11 +247,36 @@ def _iter_registered_classes(
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        reg, found = _registration_from_decorator(node)
-        if not found:
-            reg, found = _registration_from_attr(node)
+        reg, found = _registration_from_attr(node)
         if found:
             yield node, reg
+
+
+def _declaration_typos(cls: ast.ClassDef, reg: Registration) -> Iterator[str]:
+    """Guards that are not methods of ``cls``, and declared attributes
+    missing from its literal ``__slots__``."""
+    methods = {
+        item.name
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for guard in reg.guards:
+        if guard not in methods:
+            yield f"class '{cls.name}' declares guard '{guard}', which is not a method"
+    for stmt in cls.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        ):
+            slots = _literal_str_tuple(stmt.value)
+            if slots is None:
+                return
+            for attr in (reg.version, *reg.state, *reg.caches):
+                if attr not in slots:
+                    yield (
+                        f"class '{cls.name}' declares attribute '{attr}', "
+                        "which is not in __slots__"
+                    )
 
 
 @rule(
@@ -300,6 +298,8 @@ def check_version_discipline(ctx: FileContext) -> Iterator[tuple[object, str]]:
                 "registration (use literal strings/tuples)",
             )
             continue
+        for message in _declaration_typos(cls, reg):
+            yield cls, message
         for item in cls.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

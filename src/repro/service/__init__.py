@@ -7,9 +7,10 @@ long-running service.  The pieces, bottom-up:
 * :mod:`~repro.service.protocol` — the length-prefixed newline-JSON
   wire protocol (frame encoding, incremental decoding, size limits);
 * :mod:`~repro.service.log` — the append-only, fsync-batched,
-  replayable event log every accepted operation is written to;
+  replayable event log every accepted operation is written to, and
+  its in-memory twin for a service run without a log file;
 * :mod:`~repro.service.core` — the transport-agnostic ingest state
-  machine: per-node shards feeding a streaming clock table
+  machine: per-node queues feeding a streaming clock table
   (:class:`~repro.events.clocks.GrowableClockTable`), causal parking of
   receives ahead of their sends, deferred interval closes, monotone
   watch-sequence numbering, and warm-standby record application;

@@ -4,9 +4,8 @@
 networking, so the asyncio front end stays a thin frame router and the
 failover tests can drive the state machine directly:
 
-* **Sharded ingest** — every node has its own FIFO pending queue (a
-  shard groups ``num_nodes / num_shards`` of them for the counters;
-  the default is one shard per node).  Events flow through the
+* **Per-node ingest** — every node has its own FIFO pending queue and
+  its own counters (:class:`ShardCounters`).  Events flow through the
   wrapped :class:`~repro.monitor.online.OnlineMonitor`, whose clock
   storage is a streaming
   :class:`~repro.events.clocks.GrowableClockTable` — ingest and
@@ -21,11 +20,17 @@ failover tests can drive the state machine directly:
   received is read from the monitor's recorded columns.  Interval
   closes carry the *expected* tag count and apply once the count is
   reached, so any client of a sharded replay may issue them.
-* **The log** — every applied operation is appended (in application
-  order, which makes the log replayable without parking) before its
-  effects are visible to any client; see :mod:`repro.service.log`.
-  Without a log file the core keeps the records in a dense in-memory
-  store under the same sequencing rule.
+* **Refusals per op** — an op the monitor refuses when it applies (a
+  parked receive tagged into an interval that closed meanwhile) is
+  dropped, not logged, and recorded against its own session
+  (:meth:`take_refusals`); the pump runs on to the fixpoint, so the
+  verdicts that fired in the same pump are still returned.
+* **The log** — every applied operation is appended to :attr:`log`
+  (in application order, which makes the log replayable without
+  parking) before its effects are visible to any client: an
+  :class:`~repro.service.log.EventLog` file, or a
+  :class:`~repro.service.log.MemoryLog` when there is none; see
+  :mod:`repro.service.log`.
 * **Exactly-once watch notifications** — emitted verdicts get a
   monotone ``watch_seq`` and are themselves logged; a replica stashes
   the notifications it derives from replayed closes as *unconfirmed*
@@ -37,12 +42,10 @@ failover tests can drive the state machine directly:
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Any
 
 from ..events.builder import MessageHandle
@@ -50,18 +53,16 @@ from ..events.clocks import clock_pass_counts
 from ..events.event import EventId
 from ..events.trace import TraceError
 from ..monitor.online import OnlineMonitor, WatchNotification
-from .log import TAIL_RECORDS, EventLog, LogError
+from .log import EventLog, LogError, MemoryLog
 
 __all__ = ["MonitorCore", "ShardCounters"]
 
 _KINDS = ("internal", "send", "recv")
 
-_SEQ = itemgetter("seq")
-
 
 @dataclass
 class ShardCounters:
-    """Ingest counters for one shard (a group of node queues)."""
+    """Ingest counters for one node's queue."""
 
     applied: int = 0
     queued: int = 0
@@ -70,12 +71,7 @@ class ShardCounters:
 
     def as_dict(self) -> dict[str, int]:
         """JSON-ready snapshot for the ``stats`` frame."""
-        return {
-            "applied": self.applied,
-            "queued": self.queued,
-            "queued_peak": self.queued_peak,
-            "throttles": self.throttles,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -89,19 +85,16 @@ class _PendingClose:
 
 
 class MonitorCore:
-    """Sharded, log-backed, failover-aware wrapper of the online monitor.
+    """Log-backed, failover-aware wrapper of the online monitor.
 
     Parameters
     ----------
     num_nodes:
         Width of the monitored system.
-    num_shards:
-        Counter granularity for ingest sharding; defaults to one shard
-        per node (``shard = node % num_shards``).
     log:
-        The durable :class:`~repro.service.log.EventLog`; ``None``
-        keeps every record in memory (tests, benchmarks) with the same
-        dense sequencing rule.
+        The record store, kept as :attr:`log`: a durable
+        :class:`~repro.service.log.EventLog`, or ``None`` for a fresh
+        :class:`~repro.service.log.MemoryLog` (tests, benchmarks).
     role:
         ``"primary"`` emits watch verdicts as they fire; ``"replica"``
         stashes them unconfirmed until the primary's verdict records
@@ -115,17 +108,13 @@ class MonitorCore:
         self,
         num_nodes: int,
         *,
-        num_shards: int | None = None,
-        log: EventLog | None = None,
+        log: EventLog | MemoryLog | None = None,
         role: str = "primary",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if role not in ("primary", "replica"):
             raise ValueError(f"unknown role: {role!r}")
         self.num_nodes = num_nodes
-        self.num_shards = (
-            num_nodes if num_shards is None else max(1, min(num_shards, num_nodes))
-        )
         self.role = role
         self._clock = clock
         self._monitor = OnlineMonitor(num_nodes)
@@ -133,11 +122,11 @@ class MonitorCore:
         # sends named by queued (not yet applied) receives
         self._named: set[EventId] = set()
         self._pending_closes: list[_PendingClose] = []
-        self._pending_by_session: dict[int, int] = {}
-        self.shards = [ShardCounters() for _ in range(self.num_shards)]
-        self._log = log
-        self._mem_records: list[dict[str, Any]] = []
-        self._mem_next_seq = 1
+        self._pending_by_session: defaultdict[int, int] = defaultdict(int)
+        self.shards = [ShardCounters() for _ in range(num_nodes)]
+        self.log: EventLog | MemoryLog = MemoryLog() if log is None else log
+        # (session, message) of ops the monitor refused inside the pump
+        self._refusals: list[tuple[int | None, str]] = []
         self.throttles = 0
         self._watch_seq = 0
         self._emitted: set[str] = set()
@@ -151,8 +140,8 @@ class MonitorCore:
         # this core came up (other code in the process may run offline
         # analyses of its own)
         self._passes_at_start = dict(clock_pass_counts())
-        if log is None or log.last_seq == 0:
-            self._append({"op": "init", "num_nodes": num_nodes})
+        if self.log.last_seq == 0:
+            self.log.append({"op": "init", "num_nodes": num_nodes})
 
     # ------------------------------------------------------------------
     # construction from a replicated log
@@ -162,9 +151,8 @@ class MonitorCore:
         cls,
         records: Iterable[dict[str, Any]],
         *,
-        log: EventLog | None = None,
+        log: EventLog | MemoryLog | None = None,
         role: str = "primary",
-        num_shards: int | None = None,
     ) -> "MonitorCore":
         """Rebuild the full monitor state by replaying log records.
 
@@ -172,7 +160,9 @@ class MonitorCore:
         output, or :meth:`EventLog.iter_from` of a freshly opened log —
         pass that same log as ``log`` and the replay neither re-appends
         nor keeps the records (they stay on disk).  Without ``log`` the
-        records become the core's in-memory store.  The returned core
+        records, as given, become the core's
+        :class:`~repro.service.log.MemoryLog` (a caller may replay a log
+        with records dropped, so seqs need not be dense).  The returned core
         resumes at the records' last sequence number; when ``role`` is
         ``"primary"`` (promotion from a dead primary's replicated log),
         watches that were decidable but have no logged verdict are
@@ -185,112 +175,29 @@ class MonitorCore:
             raise LogError("cannot rebuild from an empty record list")
         if head.get("op") != "init" or "num_nodes" not in head:
             raise LogError("log must start with an init record")
-        core = cls(
-            int(head["num_nodes"]),
-            num_shards=num_shards,
-            log=None,
-            role="replica",
-        )
-        core._mem_records.clear()  # drop the fresh init; replay the real one
+        if log is None:
+            rest = list(records)
+            log = MemoryLog([head, *rest])
+            records = iter(rest)
+        core = cls(int(head["num_nodes"]), log=log, role="replica")
         for rec in chain((head,), records):
             core._replay(rec)
-            if log is None:
-                # kept as given: a caller may replay a log with records
-                # dropped (lost verdicts), so seqs need not be dense
-                core._mem_records.append(rec)
-        if log is None:
-            core._mem_next_seq = core._mem_records[-1]["seq"] + 1
-        core._log = log
         if role == "primary":
             core.role = "primary"
         return core
 
     # ------------------------------------------------------------------
-    # record plumbing
+    # records
     # ------------------------------------------------------------------
-    def _append(self, record: dict[str, Any]) -> int:
-        """Durably record one applied operation; returns its seq.
-
-        A record that already carries a ``seq`` (replication, replay)
-        must be exactly the next one, as :meth:`EventLog.append`
-        requires."""
-        if self._log is not None:
-            return self._log.append(record)
-        seq = record.get("seq")
-        if seq is None:
-            record = {"seq": self._mem_next_seq, **record}
-        elif seq != self._mem_next_seq:
-            raise LogError(
-                f"out-of-order append: got seq {seq}, "
-                f"expected {self._mem_next_seq}"
-            )
-        self._mem_records.append(record)
-        self._mem_next_seq += 1
-        return record["seq"]
-
     @property
     def last_seq(self) -> int:
         """Sequence number of the most recent record."""
-        if self._log is not None:
-            return self._log.last_seq
-        return self._mem_next_seq - 1
-
-    @property
-    def tail_floor(self) -> int:
-        """The lowest replication cursor served by live pushes: a
-        replica further behind catches up through :meth:`read_from`.
-        For a log it is the start of the in-memory tail; the in-memory
-        store holds everything but applies the same window, so a
-        far-behind replica is paced the same way."""
-        if self._log is not None:
-            return self._log.tail_floor
-        first = self._mem_records[0]["seq"] if self._mem_records else 1
-        return max(self.last_seq - TAIL_RECORDS, first - 1)
+        return self.log.last_seq
 
     def records_from(self, seq: int) -> list[dict[str, Any]]:
-        """Records with sequence number strictly greater than ``seq``,
-        from memory only (live replication pushes).  A log serves
-        cursors from :attr:`tail_floor` on and raises
-        :class:`~repro.service.log.LogError` below it."""
-        if self._log is not None:
-            return self._log.records_from(seq)
-        return self._mem_slice(seq, None)
-
-    def _mem_slice(self, seq: int, stop: int | None) -> list[dict[str, Any]]:
-        """In-memory records with ``seq < record seq <= stop``: two
-        bisections on the (increasing) seqs, then one slice."""
-        recs = self._mem_records
-        lo = bisect_right(recs, seq, key=_SEQ)
-        hi = len(recs) if stop is None else bisect_right(recs, stop, key=_SEQ)
-        return recs[lo:max(hi, lo)]
-
-    def read_from(
-        self, seq: int, stop: int | None = None
-    ) -> list[dict[str, Any]]:
-        """Records with ``seq < record seq <= stop`` (``stop`` defaults
-        to the last record) — replication catch-up reads.  Blocking
-        for a log (a file read): event loops call it through
-        ``asyncio.to_thread``."""
-        if self._log is not None:
-            return self._log.read_from(seq, stop)
-        return self._mem_slice(seq, stop)
-
-    @property
-    def log_needs_sync(self) -> bool:
-        """Whether the backing log has a full unsynced batch pending."""
-        return self._log is not None and self._log.needs_sync
-
-    def flush_log(self) -> None:
-        """Fsync batched appends.  Blocking: event-loop owners must run
-        this in an executor (``MonitorService._flush_log`` does)."""
-        if self._log is not None:
-            self._log.sync()
-
-    def close_log(self) -> None:
-        """Sync and close the backing log (idempotent).  Blocking, like
-        :meth:`flush_log`."""
-        if self._log is not None:
-            self._log.close()
+        """Records after ``seq``, from memory only (see the store's
+        ``tail_floor``)."""
+        return self.log.records_from(seq)
 
     # ------------------------------------------------------------------
     # submission (live clients)
@@ -373,28 +280,29 @@ class MonitorCore:
     ) -> list[dict[str, Any]]:
         """Enqueue one event frame; returns any verdicts that fired.
 
-        The event is validated, queued on its node's shard, and the
+        The event is validated, queued on its node's queue, and the
         pump applies everything that became applicable (this event,
         parked receives it unblocked, deferred closes it completed).
         A receive parks only while its send may still arrive: one that
         can never apply (see :meth:`_check_causal`) is refused with a
-        :class:`~repro.events.trace.TraceError` and leaves every
-        counter as it was.
+        :class:`~repro.events.trace.TraceError`, and this event refused
+        by the monitor as it applies raises its ``ValueError``; both
+        leave every counter as they were.  A parked op refused in this
+        pump goes to :meth:`take_refusals` instead.
         """
         rec = self._validate_event(rec)
         node = rec["node"]
         self._check_causal(rec)
-        shard = self.shards[node % self.num_shards]
-        self._queues[node].append((rec, session))
+        shard = self.shards[node]
+        item = (rec, session)
+        self._queues[node].append(item)
         if rec["kind"] == "recv":
             self._named.add(tuple(rec["send"]))
         shard.queued += 1
         shard.queued_peak = max(shard.queued_peak, shard.queued)
         if session is not None:
-            self._pending_by_session[session] = (
-                self._pending_by_session.get(session, 0) + 1
-            )
-        return self._pump()
+            self._pending_by_session[session] += 1
+        return self._pump(item)
 
     def submit_close(
         self, interval: str, expected: int, session: int | None = None
@@ -413,9 +321,7 @@ class MonitorCore:
             _PendingClose(interval, expected, session, self._clock())
         )
         if session is not None:
-            self._pending_by_session[session] = (
-                self._pending_by_session.get(session, 0) + 1
-            )
+            self._pending_by_session[session] += 1
         return self._pump()
 
     def submit_watch(
@@ -428,7 +334,7 @@ class MonitorCore:
             raise ValueError(f"watch {name!r} already registered")
         self._monitor.watch(name, condition)  # parse errors propagate
         self._registered.add(name)
-        self._append({"op": "watch", "name": name, "condition": condition})
+        self.log.append({"op": "watch", "name": name, "condition": condition})
         notes = self._monitor.poll_watches()
         return self._handle_notifications(notes, submitted_at=self._clock())
 
@@ -447,6 +353,13 @@ class MonitorCore:
     def session_gone(self, session: int) -> None:
         """Forget per-session accounting after a disconnect."""
         self._pending_by_session.pop(session, None)
+
+    def take_refusals(self) -> list[tuple[int | None, str]]:
+        """The ``(session, message)`` of every parked op the monitor
+        refused as it applied since the last call; the list is handed
+        over and the core starts a new one."""
+        out, self._refusals = self._refusals, []
+        return out
 
     # ------------------------------------------------------------------
     # the pump
@@ -485,25 +398,40 @@ class MonitorCore:
             else:
                 self._pending_by_session[session] = left
 
-    def _pump(self) -> list[dict[str, Any]]:
+    def _pump(
+        self, own: tuple[dict[str, Any], int | None] | None = None
+    ) -> list[dict[str, Any]]:
         """Apply every applicable queued op until a fixpoint; returns
-        the verdict notifications emitted along the way."""
+        the verdict notifications emitted along the way.
+
+        An op the monitor refuses is dropped and recorded for
+        :meth:`take_refusals`, and the pump runs on.  The queue item
+        ``own`` (the op being submitted) is the exception: its refusal
+        is raised, which is safe because it is then the pump's first
+        and only step, as everything else was at a fixpoint."""
         out: list[dict[str, Any]] = []
         progressed = True
         while progressed:
             progressed = False
             for node, queue in enumerate(self._queues):
-                shard = self.shards[node % self.num_shards]
+                shard = self.shards[node]
                 while queue and self._applicable(queue[0][0]):
-                    rec, session = queue.popleft()
+                    item = queue.popleft()
+                    rec, session = item
                     # settled before applying: an op the monitor refuses
                     # is dropped, and leaves no count behind
                     shard.queued -= 1
                     self._settle(session)
                     if rec["kind"] == "recv":
                         self._named.discard(tuple(rec["send"]))
-                    self._apply_event(rec)
-                    self._append({"op": "event", **rec})
+                    try:
+                        self._apply_event(rec)
+                    except ValueError as exc:
+                        if item is own:
+                            raise
+                        self._refusals.append((session, str(exc)))
+                        continue
+                    self.log.append({"op": "event", **rec})
                     shard.applied += 1
                     progressed = True
             still: list[_PendingClose] = []
@@ -516,7 +444,7 @@ class MonitorCore:
                 if iv.count >= close.expected:
                     notes = self._monitor.close(close.interval)
                     self._closes_applied += 1
-                    self._append({
+                    self.log.append({
                         "op": "close",
                         "interval": close.interval,
                         "expected": close.expected,
@@ -562,7 +490,7 @@ class MonitorCore:
         self._watch_seq += 1
         verdict = {**verdict, "watch_seq": self._watch_seq}
         self._emitted.add(verdict["name"])
-        self._append(verdict)
+        self.log.append(verdict)
         if submitted_at is not None:
             lat = max(self._clock() - submitted_at, 0.0)
             self._latency_count += 1
@@ -587,7 +515,7 @@ class MonitorCore:
                     "send in the log (corrupt replication order)"
                 )
             self._apply_event(body)
-            self.shards[body["node"] % self.num_shards].applied += 1
+            self.shards[body["node"]].applied += 1
         elif op == "close":
             notes = self._monitor.close(rec["interval"])
             self._closes_applied += 1
@@ -608,7 +536,7 @@ class MonitorCore:
     def apply_record(self, rec: dict[str, Any]) -> None:
         """Standby path: durably append one replicated record, then
         apply it.  Records must arrive in sequence order."""
-        self._append(dict(rec))
+        self.log.append(dict(rec))
         self._replay(rec)
 
     def promote(self) -> list[dict[str, Any]]:
@@ -621,9 +549,7 @@ class MonitorCore:
         ``emitted`` and are never re-announced.
         """
         self.role = "primary"
-        out = []
-        for verdict in list(self._unconfirmed.values()):
-            out.append(self._emit(verdict, submitted_at=None))
+        out = [self._emit(v, submitted_at=None) for v in self._unconfirmed.values()]
         self._unconfirmed.clear()
         return out
 
@@ -635,16 +561,11 @@ class MonitorCore:
         """The wrapped online monitor (finalisation, offline hand-off)."""
         return self._monitor
 
-    @property
-    def watch_seq(self) -> int:
-        """Highest emitted watch sequence number."""
-        return self._watch_seq
-
     def note_throttle(self, node: int | None = None) -> None:
-        """Count one throttle frame (against a node's shard if known)."""
+        """Count one throttle frame (against a node's counters if known)."""
         self.throttles += 1
         if node is not None:
-            self.shards[node % self.num_shards].throttles += 1
+            self.shards[node].throttles += 1
 
     def stats(self) -> dict[str, Any]:
         """JSON-ready counters for the ``stats`` frame and CLI line."""
@@ -652,19 +573,15 @@ class MonitorCore:
             key: count - self._passes_at_start.get(key, 0)
             for key, count in clock_pass_counts().items()
         }
+        count = self._latency_count
         lat = {
-            "count": self._latency_count,
-            "avg_ms": (
-                self._latency_total / self._latency_count * 1e3
-                if self._latency_count
-                else 0.0
-            ),
+            "count": count,
+            "avg_ms": self._latency_total / count * 1e3 if count else 0.0,
             "max_ms": self._latency_max * 1e3,
         }
         return {
             "role": self.role,
             "num_nodes": self.num_nodes,
-            "num_shards": self.num_shards,
             "events_applied": sum(s.applied for s in self.shards),
             "closes_applied": self._closes_applied,
             "watches_registered": len(self._registered),
@@ -674,5 +591,5 @@ class MonitorCore:
             "last_seq": self.last_seq,
             "shards": [s.as_dict() for s in self.shards],
             "watch_latency": lat,
-            "clock_passes": dict(passes),
+            "clock_passes": passes,
         }

@@ -19,7 +19,7 @@ visible to any client.  The log is:
   with the records it holds.  :meth:`~EventLog.records_from` serves
   the tail from memory; :meth:`~EventLog.read_from` reads older
   records back from the file and is blocking (restart replay, and
-  replica catch-up through ``asyncio.to_thread``);
+  replication below the tail through ``asyncio.to_thread``);
 * **replayable** — a trailing partial line (a crash mid-write) is
   dropped: :func:`read_records` ignores it and opening an
   :class:`EventLog` truncates it away, so the next append starts on a
@@ -30,6 +30,9 @@ visible to any client.  The log is:
 * **replicated** — a warm-standby service tails the primary's appends
   over the wire (``replicate`` frames) into its own ``EventLog``, so
   promotion starts from local durable state.
+
+:class:`MemoryLog` is the same interface and sequencing rule with every
+record in memory and nothing durable (a service without ``--log``).
 
 Record shapes (all carry ``seq`` and ``op``):
 
@@ -52,20 +55,25 @@ import json
 import os
 import threading
 from array import array
+from bisect import bisect_right
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from operator import itemgetter
 from typing import IO, Any
 
-__all__ = ["TAIL_RECORDS", "EventLog", "LogError", "read_records"]
+__all__ = ["TAIL_RECORDS", "EventLog", "LogError", "MemoryLog", "read_records"]
 
 #: Decoded records of the most recent appends an :class:`EventLog`
-#: keeps in memory for the live replication pushes; older records are
-#: read back from the file.
+#: keeps in memory, so replication reads them without file I/O; older
+#: records are read back from the file.
 TAIL_RECORDS = 1024
 
 
 class LogError(ValueError):
     """Raised when a log file or record sequence is invalid."""
+
+
+_SEQ = itemgetter("seq")
 
 
 def _scan(fh: IO[bytes], path: str) -> Iterator[tuple[int, int, dict[str, Any]]]:
@@ -112,7 +120,31 @@ def read_records(path: str) -> list[dict[str, Any]]:
         return [rec for _, _, rec in _scan(fh, path)]
 
 
-class EventLog:
+class _RecordStore:
+    """The sequencing rule both record stores share."""
+
+    _next_seq: int
+
+    @property
+    def last_seq(self) -> int:
+        """Sequence number of the most recent record (0 when empty)."""
+        return self._next_seq - 1
+
+    def _sequenced(self, record: dict[str, Any]) -> dict[str, Any]:
+        """``record`` with the next seq assigned, or checked when it
+        carries one (replication apply, replay); the caller advances
+        ``_next_seq`` once the record is stored."""
+        seq = record.get("seq")
+        if seq is None:
+            return {"seq": self._next_seq, **record}
+        if seq != self._next_seq:
+            raise LogError(
+                f"out-of-order append: got seq {seq}, expected {self._next_seq}"
+            )
+        return record
+
+
+class EventLog(_RecordStore):
     """One append-only, fsync-batched log file.
 
     Parameters
@@ -165,10 +197,7 @@ class EventLog:
     # appending
     # ------------------------------------------------------------------
     def append(self, record: dict[str, Any]) -> int:
-        """Append one record; assigns and returns its ``seq``.
-
-        If the record already carries a ``seq`` (replication apply), it
-        must be exactly the next expected one.
+        """Append one record; assigns (or checks) and returns its ``seq``.
 
         ``append`` never blocks on durability: it only buffers the
         write and counts it.  The *owner* watches :attr:`needs_sync`
@@ -177,13 +206,7 @@ class EventLog:
         otherwise.  This keeps the fsync out of every coroutine's call
         graph instead of burying it ``fsync_every`` appends deep.
         """
-        seq = record.get("seq")
-        if seq is None:
-            record = {"seq": self._next_seq, **record}
-        elif seq != self._next_seq:
-            raise LogError(
-                f"out-of-order append: got seq {seq}, expected {self._next_seq}"
-            )
+        record = self._sequenced(record)
         line = json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
         self._fh.write(line)
         self._offsets.append(self._end)
@@ -221,11 +244,6 @@ class EventLog:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the most recent record (0 when empty)."""
-        return self._next_seq - 1
-
     @property
     def tail_floor(self) -> int:
         """The lowest cursor :meth:`records_from` serves from memory:
@@ -307,3 +325,43 @@ class EventLog:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EventLog({self.path!r}, last_seq={self.last_seq})"
+
+
+class MemoryLog(_RecordStore):
+    """Every record in memory, behind :class:`EventLog`'s interface:
+    :attr:`tail_floor` is 0, and :meth:`sync`/:meth:`close` do nothing.
+    Reads bisect on the seqs, so ``records`` need not be dense (a log
+    replayed with records dropped)."""
+
+    needs_sync = False
+    tail_floor = 0
+
+    def __init__(self, records: Iterable[dict[str, Any]] = ()) -> None:
+        self._records = list(records)
+        self._next_seq = self._records[-1]["seq"] + 1 if self._records else 1
+
+    def append(self, record: dict[str, Any]) -> int:
+        """Store one record, sequenced as by :meth:`EventLog.append`."""
+        record = self._sequenced(record)
+        self._records.append(record)
+        self._next_seq += 1
+        return record["seq"]
+
+    def records_from(self, seq: int) -> list[dict[str, Any]]:
+        """Records with sequence number strictly greater than ``seq``."""
+        return self.read_from(seq)
+
+    def read_from(
+        self, seq: int, stop: int | None = None
+    ) -> list[dict[str, Any]]:
+        """Records with ``seq < record seq <= stop`` (default: the last)."""
+        recs = self._records
+        lo = bisect_right(recs, seq, key=_SEQ)
+        hi = len(recs) if stop is None else bisect_right(recs, stop, key=_SEQ)
+        return recs[lo:max(hi, lo)]
+
+    def sync(self) -> None:
+        """Nothing to make durable."""
+
+    def close(self) -> None:
+        """Nothing to release."""

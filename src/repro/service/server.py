@@ -20,24 +20,21 @@ buffers without bound:
   gets a ``throttle`` frame when its outbound queue crosses the soft
   mark, and is disconnected when the queue fills.
 
+A parked op the core refuses while applying another session's op
+(:meth:`~repro.service.core.MonitorCore.take_refusals`) ends only its
+own session, with ``error code=rejected``.
+
 Replication
 -----------
 A peer connecting with ``hello role="replica"`` receives every log
-record from its ``resume_seq`` on as ``replicate`` frames.  While its
-cursor is inside the log's in-memory tail (and the records fit the
-session's outbound queue) it gets live pushes as records append.  A
-replica further behind — attaching to a long log, or after one close
-appended more verdict records than the tail holds — is caught up by a
-per-session task: it reads a bounded chunk of records back from the
-log file off the loop (``asyncio.to_thread``), queues them as the
-replica drains its socket, and repeats until the cursor reaches the
-newest record; live pushes then resume.  A
-*standby* service is a ``MonitorService`` constructed with
-``primary=(host, port)``: its :meth:`start` tails the primary instead
-of listening (retrying an unreachable primary with backoff — loss is
-only reported once an established stream dies), and :meth:`promote`
-(after primary death) emits the unconfirmed watch remainder and opens
-its own listener.
+record after its ``resume_seq`` as ``replicate`` frames from one task
+(:meth:`MonitorService._replicate`), paced by the replica's reads and
+woken by every mutation.  A *standby* service is a ``MonitorService``
+constructed with ``primary=(host, port)``: its :meth:`start` tails the
+primary instead of listening (retrying an unreachable primary with
+backoff — loss is only reported once an established stream dies), and
+:meth:`promote` (after primary death) emits the unconfirmed watch
+remainder and opens its own listener.
 
 :class:`ServiceHandle` runs a service on a dedicated thread + event
 loop for synchronous callers (tests, benchmarks, the CLI client side).
@@ -71,7 +68,7 @@ class _Session:
 
     __slots__ = (
         "sid", "role", "writer", "queue", "task",
-        "throttled", "repl_cursor", "catchup", "closed",
+        "throttled", "feeder", "wake", "closed",
     )
 
     def __init__(
@@ -83,13 +80,14 @@ class _Session:
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=maxsize)
         self.task: asyncio.Task | None = None
         self.throttled = False
-        self.repl_cursor = 0
-        self.catchup: asyncio.Task | None = None
+        # replica sessions: the replication task and its wake event
+        self.feeder: asyncio.Task | None = None
+        self.wake = asyncio.Event()
         self.closed = False
 
 
 class MonitorService:
-    """Networked online monitor: sharded ingest, watch pushes, replication.
+    """Networked online monitor: ingest, watch pushes, replication.
 
     Parameters
     ----------
@@ -117,7 +115,6 @@ class MonitorService:
         host: str = "127.0.0.1",
         port: int = 0,
         log_path: str | None = None,
-        num_shards: int | None = None,
         fsync_every: int = 64,
         throttle_at: int = 256,
         disconnect_at: int = 1024,
@@ -141,10 +138,7 @@ class MonitorService:
                 # matches the sequence numbers the log resumes at
                 try:
                     core = MonitorCore.from_records(
-                        log.iter_from(0),
-                        log=log,
-                        role=role,
-                        num_shards=num_shards,
+                        log.iter_from(0), log=log, role=role
                     )
                     if core.num_nodes != num_nodes:
                         raise ValueError(
@@ -156,9 +150,7 @@ class MonitorService:
                     log.close()
                     raise
             else:
-                core = MonitorCore(
-                    num_nodes, num_shards=num_shards, log=log, role=role
-                )
+                core = MonitorCore(num_nodes, log=log, role=role)
         self.core = core
         self.host = host
         self.port = port
@@ -227,11 +219,7 @@ class MonitorService:
     async def promote(self) -> list[dict[str, Any]]:
         """Standby → primary: emit the unconfirmed watch remainder and
         start listening.  Returns the verdicts emitted."""
-        if self._tail_task is not None:
-            self._tail_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._tail_task
-            self._tail_task = None
+        await self._stop_tailing()
         self.primary = None
         verdicts = self.core.promote()
         for verdict in verdicts:
@@ -241,14 +229,17 @@ class MonitorService:
             await self._listen()
         return verdicts
 
-    async def stop(self) -> None:
-        """Close the listener and every session; sync the log."""
-        self._stopped = True
+    async def _stop_tailing(self) -> None:
         if self._tail_task is not None:
             self._tail_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._tail_task
             self._tail_task = None
+
+    async def stop(self) -> None:
+        """Close the listener and every session; sync the log."""
+        self._stopped = True
+        await self._stop_tailing()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -258,7 +249,7 @@ class MonitorService:
         # the final sync+close blocks on the disk, like every fsync:
         # hand it to a worker thread rather than stalling the loop
         await asyncio.get_running_loop().run_in_executor(
-            None, self.core.close_log
+            None, self.core.log.close
         )
 
     async def wait_session_end(self) -> None:
@@ -320,58 +311,47 @@ class MonitorService:
             if sess.role == "client":
                 self._push(sess, frame)
 
-    def _flush_replication(self) -> None:
-        """Push newly appended log records to every replica session on
-        live pushes; start a catch-up for one that fell behind."""
-        for sess in self._sessions.values():
-            if sess.role != "replica" or sess.catchup is not None:
-                continue
-            behind = self.core.last_seq - sess.repl_cursor
-            if (
-                sess.repl_cursor < self.core.tail_floor
-                or behind + sess.queue.qsize() >= self.throttle_at
-            ):
-                sess.catchup = asyncio.ensure_future(self._catch_up(sess))
-                continue
-            for rec in self.core.records_from(sess.repl_cursor):
-                self._push(sess, {"type": "replicate", "record": rec})
-                sess.repl_cursor = rec["seq"]
-
-    async def _catch_up(self, sess: _Session) -> None:
-        """Stream the records a replica is missing, paced by its reads.
+    async def _replicate(self, sess: _Session, cursor: int) -> None:
+        """Stream every record after ``cursor`` to one replica session,
+        then each new one as it appends, until the session ends.
 
         Each round takes at most :data:`~repro.service.log.TAIL_RECORDS`
-        records up to the newest one at that moment: from the log file
-        in a worker thread when the cursor is below the in-memory tail,
-        from the tail otherwise.  Frames go in with an awaited ``put``,
-        so a burst waits for queue room instead of overflowing it.
-        Once the cursor reaches the newest record — checked with no
-        await before the hand-back, so no append slips in between —
-        the session returns to live pushes.  A log that cannot be read
-        back ends the session with an ``error`` frame.
+        records, read from the file in a worker thread when the cursor
+        is below the log's tail, and queues them with an awaited
+        ``put``.  At the newest record (checked with no await before
+        the wait) the task waits on the session's wake event.  A log
+        that cannot be read back ends the session with an error frame.
         """
+        log = self.core.log
         try:
-            while sess.repl_cursor < self.core.last_seq and not sess.closed:
-                stop = min(self.core.last_seq, sess.repl_cursor + TAIL_RECORDS)
-                if sess.repl_cursor < self.core.tail_floor:
-                    chunk = await asyncio.to_thread(
-                        self.core.read_from, sess.repl_cursor, stop
-                    )
+            while not sess.closed:
+                if cursor >= log.last_seq:
+                    sess.wake.clear()
+                    await sess.wake.wait()
+                    continue
+                if cursor < log.tail_floor:
+                    stop = min(log.last_seq, cursor + TAIL_RECORDS)
+                    chunk = await asyncio.to_thread(log.read_from, cursor, stop)
                 else:
-                    chunk = self.core.records_from(sess.repl_cursor)
+                    chunk = log.records_from(cursor)[:TAIL_RECORDS]
                 for rec in chunk:
-                    if rec["seq"] > stop:
-                        break
                     await sess.queue.put({"type": "replicate", "record": rec})
-                    sess.repl_cursor = rec["seq"]
+                    cursor = rec["seq"]
         except (OSError, ValueError) as exc:
             self._cut_session(sess, error_frame("replication", str(exc)))
-        sess.catchup = None
 
     def _after_mutation(self, verdicts: list[dict[str, Any]]) -> None:
+        """Push the verdicts, end the sessions whose parked ops the core
+        refused, and wake every replica task."""
         for verdict in verdicts:
             self._broadcast_verdict(verdict)
-        self._flush_replication()
+        for sid, message in self.core.take_refusals():
+            sess = self._sessions.get(sid) if sid is not None else None
+            if sess is not None:
+                self._cut_session(sess, error_frame("rejected", message))
+        for sess in self._sessions.values():
+            if sess.role == "replica":
+                sess.wake.set()
 
     async def _flush_log(self) -> None:
         """Durability batching, off the loop: when the log has a full
@@ -383,13 +363,13 @@ class MonitorService:
         coroutine ever reaches ``os.fsync`` on the loop thread; this is
         the pattern REP007 enforces project-wide.
         """
-        if not self.core.log_needs_sync:
+        if not self.core.log.needs_sync:
             return
         async with self._sync_lock:
-            if not self.core.log_needs_sync:
+            if not self.core.log.needs_sync:
                 return
             await asyncio.get_running_loop().run_in_executor(
-                None, self.core.flush_log
+                None, self.core.log.sync
             )
 
     async def _writer_loop(self, sess: _Session) -> None:
@@ -412,10 +392,10 @@ class MonitorService:
         sess.closed = True
         self._sessions.pop(sess.sid, None)
         self.core.session_gone(sess.sid)
-        if sess.catchup is not None:
-            sess.catchup.cancel()
+        if sess.feeder is not None:
+            sess.feeder.cancel()
             with contextlib.suppress(asyncio.CancelledError):
-                await sess.catchup
+                await sess.feeder
         if sess.task is not None and not sess.task.done():
             try:
                 sess.queue.put_nowait(None)
@@ -437,36 +417,12 @@ class MonitorService:
             hello = await read_frame_async(reader, self.max_frame_bytes)
             if hello is None:
                 return
-            if hello.get("type") != "hello":
-                writer.write(encode_frame(
-                    error_frame("bad-hello", "first frame must be hello")
-                ))
-                await writer.drain()
-                return
-            if hello.get("version") != PROTOCOL_VERSION:
-                writer.write(encode_frame(error_frame(
-                    "version",
-                    f"server speaks protocol {PROTOCOL_VERSION}, "
-                    f"client sent {hello.get('version')!r}",
-                )))
-                await writer.drain()
-                return
-            peer_nodes = hello.get("num_nodes")
-            if peer_nodes is not None and peer_nodes != self.core.num_nodes:
-                writer.write(encode_frame(error_frame(
-                    "num-nodes",
-                    f"service monitors {self.core.num_nodes} nodes, "
-                    f"client expects {peer_nodes}",
-                )))
+            refusal = self._refuse_hello(hello)
+            if refusal is not None:
+                writer.write(encode_frame(refusal))
                 await writer.drain()
                 return
             role = hello.get("role", "client")
-            if role not in ("client", "replica"):
-                writer.write(encode_frame(
-                    error_frame("role", f"unknown role: {role!r}")
-                ))
-                await writer.drain()
-                return
             sid = self._next_sid
             self._next_sid += 1
             sess = _Session(sid, role, writer, maxsize=self.disconnect_at)
@@ -480,8 +436,9 @@ class MonitorService:
                 "role": role,
             })
             if role == "replica":
-                sess.repl_cursor = int(hello.get("resume_seq", 0))
-                self._flush_replication()
+                sess.feeder = asyncio.ensure_future(self._replicate(
+                    sess, max(int(hello.get("resume_seq", 0)), 0)
+                ))
             await self._session_loop(reader, sess)
         except (ProtocolError, FrameTooLargeError) as exc:
             if sess is not None and not sess.closed:
@@ -500,6 +457,29 @@ class MonitorService:
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
 
+    def _refuse_hello(self, hello: dict[str, Any]) -> dict[str, Any] | None:
+        """The terminal ``error`` frame for a hello this service does
+        not accept, or ``None``."""
+        if hello.get("type") != "hello":
+            return error_frame("bad-hello", "first frame must be hello")
+        if hello.get("version") != PROTOCOL_VERSION:
+            return error_frame(
+                "version",
+                f"server speaks protocol {PROTOCOL_VERSION}, "
+                f"client sent {hello.get('version')!r}",
+            )
+        peer_nodes = hello.get("num_nodes")
+        if peer_nodes is not None and peer_nodes != self.core.num_nodes:
+            return error_frame(
+                "num-nodes",
+                f"service monitors {self.core.num_nodes} nodes, "
+                f"client expects {peer_nodes}",
+            )
+        role = hello.get("role", "client")
+        if role not in ("client", "replica"):
+            return error_frame("role", f"unknown role: {role!r}")
+        return None
+
     async def _session_loop(
         self, reader: asyncio.StreamReader, sess: _Session
     ) -> None:
@@ -510,24 +490,17 @@ class MonitorService:
             ftype = frame.get("type")
             try:
                 if ftype == "event":
-                    verdicts = self.core.submit_event(frame, session=sess.sid)
-                    self._after_mutation(verdicts)
+                    self._after_mutation(self.core.submit_event(frame, session=sess.sid))
                     self._check_ingest_pressure(sess, frame)
                 elif ftype == "close":
-                    verdicts = self.core.submit_close(
-                        frame.get("interval"),
-                        frame.get("expected"),
-                        session=sess.sid,
-                    )
-                    self._after_mutation(verdicts)
+                    self._after_mutation(self.core.submit_close(
+                        frame.get("interval"), frame.get("expected"), session=sess.sid
+                    ))
                     self._check_ingest_pressure(sess, frame)
                 elif ftype == "watch":
-                    verdicts = self.core.submit_watch(
-                        frame.get("name"),
-                        frame.get("condition"),
-                        session=sess.sid,
-                    )
-                    self._after_mutation(verdicts)
+                    self._after_mutation(self.core.submit_watch(
+                        frame.get("name"), frame.get("condition"), session=sess.sid
+                    ))
                 elif ftype == "stats":
                     stats = self.core.stats()
                     stats["sessions"] = len(self._sessions)
@@ -710,10 +683,7 @@ class ServiceHandle:
 
     def promote(self) -> list[dict[str, Any]]:
         """Thread-safe standby promotion."""
-        async def _promote(service: MonitorService) -> list[dict[str, Any]]:
-            return await service.promote()
-
-        return self.call(_promote)
+        return self.call(lambda service: service.promote())
 
     def stop(self, timeout: float = 10.0) -> None:
         """Stop the service and join the loop thread (idempotent)."""

@@ -1,20 +1,14 @@
-"""True negatives for REP001: the protocol followed, both spellings."""
+"""True negatives for REP001: the protocol followed, with and without
+guards."""
 
 
-def versioned_state(**kwargs):
-    def deco(cls):
-        return cls
-
-    return deco
-
-
-@versioned_state(
-    version="_version",
-    state=("_trace",),
-    caches=("_memo",),
-    guards=("invalidate", "_fresh"),
-)
-class GoodDecorated:
+class GoodGuarded:
+    _REPRO_VERSIONED = {
+        "version": "_version",
+        "state": ("_trace",),
+        "caches": ("_memo",),
+        "guards": ("invalidate", "_fresh"),
+    }
     __slots__ = ("_trace", "_memo", "_version")
 
     def __init__(self) -> None:

@@ -87,6 +87,20 @@ def test_rep001_counts_each_offending_method():
     }
 
 
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        ("rep001_guard_tp.py",
+         "class 'MisspelledGuard' declares guard 'invalidte', which is not a method"),
+        ("rep001_slots_tp.py",
+         "class 'MisspelledCache' declares attribute '_memos', which is not in __slots__"),
+    ],
+)
+def test_rep001_flags_declaration_typos(fixture, message):
+    findings = [f for f in run_file(FIXTURES / fixture) if f.rule == "REP001"]
+    assert message in [f.message for f in findings]
+
+
 def test_rep004_distinguishes_all_three_habits():
     messages = [
         f.message for f in run_file(FIXTURES / "rep004_tp.py") if f.rule == "REP004"

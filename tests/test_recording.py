@@ -220,9 +220,9 @@ def test_log_backed_core_keeps_at_most_180_bytes_per_event(tmp_path):
             if (step + 1) % 250 == 0 or step + 1 == n:
                 core.submit_close(window, window_sizes[window], session=1)
         assert core.pending() == 0
-        core.flush_log()
+        core.log.sync()
         return core
 
     core, grown = _traced(run)
-    core.close_log()
+    core.log.close()
     assert grown <= 180 * n, f"{grown / n:.1f} B kept per event"

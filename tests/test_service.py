@@ -50,6 +50,7 @@ from repro.service import (
     read_records,
 )
 from repro.service.client import replay_trace
+from repro.service.log import MemoryLog
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.simulation.workloads import barrier_trace
 from tests.strategies import traces
@@ -106,25 +107,32 @@ class TestProtocol:
 @pytest.fixture
 def small_tail(monkeypatch):
     """Shrink the log's in-memory tail (and with it the replication
-    window and the catch-up chunk) to 8 records."""
-    import repro.service.core as core_mod
+    chunk) to 8 records."""
     import repro.service.log as log_mod
     import repro.service.server as server_mod
 
-    for mod in (log_mod, core_mod, server_mod):
+    for mod in (log_mod, server_mod):
         monkeypatch.setattr(mod, "TAIL_RECORDS", 8)
     return 8
 
 
+@pytest.fixture(params=["file", "memory"])
+def store(request, tmp_path):
+    """Each record store, empty: an :class:`EventLog` file and a
+    :class:`MemoryLog`."""
+    if request.param == "memory":
+        yield MemoryLog()
+        return
+    with EventLog(str(tmp_path / "log.jsonl"), fsync_every=0) as log:
+        yield log
+
+
 class TestEventLog:
-    def test_append_assigns_dense_seq(self, tmp_path):
-        path = str(tmp_path / "log.jsonl")
-        with EventLog(path, fsync_every=0) as log:
-            assert log.append({"op": "init", "num_nodes": 2}) == 1
-            assert log.append({"op": "event", "node": 0}) == 2
-            assert log.last_seq == 2
-        recs = read_records(path)
-        assert [r["seq"] for r in recs] == [1, 2]
+    def test_append_assigns_dense_seq(self, store):
+        assert store.append({"op": "init", "num_nodes": 2}) == 1
+        assert store.append({"op": "event", "node": 0}) == 2
+        assert store.last_seq == 2
+        assert [r["seq"] for r in store.read_from(0)] == [1, 2]
 
     def test_reopen_resumes_sequence(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
@@ -160,11 +168,12 @@ class TestEventLog:
         with pytest.raises(LogError, match="gap"):
             read_records(path)
 
-    def test_out_of_order_append_rejected(self, tmp_path):
-        with EventLog(str(tmp_path / "l.jsonl"), fsync_every=0) as log:
-            log.append({"op": "init", "num_nodes": 1})
-            with pytest.raises(LogError, match="out-of-order"):
-                log.append({"seq": 7, "op": "event"})
+    def test_out_of_order_append_rejected(self, store):
+        store.append({"op": "init", "num_nodes": 1})
+        with pytest.raises(LogError, match="out-of-order"):
+            store.append({"seq": 7, "op": "event"})
+        assert store.append({"seq": 2, "op": "event"}) == 2
+        assert store.last_seq == 2
 
     def test_append_after_torn_tail_keeps_log_readable(self, tmp_path):
         """Reopening over a torn tail truncates it, so the next append
@@ -213,6 +222,28 @@ class TestEventLog:
             assert list(log.iter_from(5)) == expected[5:]
         with EventLog(path, fsync_every=0) as log:  # tail refilled on open
             assert log.records_from(12) == expected[12:]
+
+    def test_records_after_the_tail_floor_come_from_memory(
+        self, small_tail, store
+    ):
+        """Both stores serve every cursor from ``tail_floor`` on out of
+        memory and every window through ``read_from``; only a log file
+        has a floor above 0, and refuses cursors below it."""
+        bodies = [{"op": "event", "node": i} for i in range(20)]
+        for body in bodies:
+            store.append(dict(body))
+        expected = [{"seq": i + 1, **b} for i, b in enumerate(bodies)]
+        floor = store.tail_floor
+        assert floor == (20 - small_tail if isinstance(store, EventLog) else 0)
+        assert store.records_from(floor) == expected[floor:]
+        assert [r["seq"] for r in store.records_from(15)] == [16, 17, 18, 19, 20]
+        assert store.records_from(20) == []
+        if floor:
+            with pytest.raises(LogError, match="tail"):
+                store.records_from(floor - 1)
+        assert store.read_from(0) == expected
+        assert store.read_from(3, 7) == expected[3:7]
+        assert store.read_from(7, 3) == []
 
     def test_memory_stays_flat_per_record(self, tmp_path):
         """An open log keeps a line offset per record, not the record:
@@ -272,11 +303,11 @@ class TestMonitorCore:
         core = MonitorCore(1)
         for _ in range(50):
             core.submit_event(_ev(0))
-        core._mem_records = _NoScan(core._mem_records)
+        core.log._records = _NoScan(core.log._records)
         for seq in (-1, 0, 1, 25, 50, 51, 60):
             got = [r["seq"] for r in core.records_from(seq)]
             assert got == list(range(max(seq, 0) + 1, 52))
-        assert [r["seq"] for r in core.read_from(10, 20)] == list(range(11, 21))
+        assert [r["seq"] for r in core.log.read_from(10, 20)] == list(range(11, 21))
 
     def test_from_records_over_a_log_keeps_no_records(self, tmp_path):
         core = MonitorCore(1)
@@ -289,7 +320,7 @@ class TestMonitorCore:
         log = EventLog(path, fsync_every=0)
         try:
             rebuilt = MonitorCore.from_records(log.iter_from(0), log=log)
-            assert rebuilt._mem_records == []
+            assert rebuilt.log is log
             assert rebuilt.last_seq == core.last_seq
             assert rebuilt.has_watch("w")
         finally:
@@ -375,6 +406,33 @@ class TestMonitorCore:
         assert core.monitor.count(0) == 1
         core.submit_event(_ev(0), session=1)
         assert core.monitor.count(0) == 2 and core.last_seq == seq + 1
+
+    def test_parked_op_refused_in_another_sessions_pump(self):
+        """Session 1's parked receive is tagged into X; session 2 closes
+        X, then sends the awaited message, which also closes B and
+        fires W.  The receive is refused against session 1, session 2's
+        submit returns W's verdict, and W is logged once."""
+        core = MonitorCore(3)
+        core.submit_watch("W", "R4(A, B)", session=2)
+        core.submit_event(_ev(0, interval="A"), session=2)
+        core.submit_close("A", expected=1, session=2)
+        core.submit_event(_ev(0, interval="X"), session=1)
+        core.submit_event(_ev(1, "recv", send=[2, 1], interval="X"), session=1)
+        assert core.pending(1) == 1
+        core.submit_close("X", expected=1, session=2)
+        core.submit_close("B", expected=1, session=2)
+        verdicts = core.submit_event(_ev(2, "send", interval="B"), session=2)
+        assert [(v["name"], v["watch_seq"]) for v in verdicts] == [("W", 1)]
+        [(session, message)] = core.take_refusals()
+        assert session == 1 and "'X' is already closed" in message
+        assert core.take_refusals() == []
+        assert core.pending() == 0 and core.pending(1) == 0
+        records = core.records_from(0)
+        assert [r["watch_seq"] for r in records if r["op"] == "verdict"] == [1]
+        # the refused receive was never logged, so replay agrees
+        assert not [r for r in records if r.get("kind") == "recv"]
+        assert core.stats()["events_applied"] == 3
+        assert MonitorCore.from_records(records).promote() == []
 
     def test_close_defers_until_expected_count(self):
         core = MonitorCore(1)
@@ -617,6 +675,36 @@ class TestLiveService:
             assert err.value.code == "rejected"
             assert "share atomic events" in err.value.message
             assert handle.stats()["watches_registered"] == 0
+        finally:
+            handle.stop()
+
+    def test_parked_op_refused_in_another_sessions_pump(self):
+        """The in-process refusal probe over sockets: session 1 gets
+        ``error code=rejected``, session 2 stays connected, and W's
+        verdict reaches each client once."""
+        handle = _serve(num_nodes=3)
+        try:
+            host, port = handle.address
+            with MonitorClient(host, port, num_nodes=3) as s1, \
+                    MonitorClient(host, port, num_nodes=3) as s2:
+                s2.watch("W", "R4(A, B)")
+                s2.send_event(0, interval="A")
+                s2.close_interval("A", expected=1)
+                s2.stats()
+                s1.send_event(0, interval="X")
+                s1.send_event(1, "recv", send=[2, 1], interval="X")
+                assert s1.stats()["parked"] == 1
+                s2.close_interval("X", expected=1)
+                s2.close_interval("B", expected=1)
+                s2.send_event(2, "send", interval="B")
+                with pytest.raises(ServiceError) as err:
+                    s1.wait_verdicts(2)
+                assert err.value.code == "rejected"
+                assert "'X' is already closed" in err.value.message
+                assert [v["name"] for v in s1.verdicts] == ["W"]
+                stats = s2.stats()
+                assert [v["name"] for v in s2.verdicts] == ["W"]
+            assert stats["verdicts_emitted"] == 1 and stats["parked"] == 0
         finally:
             handle.stop()
 
