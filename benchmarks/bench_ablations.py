@@ -8,7 +8,7 @@ A-4  Definition-2 vs Definition-3 proxies.
 
 import pytest
 
-from repro.core.cuts import cuts_of
+from repro.core.context import AnalysisContext
 from repro.core.evaluator import SynchronizationAnalyzer
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS
@@ -24,8 +24,9 @@ class TestAblationCutReuse:
     def test_with_reuse(self, benchmark, medium_workload):
         ex, pairs = medium_workload
         ev = LinearEvaluator(ex)
+        cache = AnalysisContext.of(ex).cut_cache
         for x, y in pairs:
-            cuts_of(x), cuts_of(y)
+            cache.quadruple(x), cache.quadruple(y)
 
         def run():
             return [
@@ -60,7 +61,8 @@ class TestAblationKeyIdea2:
         ex, x, y = make_pair(64, events_per_node=4, seed=13, spread=4)
         ev = LinearEvaluator(ex, node_restriction=restricted)
         ref = LinearEvaluator(ex)
-        cuts_of(x), cuts_of(y)
+        cache = AnalysisContext.of(ex).cut_cache
+        cache.quadruple(x), cache.quadruple(y)
         for rel in BASE_RELATIONS:  # answers identical either way
             assert ev.evaluate(rel, x, y) == ref.evaluate(rel, x, y)
 

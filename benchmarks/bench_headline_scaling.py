@@ -16,6 +16,7 @@ The companion (non-benchmark) assertions fit the exponents explicitly.
 import pytest
 
 from repro.analysis.complexity import fit_power_law, measure_comparisons
+from repro.core.context import AnalysisContext
 from repro.core.linear import LinearEvaluator
 from repro.core.naive import NaiveEvaluator
 from repro.core.polynomial import PolynomialEvaluator
@@ -35,9 +36,8 @@ ENGINES = {
 def test_scaling_sweep(benchmark, engine, num_nodes):
     ex, x, y = make_pair(num_nodes, events_per_node=6, seed=num_nodes)
     ev = ENGINES[engine](ex)
-    from repro.core.cuts import cuts_of
-
-    cuts_of(x), cuts_of(y)
+    cache = AnalysisContext.of(ex).cut_cache
+    cache.quadruple(x), cache.quadruple(y)
 
     def run():
         return [ev.evaluate(rel, x, y) for rel in BASE_RELATIONS]

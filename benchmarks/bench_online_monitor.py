@@ -9,6 +9,7 @@ module docstring of :mod:`repro.monitor.online` quantifies.
 import numpy as np
 import pytest
 
+from repro.core.context import AnalysisContext
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import Relation
 from repro.events.trace import causal_schedule
@@ -64,8 +65,7 @@ def test_online_polynomial_fallback(benchmark, rel):
                          ids=lambda r: r.display)
 def test_offline_reference(benchmark, rel):
     lin = LinearEvaluator(EX)
-    from repro.core.cuts import cuts_of
-
-    cuts_of(X), cuts_of(Y)
+    cache = AnalysisContext.of(EX).cut_cache
+    cache.quadruple(X), cache.quadruple(Y)
     benchmark(lambda: lin.evaluate(rel, X, Y))
 

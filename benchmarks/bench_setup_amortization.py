@@ -54,8 +54,9 @@ def test_cut_setup_per_interval(benchmark):
 def test_query_cost_with_reuse(benchmark):
     """Steady-state: all 8 relations over 30 pairs with warm cuts."""
     ev = LinearEvaluator(EX)
+    cache = AnalysisContext.of(EX).cut_cache
     for x, y in PAIRS:
-        cuts_of(x), cuts_of(y)
+        cache.quadruple(x), cache.quadruple(y)
 
     def run():
         total = 0
@@ -82,7 +83,8 @@ def test_amortization_report(benchmark):
     cut_setup = (time.perf_counter() - t0) / 100
 
     ev = LinearEvaluator(EX)
-    cuts_of(x0), cuts_of(y0)
+    cache = AnalysisContext.of(EX).cut_cache
+    cache.quadruple(x0), cache.quadruple(y0)
     t0 = time.perf_counter()
     reps = 2000
     for _ in range(reps):
@@ -180,8 +182,8 @@ def test_columnar_cut_fill_vs_folds(benchmark):
 
     Both paths run over warm clock tables and time only the cut
     construction (interval objects are built outside the timed region;
-    the fold path gets fresh clones per repetition so the per-instance
-    cut cache cannot serve it).  The acceptance bar is a >= 5x win for
+    :func:`repro.core.cuts.cuts_of` caches nothing, so every repetition
+    pays the fold).  The acceptance bar is a >= 5x win for
     the one-pass columnar fill (:func:`repro.core.cuts.cut_stats`).
     """
     k = 256

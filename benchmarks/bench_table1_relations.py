@@ -12,7 +12,7 @@ from repro.core.linear import LinearEvaluator
 from repro.core.naive import NaiveEvaluator
 from repro.core.polynomial import PolynomialEvaluator
 from repro.core.relations import BASE_RELATIONS
-from repro.core.cuts import cuts_of
+from repro.core.context import AnalysisContext
 
 ENGINES = {
     "naive": NaiveEvaluator,
@@ -26,8 +26,9 @@ ENGINES = {
 def test_relation_engine(benchmark, medium_workload, engine, relation):
     ex, pairs = medium_workload
     ev = ENGINES[engine](ex)
-    for x, y in pairs:  # pre-warm cut caches (one-time cost, Key Idea 1)
-        cuts_of(x), cuts_of(y)
+    cache = AnalysisContext.of(ex).cut_cache
+    for x, y in pairs:  # pre-warm the cut cache (one-time cost, Key Idea 1)
+        cache.quadruple(x), cache.quadruple(y)
 
     def run():
         out = 0

@@ -80,22 +80,16 @@ def measure_comparisons(
 
     ``engine_factory(execution, counter)`` must build an engine whose
     ``evaluate`` records into ``counter``.  Each (relation, pair)
-    evaluation contributes one count (query-time comparisons only; cut
-    construction is pre-warmed so the one-time setup cost is excluded,
-    mirroring the paper's accounting).
+    evaluation contributes one count: query-time comparisons only, as
+    in the paper's accounting.  Cut construction needs no pre-warming
+    to be left out, because :func:`~repro.core.cuts.cut_vector` takes
+    no counter.
     """
-    from ..core.cuts import cuts_of  # local import to avoid cycles
-    from ..nonatomic.proxies import Proxy, proxy_of
-
     counter = ComparisonCounter()
     engine = engine_factory(execution, counter)
     out: dict[Relation, list[int]] = {rel: [] for rel in relations}
     pairs = list(pairs)
     for x, y in pairs:
-        # pre-warm cut caches so only query comparisons are counted
-        cuts_of(x), cuts_of(y)
-        for p in (Proxy.L, Proxy.U):
-            cuts_of(proxy_of(x, p)), cuts_of(proxy_of(y, p))
         for rel in relations:
             before = counter.total
             engine.evaluate(rel, x, y)

@@ -191,7 +191,8 @@ def _load_context(path: str) -> AnalysisContext:
 def _print_run_stats(ctx: AnalysisContext) -> None:
     """One diagnostic line: what the run cost."""
     passes = clock_pass_counts()
-    print(f"cut cache: {ctx.cache_hits} hits / {ctx.cache_misses} misses | "
+    cache = ctx.cut_cache
+    print(f"cut cache: {cache.hits} hits / {cache.misses} misses | "
           f"clock passes: forward={passes['forward']} "
           f"reverse={passes['reverse']} extend={passes['extend']}")
     fam = ctx.family_query_stats()

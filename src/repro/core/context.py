@@ -10,9 +10,9 @@ intervals constructed twice paid the fold twice.
 :class:`AnalysisContext` centralises the setup state for one
 :class:`~repro.events.poset.Execution`:
 
-* a :class:`CutCache` memoizing each nonatomic event's Table-2 cuts and
-  extremal-index vectors **keyed by interval identity** (the packed
-  component ids), so distinct-but-equal interval objects share one fold;
+* a :class:`CutCache`, the one memo of each nonatomic event's Table-2
+  cuts, **keyed by interval identity** (the packed component ids), so
+  distinct-but-equal interval objects share one fold;
 * explicit invalidation on trace growth — the cache keys its validity
   on :attr:`Execution.version <repro.events.poset.Execution.version>`,
   which :meth:`Execution.extend` bumps, so stale future-side vectors
@@ -73,12 +73,6 @@ _PARTS = ("L", "U")
 _CUT_COLUMN = {"C1": "c1", "C2": "c2", "C3": "c3", "C4": "c4"}
 
 
-#: Odd 64-bit multipliers of :func:`_side_hashes` (splitmix64's).
-_MIX = np.array(
-    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB],
-    dtype=np.uint64,
-)
-
 #: A flattened owner set: ``(nodes, first_idx, last_idx, counts,
 #: starts)``, owner ``o``'s entries at ``starts[o]`` onwards.
 _Flat = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -103,107 +97,8 @@ def _term_entries(
     return nodes[entries], index, index, cnt
 
 
-def _side_hashes(flat: _Flat) -> np.ndarray:
-    """``(2, owners)`` 64-bit extrema hashes of every owner as its L
-    proxy (row 0) and as its U proxy (row 1).
-
-    A term's hash is the wrapping sum of its mixed ``(node, first,
-    last)`` entries.  Owners go in blocks of
-    :data:`~repro.core.cuts.FILL_BLOCK`.
-    """
-    nodes, first_idx, last_idx, counts, starts = flat
-    n = counts.shape[0]
-    out = np.empty((2, n), dtype=np.uint64)
-    for lo in range(0, n, _cuts.FILL_BLOCK):
-        hi = min(lo + _cuts.FILL_BLOCK, n)
-        a = int(starts[lo])
-        b = int(starts[hi - 1] + counts[hi - 1])
-        first = first_idx[a:b].astype(np.uint64)
-        last = last_idx[a:b].astype(np.uint64)
-        shift = np.uint64(31)
-        word = np.stack(((first << shift) ^ first, (last << shift) ^ last))
-        word += nodes[a:b].astype(np.uint64) * _MIX[0]
-        word ^= word >> np.uint64(30)
-        word *= _MIX[1]
-        word ^= word >> np.uint64(27)
-        word *= _MIX[2]
-        word ^= word >> np.uint64(31)
-        out[:, lo:hi] = np.add.reduceat(word, starts[lo:hi] - a, axis=1)
-    return out
-
-
-def _same_extrema(flat: _Flat, owner: np.ndarray, side: np.ndarray,
-                  t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``same[i]``: terms ``t[i]`` and ``r[i]`` have equal extrema."""
-    same = flat[3][owner[t]] == flat[3][owner[r]]
-    t, r = t[same], r[same]
-    if t.size:
-        nt, it, _, cnt = _term_entries(flat, owner[t], side[t])
-        nr, ir, _, _ = _term_entries(flat, owner[r], side[r])
-        differ = (nt != nr) | (it != ir)
-        same[same] = ~np.logical_or.reduceat(differ, np.cumsum(cnt) - cnt)
-    return same
-
-
-def _distinct_extrema(
-    flat: _Flat, owner: np.ndarray, side: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group the terms ``(owner[t], side[t])`` by their per-node extrema.
-
-    A term's cut row depends on nothing else, so terms with equal
-    extrema (the L and U proxies of an interval holding one event per
-    node, two intervals sharing one proxy) share one computed row.
-    Returns ``(reps, rank)``: ``reps`` are the ascending indices of each
-    group's first term, ``rank[t]`` the position of term ``t``'s group
-    in ``reps``.
-
-    Terms are sorted by a 64-bit hash of their extrema
-    (:func:`_side_hashes`); a term whose hash repeats an earlier
-    term's is compared with that term entry by entry, and the terms of
-    a hash that names unequal extrema are regrouped exactly, so the
-    grouping never depends on the hash.  Hashes and comparisons go in
-    blocks of :data:`~repro.core.cuts.FILL_BLOCK`: the scratch is
-    a few words per term plus one block's entries.
-    """
-    k = owner.shape[0]
-    every = np.arange(k, dtype=np.intp)
-    h = _side_hashes(flat)[side, owner]
-    order = np.argsort(h, kind="stable")
-    run_start = np.ones(k, dtype=np.bool_)
-    sorted_h = h[order]
-    np.not_equal(sorted_h[1:], sorted_h[:-1], out=run_start[1:])
-    del sorted_h
-    if run_start.all():  # every hash distinct: every term its own group
-        return every, every
-    # head[t]: the least term whose hash equals t's (stable sort)
-    head = np.empty(k, dtype=np.intp)
-    head[order] = order[np.maximum.accumulate(np.where(run_start, every, 0))]
-    del order, run_start
-    later = np.flatnonzero(head != every)
-    clash = [later[:0]]
-    for lo in range(0, later.shape[0], _cuts.FILL_BLOCK):
-        t = later[lo:lo + _cuts.FILL_BLOCK]
-        clash.append(t[~_same_extrema(flat, owner, side, t, head[t])])
-    bad = np.concatenate(clash)
-    if bad.size:
-        # a hash shared by unequal extrema: regroup its terms exactly
-        members = np.flatnonzero(np.isin(h, h[bad]))
-        nodes, index, _, cnt = _term_entries(
-            flat, owner[members], side[members]
-        )
-        entries = np.stack((nodes, index), axis=1)
-        ends = np.cumsum(cnt).tolist()
-        seen: dict[bytes, int] = {}
-        for term, lo, hi in zip(members.tolist(), [0, *ends[:-1]], ends,
-                             strict=True):
-            head[term] = seen.setdefault(entries[lo:hi].tobytes(), term)
-    is_rep = head == every
-    rank = np.cumsum(is_rep) - 1
-    return np.flatnonzero(is_rep), rank[head]
-
-
 class CutCache:
-    """Memoized cut quadruples and extremal vectors for one execution.
+    """The one memo of per-interval cuts for one execution.
 
     Entries are keyed by :attr:`NonatomicEvent.key
     <repro.nonatomic.event.NonatomicEvent.key>` — the packed component
@@ -222,9 +117,10 @@ class CutCache:
     interval's own extrema — ``L_X`` is X's first event on each node,
     ``U_X`` its last — so no proxy object is built.  A fill writes its
     rows into the store in blocks of :data:`~repro.core.cuts.FILL_BLOCK`,
-    so its scratch is a few words per term plus one block's gathers.  A
-    scalar :meth:`cut` / :meth:`quadruple` / :meth:`extremal` read of a
-    stored row counts as a hit and builds its
+    so its scratch is a few words per term plus one block's gathers.
+    Each term gets its own row: only an equal key shares one.  A
+    scalar :meth:`cut` / :meth:`quadruple` read of a stored row counts
+    as a hit and builds its
     :class:`~repro.core.cuts.Cut` then, on first read, widened to int64
     like a computed one.  A scalar read of a row nobody stored computes
     just the cut asked for (:func:`~repro.core.cuts.cut_vector`).  The
@@ -237,7 +133,7 @@ class CutCache:
     The cache records the execution :attr:`~Execution.version` it was
     filled against and drops every entry the moment the execution has
     grown (:meth:`Execution.extend`), because future-side cuts (C3/C4)
-    and the extremal encodings change when the future does.
+    change when the future does.
 
     Attributes
     ----------
@@ -251,18 +147,17 @@ class CutCache:
     # (REP001/REP005).
     _REPRO_VERSIONED = {
         "version": "_version",
-        "caches": ("_cuts", "_extremal", "_rows", "_store", "_size"),
+        "caches": ("_cuts", "_rows", "_store", "_size"),
         "guards": ("invalidate", "_fresh"),
     }
 
-    __slots__ = ("_execution", "_version", "_cuts", "_extremal",
-                 "_rows", "_store", "_size", "hits", "misses")
+    __slots__ = ("_execution", "_version", "_cuts", "_rows", "_store",
+                 "_size", "hits", "misses")
 
     def __init__(self, execution: Execution) -> None:
         self._execution = execution
         self._version = execution.version
         self._cuts: dict[tuple[_Key, str], Cut] = {}
-        self._extremal: dict[_Key, tuple[np.ndarray, np.ndarray]] = {}
         # the batched row store: key -> row of _store, whose first
         # _size rows are filled
         self._rows: dict[_Key, int] = {}
@@ -283,7 +178,6 @@ class CutCache:
     def invalidate(self) -> None:
         """Drop every entry and re-arm against the current version."""
         self._cuts.clear()
-        self._extremal.clear()
         self._rows.clear()
         self._store = None
         self._size = 0
@@ -337,42 +231,6 @@ class CutCache:
         )
 
     # ------------------------------------------------------------------
-    # extremal index vectors
-    # ------------------------------------------------------------------
-    def extremal(self, x: NonatomicEvent) -> tuple[np.ndarray, np.ndarray]:
-        """``(first, last)`` per-node extremal index vectors of ``x``.
-
-        Length-``|P|`` read-only int64 arrays with 0 encoding "node not
-        in ``N_X``" — the neutral encoding the vectorised pairwise
-        kernel consumes.  A row read out of the ``CLOCK_DTYPE`` row
-        store is widened, so a hit and a miss give the same dtype.
-        """
-        self._check_interval(x)
-        self._fresh()
-        key = x.key
-        cached = self._extremal.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        row = self._rows.get(key)
-        if row is not None and self._store is not None:
-            self.hits += 1
-            first = self._store.first[row].astype(np.int64)
-            last = self._store.last[row].astype(np.int64)
-        else:
-            self.misses += 1
-            num_nodes = self._execution.num_nodes
-            first = np.zeros(num_nodes, dtype=np.int64)
-            last = np.zeros(num_nodes, dtype=np.int64)
-            nodes = list(x.node_set)
-            first[nodes] = x.first_indices()
-            last[nodes] = x.last_indices()
-        first.setflags(write=False)
-        last.setflags(write=False)
-        self._extremal[key] = (first, last)
-        return first, last
-
-    # ------------------------------------------------------------------
     # columnar batch fill
     # ------------------------------------------------------------------
     def family_operands(
@@ -396,6 +254,7 @@ class CutCache:
         self._fresh()
         ex = self._execution
         stored = self._rows
+        base = self._size
         found: list[int] = []
         todo: dict[_Key, int] = {}
         terms: list[NonatomicEvent] = []
@@ -410,46 +269,41 @@ class CutCache:
                 key = (x.key, part)
                 row = stored.get(key)
                 if row is None:
-                    t = todo.get(key)
-                    if t is None:
-                        t = todo[key] = len(terms)
-                        terms.append(x)
-                        sides.append(side)
-                    else:
-                        hits += 1
-                    row = ~t  # negative: a pending term, resolved below
+                    row = todo.get(key)
+                if row is None:
+                    row = todo[key] = base + len(terms)
+                    terms.append(x)
+                    sides.append(side)
                 else:
                     hits += 1
                 found.append(row)
         self.hits += hits
-        rows = np.fromiter(found, np.intp, count=len(found))
         if terms:
-            filled = self._fill(terms, sides)
-            stored.update(zip(todo, filled.tolist(), strict=True))
-            pending = rows < 0
-            rows[pending] = filled[~rows[pending]]
+            self._fill(terms, sides)
+            stored.update(todo)
         store = self._store
         if store is None:
             store = empty_stats(0, ex.num_nodes)
         view = store.rows(0, self._size)
         for name in _STATS:
             getattr(view, name).setflags(write=False)
+        rows = np.fromiter(found, np.intp, count=len(found))
         return FamilyOperands(view, rows[0::2], rows[1::2])
 
     def _fill(
         self, terms: Sequence[NonatomicEvent], sides: Sequence[int]
-    ) -> np.ndarray:
+    ) -> None:
         """Compute the rows of the proxy terms ``(terms[t], sides[t])``
-        (none stored yet; side 0 is the L proxy, 1 the U proxy), append
-        them to the store and return their store rows.
+        (none stored yet; side 0 is the L proxy, 1 the U proxy) and
+        append them to the store, term ``t`` at row ``t`` past the
+        filled ones.
 
         Each distinct interval object is flattened once, however many
         of its terms are asked for; a term reads its owner's entries by
-        index.  Terms with equal extrema share one row
-        (:func:`_distinct_extrema`).  The rows are filled by the
-        batched cut kernel (:func:`~repro.core.cuts._stats_from_extrema`)
-        in blocks of :data:`~repro.core.cuts.FILL_BLOCK`, each written
-        straight into the store."""
+        index.  The rows are filled by the batched cut kernel
+        (:func:`~repro.core.cuts._stats_from_extrema`) in blocks of
+        :data:`~repro.core.cuts.FILL_BLOCK`, each written straight into
+        the store."""
         self._fresh()
         slot: dict[int, int] = {}
         owners: list[NonatomicEvent] = []
@@ -457,13 +311,11 @@ class CutCache:
             if id(x) not in slot:
                 slot[id(x)] = len(owners)
                 owners.append(x)
-        owner = np.fromiter((slot[id(x)] for x in terms), np.intp, count=len(terms))
-        side = np.fromiter(sides, np.int8, count=len(sides))
+        n = len(terms)
+        owner = np.fromiter((slot[id(x)] for x in terms), np.intp, count=n)
+        side = np.fromiter(sides, np.int8, count=n)
         nodes, first_idx, last_idx, counts = flatten_extrema(owners)
         flat = (nodes, first_idx, last_idx, counts, np.cumsum(counts) - counts)
-        reps, rank = _distinct_extrema(flat, owner, side)
-        owner, side = owner[reps], side[reps]
-        n = reps.shape[0]
         base = self._size
         store = self._reserve(base + n)
         for lo in range(0, n, _cuts.FILL_BLOCK):
@@ -475,8 +327,6 @@ class CutCache:
             )
         self._size = base + n
         self.misses += n
-        self.hits += len(terms) - n
-        return base + rank
 
     def _reserve(self, size: int) -> CutStats:
         """The row store, grown to hold at least ``size`` rows.
@@ -564,18 +414,8 @@ class AnalysisContext:
 
     @property
     def cut_cache(self) -> CutCache:
-        """The shared per-interval cut/extremal cache."""
+        """The shared per-interval cut cache."""
         return self._cut_cache
-
-    @property
-    def cache_hits(self) -> int:
-        """Cut-cache hits (requests served without a fold)."""
-        return self._cut_cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Cut-cache misses (requests that paid the fold)."""
-        return self._cut_cache.misses
 
     # ------------------------------------------------------------------
     # interval helpers
@@ -585,18 +425,6 @@ class AnalysisContext:
     ) -> NonatomicEvent:
         """Create a nonatomic event over this context's execution."""
         return NonatomicEvent(self._execution, ids, name=name)
-
-    def cuts(self, x: NonatomicEvent) -> CutQuadruple:
-        """The memoized cut quadruple of ``x``."""
-        return self._cut_cache.quadruple(x)
-
-    def cut(self, x: NonatomicEvent, which: str) -> Cut:
-        """One memoized Table-2 cut of ``x`` (``"C1"``..``"C4"``)."""
-        return self._cut_cache.cut(x, which)
-
-    def extremal(self, x: NonatomicEvent) -> tuple[np.ndarray, np.ndarray]:
-        """Memoized ``(first, last)`` extremal index vectors of ``x``."""
-        return self._cut_cache.extremal(x)
 
     # ------------------------------------------------------------------
     # shared verdicts

@@ -325,8 +325,8 @@ def cut_vector(x: NonatomicEvent, which: str) -> np.ndarray:
     *least* (C1, C3) or *greatest* (C2, C4) component events need to be
     folded: one gather of their clock rows and one componentwise
     ``min``/``max``, ``O(|N_X| · |P|)``.  Past cuts (C1/C2) never force
-    the lazy reverse pass.  The one scalar cut computation: the
-    memoized :func:`cut_C1`–:func:`cut_C4` and every
+    the lazy reverse pass.  The one scalar cut computation:
+    :func:`cut_C1`–:func:`cut_C4` and every
     :meth:`~repro.core.context.CutCache.cut` miss call it.
     """
     ex = x.execution
@@ -347,39 +347,42 @@ def cut_vector(x: NonatomicEvent, which: str) -> np.ndarray:
     return vec
 
 
-def _memo_cut(x: NonatomicEvent, which: str) -> Cut:
-    """:func:`cut_vector` memoized in ``x``'s own cache per version."""
-    key = ("cut", which, x.execution.version)
-    cached = x.cache.get(key)
-    if cached is None:
-        cached = x.cache[key] = Cut._trusted(x.execution, cut_vector(x, which))
-    return cached
-
-
 def cut_C1(x: NonatomicEvent) -> Cut:
     """``C1(X) = ∩⇓X = ∩_{x∈X} ↓x`` — the maximum execution prefix
     every component event of X has knowledge of (a componentwise
-    ``min`` over the per-node least component events)."""
-    return _memo_cut(x, "C1")
+    ``min`` over the per-node least component events).
+
+    Computed on every call; ``AnalysisContext.of(x.execution).cut_cache``
+    is the memo."""
+    return Cut._trusted(x.execution, cut_vector(x, "C1"))
 
 
 def cut_C2(x: NonatomicEvent) -> Cut:
     """``C2(X) = ∪⇓X = ∪_{x∈X} ↓x`` — the maximum prefix the events of
     X *collectively* have knowledge of.  Folds the per-node *greatest*
-    component events with componentwise ``max``."""
-    return _memo_cut(x, "C2")
+    component events with componentwise ``max``.
+
+    Computed on every call; ``AnalysisContext.of(x.execution).cut_cache``
+    is the memo."""
+    return Cut._trusted(x.execution, cut_vector(x, "C2"))
 
 
 def cut_C3(x: NonatomicEvent) -> Cut:
     """``C3(X) = ∩⇑X = ∩_{x∈X} x↑`` — its surface holds the earliest
-    event per node causally preceded by *some* component of X."""
-    return _memo_cut(x, "C3")
+    event per node causally preceded by *some* component of X.
+
+    Computed on every call; ``AnalysisContext.of(x.execution).cut_cache``
+    is the memo."""
+    return Cut._trusted(x.execution, cut_vector(x, "C3"))
 
 
 def cut_C4(x: NonatomicEvent) -> Cut:
     """``C4(X) = ∪⇑X = ∪_{x∈X} x↑`` — its surface holds the earliest
-    event per node causally preceded by *every* component of X."""
-    return _memo_cut(x, "C4")
+    event per node causally preceded by *every* component of X.
+
+    Computed on every call; ``AnalysisContext.of(x.execution).cut_cache``
+    is the memo."""
+    return Cut._trusted(x.execution, cut_vector(x, "C4"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -393,7 +396,11 @@ class CutQuadruple:
 
 
 def cuts_of(x: NonatomicEvent) -> CutQuadruple:
-    """All four Table-2 cuts of ``x`` (computed once, cached — Key Idea 1)."""
+    """All four Table-2 cuts of ``x``, computed on every call.
+
+    Nothing is cached: ``AnalysisContext.of(x.execution).cut_cache``
+    is the memo that pays each fold once (Key Idea 1).
+    """
     return CutQuadruple(cut_C1(x), cut_C2(x), cut_C3(x), cut_C4(x))
 
 

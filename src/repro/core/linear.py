@@ -262,7 +262,7 @@ class LinearEvaluator:
         """
         if x.execution is not self.execution or y.execution is not self.execution:
             raise ValueError("intervals do not belong to this evaluator's execution")
-        cut = self.context.cut
+        cut = self.context.cut_cache.cut
         if relation in (Relation.R1, Relation.R1P):
             if len(x.node_set) <= len(y.node_set):
                 return self._forall_x(cut(y, "C1"), x)

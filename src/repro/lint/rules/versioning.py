@@ -11,7 +11,7 @@ that declares it in a ``_REPRO_VERSIONED`` dict class attribute::
         _REPRO_VERSIONED = {
             "version": "_version",
             "state": (),                       # mutation is a new version
-            "caches": ("_cuts", "_extremal"),  # derived, version-checked
+            "caches": ("_cuts", "_rows"),      # derived, version-checked
             "guards": ("invalidate", "_fresh"),
         }
 

@@ -7,10 +7,11 @@ implements:
 
 * :class:`NonatomicEvent` — the interval itself, with its *node set*
   ``N_X`` (Definition 1) and per-node extremal events precomputed;
-* the coupling point where the relation engines cache the four cuts
-  C1–C4 (Key Idea 1: *"Once identified at a one-time cost, these cuts
-  can be reused at a low cost to evaluate causality relations with
-  respect to all other nonatomic events."*).
+* the :attr:`NonatomicEvent.key` under which
+  :class:`~repro.core.context.CutCache` memoizes the four cuts C1–C4
+  (Key Idea 1: *"Once identified at a one-time cost, these cuts can be
+  reused at a low cost to evaluate causality relations with respect to
+  all other nonatomic events."*).
 
 Per the note closing Section 2.3, only the per-node least and greatest
 component events determine an interval's cuts, so an interval is stored
@@ -194,8 +195,10 @@ class NonatomicEvent:
 
     @property
     def cache(self) -> dict[Any, Any]:
-        """Scratch cache used by the cut machinery (Key Idea 1), created
-        on first read."""
+        """Per-interval scratch dict, created on first read: it holds
+        the interval's :func:`~repro.nonatomic.proxies.proxy_of` results.
+        Cuts are memoized in :class:`~repro.core.context.CutCache`, not
+        here."""
         cache = self._cache
         if cache is None:
             cache = self._cache = {}

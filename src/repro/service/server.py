@@ -437,7 +437,7 @@ class MonitorService:
             })
             if role == "replica":
                 sess.feeder = asyncio.ensure_future(self._replicate(
-                    sess, max(int(hello.get("resume_seq", 0)), 0)
+                    sess, max(hello.get("resume_seq", 0), 0)
                 ))
             await self._session_loop(reader, sess)
         except (ProtocolError, FrameTooLargeError) as exc:
@@ -478,6 +478,13 @@ class MonitorService:
         role = hello.get("role", "client")
         if role not in ("client", "replica"):
             return error_frame("role", f"unknown role: {role!r}")
+        resume = hello.get("resume_seq", 0)
+        if role == "replica" and (
+            not isinstance(resume, int) or isinstance(resume, bool)
+        ):
+            return error_frame(
+                "bad-hello", f"resume_seq must be an integer, got {resume!r}"
+            )
         return None
 
     async def _session_loop(

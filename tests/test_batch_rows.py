@@ -5,7 +5,7 @@
   the scalar :class:`~repro.core.linear.LinearEvaluator`'s verdicts bit
   for bit on all 40 specs, before and after
   :meth:`AnalysisContext.extend`.
-* Scalar ``cut``/``quadruple``/``extremal`` reads of a row a batch
+* Scalar ``cut``/``quadruple`` reads of a row a batch
   stored are cache hits and compute nothing; the reverse does not hold,
   and a proxy is stored apart from an interval with the same ids.
 * The batch path builds no :class:`~repro.nonatomic.event.NonatomicEvent`
@@ -138,19 +138,23 @@ class TestScalarReadsHit:
         an.all_relations_batch(pairs)
         cache = ctx.cut_cache
         misses = cache.misses
-        fresh = AnalysisContext(ctx.execution)
+        fresh = AnalysisContext(ctx.execution).cut_cache
         for x in intervals[:-1]:
             for p in (Proxy.L, Proxy.U):
                 px = proxy_of(x, p)
                 hits = cache.hits
                 quad = cache.quadruple(px)
-                first, last = cache.extremal(px)
-                assert cache.hits == hits + 5
-                expect = fresh.cuts(px)
+                assert cache.hits == hits + 4
+                expect = fresh.quadruple(px)
                 for name in ("c1", "c2", "c3", "c4"):
                     _assert_same_cut(getattr(quad, name), getattr(expect, name))
-                _assert_same_vector(first, fresh.extremal(px)[0])
-                _assert_same_vector(last, fresh.extremal(px)[1])
+        # the stored first/last rows are the proxies' extrema
+        store, ls, us = cache.family_operands(intervals[:-1])
+        for p, rows in ((Proxy.L, ls), (Proxy.U, us)):
+            want = cut_stats(ctx.execution,
+                             [proxy_of(x, p) for x in intervals[:-1]])
+            np.testing.assert_array_equal(store.first[rows], want.first)
+            np.testing.assert_array_equal(store.last[rows], want.last)
         # the scalar engine reads the same rows
         lin = LinearEvaluator(ctx)
         for x, y in pairs:
@@ -164,9 +168,9 @@ class TestScalarReadsHit:
         queries = [(s, x, y) for x in intervals for y in intervals
                    if x is not y for s in ALL_SPECS]
         first = an.batch_holds(queries)
-        misses = ctx.cache_misses
+        misses = ctx.cut_cache.misses
         assert an.batch_holds(queries) == first
-        assert ctx.cache_misses == misses
+        assert ctx.cut_cache.misses == misses
 
 
 class TestScalarEntriesStayApart:
@@ -174,11 +178,10 @@ class TestScalarEntriesStayApart:
         ctx, intervals = _workload(seed=17)
         cache = ctx.cut_cache
         x = intervals[0]
-        # L and U differ, so the batch below computes two rows
+        # a scalar-filled term is not a row: the batch computes it again
         assert x.first_indices() != x.last_indices()
         px = proxy_of(x, Proxy.L)  # keyed (x.key, "L"), as the batch's term
         quad = cache.quadruple(px)
-        first, last = cache.extremal(px)
         misses = cache.misses
         store, ls, _us = cache.family_operands([x])
         assert cache.misses == misses + 2
@@ -186,8 +189,9 @@ class TestScalarEntriesStayApart:
             np.testing.assert_array_equal(
                 getattr(store, name)[ls[0]], getattr(quad, name).vector
             )
-        np.testing.assert_array_equal(store.first[ls[0]], first)
-        np.testing.assert_array_equal(store.last[ls[0]], last)
+        want = cut_stats(ctx.execution, [px])
+        np.testing.assert_array_equal(store.first[ls[0]], want.first[0])
+        np.testing.assert_array_equal(store.last[ls[0]], want.last[0])
 
     def test_proxy_and_equal_interval_are_stored_apart(self):
         ctx, intervals = _workload(seed=19)
@@ -236,7 +240,7 @@ class TestNoObjectsOnBatchPath:
             an.relation_matrix(intervals, spec)
         assert built == {"NonatomicEvent": 0, "Cut": 0}
         # the counters do count: a scalar read of a stored row builds its Cut
-        ctx.cut(intervals[0], "C1")
+        ctx.cut_cache.cut(intervals[0], "C1")
         assert built["Cut"] == 1
 
     def test_offline_path_from_text_builds_no_event(self, monkeypatch):

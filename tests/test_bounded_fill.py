@@ -4,8 +4,8 @@
   block gives, at block boundaries and for intervals spanning one node
   or all of them (the array kernel behind ``cut_stats`` and
   ``CutCache.family_operands``).
-* Terms with equal extrema share one row whatever the hash says: a
-  hash shared by unequal extrema is regrouped exactly.
+* ``family_operands`` stores one row per distinct key: equal extrema
+  under different keys do not share a row.
 * ``family_operands`` keeps its scratch, above the row store and index
   it leaves behind, within a per-term budget plus ``O(FILL_BLOCK · P)``.
 """
@@ -18,12 +18,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import context, cuts
+from repro.core import cuts
 from repro.core.context import AnalysisContext
 from repro.core.cuts import flatten_extrema
 from repro.events.clocks import CLOCK_DTYPE
 from repro.events.poset import Execution
 from repro.nonatomic.event import NonatomicEvent
+from repro.nonatomic.proxies import Proxy, proxy_of
 from repro.simulation.workloads import random_trace
 
 NODES = 16
@@ -91,40 +92,41 @@ class TestFillBlocks:
             _fill(flat, out=cuts.empty_stats(4, NODES))
 
 
-class TestExactDedup:
-    def test_colliding_hashes_are_regrouped(self, monkeypatch):
-        # equal intervals and equal proxies: every group has several terms
-        base = _intervals(30, seed=3, widths=(1, 2, 3))
-        intervals = base + [NonatomicEvent(EX, x.ids) for x in base[::3]]
-        want, want_misses = _operand_rows(intervals)
+class TestOneRowPerKey:
+    def test_equal_extrema_get_their_own_rows(self):
+        # one event per node: L and U have equal extrema, two keys
+        x = NonatomicEvent(EX, [(node, 3) for node in range(NODES)])
+        assert x.first_indices() == x.last_indices()
+        _rows, misses = _operand_rows([x])
+        assert misses == 2
 
-        def constant_hash(flat):
-            return np.zeros((2, flat[3].shape[0]), dtype=np.uint64)
+    def test_equal_first_events_different_ids(self):
+        # equal L proxies, different U proxies and keys: four rows
+        a = NonatomicEvent(EX, [(0, 2), (0, 5), (1, 4)])
+        b = NonatomicEvent(EX, [(0, 2), (0, 7), (1, 4)])
+        assert a.first_indices() == b.first_indices() and a.key != b.key
+        _rows, misses = _operand_rows([a, b])
+        assert misses == 4
 
-        monkeypatch.setattr(context, "_side_hashes", constant_hash)
-        got, got_misses = _operand_rows(intervals)
-        assert got_misses == want_misses
-        for name in _STATS:
-            np.testing.assert_array_equal(got[name], want[name])
+    def test_equal_key_is_one_row(self):
+        intervals = _intervals(20, seed=3, widths=(1, 2, 3))
+        twins = [NonatomicEvent(EX, x.ids) for x in intervals]
+        cache = AnalysisContext(EX).cut_cache
+        store, ls, us = cache.family_operands(intervals + twins)
+        assert cache.misses == 2 * len(intervals)
+        assert len(store) == 2 * len(intervals)
+        np.testing.assert_array_equal(ls[:20], ls[20:])
+        np.testing.assert_array_equal(us[:20], us[20:])
 
-    def test_groups_match_reference(self):
-        intervals = _intervals(200, seed=8, widths=(1, 1, 2, NODES))
-        owners = intervals
-        nodes, first, last, counts = flatten_extrema(owners)
-        flat = (nodes, first, last, counts, np.cumsum(counts) - counts)
-        owner = np.repeat(np.arange(len(owners)), 2)
-        side = np.tile(np.array([0, 1], dtype=np.int8), len(owners))
-        reps, rank = context._distinct_extrema(flat, owner, side)
-        # reference: group the L (side 0) and U (side 1) proxy terms by
-        # their (nodes, indices) tuples
-        seen: dict[tuple, int] = {}
-        head = []
-        for t, (o, s) in enumerate(zip(owner.tolist(), side.tolist())):
-            x = owners[o]
-            index = x.last_indices() if s else x.first_indices()
-            head.append(seen.setdefault((x.node_set, index), t))
-        np.testing.assert_array_equal(reps, sorted(set(head)))
-        np.testing.assert_array_equal(reps[rank], head)
+    def test_rows_equal_cut_stats(self):
+        intervals = _intervals(40, seed=8, widths=(1, 1, 2, NODES))
+        rows, misses = _operand_rows(intervals)
+        assert misses == 2 * len(intervals)
+        for side, part in enumerate((Proxy.L, Proxy.U)):
+            want = cuts.cut_stats(EX, [proxy_of(x, part) for x in intervals])
+            for name in _STATS:
+                np.testing.assert_array_equal(rows[name][side],
+                                              getattr(want, name))
 
 
 #: Scratch allowed per filled term (an interval's L or U row), and per

@@ -119,7 +119,7 @@ class TestCutCache:
         ctx = AnalysisContext.of(ex)
         for iv in (x, y):
             for which, fn in _CUT_FNS.items():
-                cached = ctx.cut(iv, which)
+                cached = ctx.cut_cache.cut(iv, which)
                 direct = fn(_clone(iv))
                 assert np.array_equal(cached.vector, direct.vector)
 
@@ -131,14 +131,14 @@ class TestCutCache:
         an = SynchronizationAnalyzer(ctx, engine="linear", check_disjoint=False)
         an.all_relations(x, y)
         an.holds(Relation.R2, x, y)
-        misses_after_first = ctx.cache_misses
+        misses_after_first = ctx.cut_cache.misses
         assert misses_after_first > 0
         # repeat with *fresh* interval objects of the same identity:
         # every cut request must now be a hit
         an.all_relations(_clone(x), _clone(y))
         an.holds(Relation.R2, _clone(x), _clone(y))
-        assert ctx.cache_misses == misses_after_first
-        assert ctx.cache_hits > 0
+        assert ctx.cut_cache.misses == misses_after_first
+        assert ctx.cut_cache.hits > 0
 
     def test_interval_of_foreign_execution_rejected(self):
         b = TraceBuilder(2)
@@ -157,13 +157,13 @@ class TestCutCache:
     def test_unknown_cut_name_moves_no_counter(self, message_exec, which):
         ctx = AnalysisContext(message_exec)
         x = ctx.interval([(0, 1), (0, 2)])
-        ctx.cut(x, "C1")  # one miss, then the next read of it hits
-        ctx.cut(x, "C1")
-        counts = (ctx.cache_hits, ctx.cache_misses)
+        ctx.cut_cache.cut(x, "C1")  # one miss, then the next read of it hits
+        ctx.cut_cache.cut(x, "C1")
+        counts = (ctx.cut_cache.hits, ctx.cut_cache.misses)
         assert counts == (1, 1)
         with pytest.raises(ValueError, match="unknown cut"):
-            ctx.cut(x, which)
-        assert (ctx.cache_hits, ctx.cache_misses) == counts
+            ctx.cut_cache.cut(x, which)
+        assert (ctx.cut_cache.hits, ctx.cut_cache.misses) == counts
         assert len(ctx.cut_cache) == 1
 
 
@@ -178,7 +178,7 @@ class TestExtendInvalidation:
         # pick a real interval in the prefix and pay its folds
         ids = sorted(ex.iter_ids())[: max(1, num_nodes)]
         x = ctx.interval(ids, name="X")
-        before = ctx.cuts(x)
+        before = ctx.cut_cache.quadruple(x)
         version_before = ex.version
         ctx.extend(full)
         assert ex.version == version_before + 1
@@ -187,7 +187,7 @@ class TestExtendInvalidation:
         # extended trace (future cuts C3/C4 change when the future grows)
         fresh = Execution(full)
         fresh_x = NonatomicEvent(fresh, ids, name="X")
-        after = ctx.cuts(ctx.interval(ids, name="X"))
+        after = ctx.cut_cache.quadruple(ctx.interval(ids, name="X"))
         for name, fn in _CUT_FNS.items():
             expect = fn(fresh_x)
             got = getattr(after, name.lower())

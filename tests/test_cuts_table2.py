@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core.context import AnalysisContext
 from repro.core.cuts import (
     Cut,
     cut_C1,
@@ -199,9 +200,14 @@ class TestTable2Cuts:
         assert cut_C2(x).is_downward_closed()
 
     def test_cuts_cached(self, message_exec):
+        # the context's cut cache is the memo; the free functions keep
+        # nothing on the interval
         x = NonatomicEvent(message_exec, [(0, 1), (1, 2)])
-        assert cut_C1(x) is cut_C1(x)
-        assert cuts_of(x).c3 is cuts_of(x).c3
+        cache = AnalysisContext.of(message_exec).cut_cache
+        assert cache.cut(x, "C1") is cache.cut(x, "C1")
+        assert cut_C1(x) == cache.cut(x, "C1")
+        assert cuts_of(x).c3 == cache.cut(x, "C3")
+        assert not x.cache
 
 
 class TestLemma12:

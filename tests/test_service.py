@@ -664,6 +664,32 @@ class TestLiveService:
         finally:
             handle.stop()
 
+    @pytest.mark.parametrize("resume_seq", ["x", True, 1.5, None])
+    def test_replica_hello_with_bad_resume_seq_refused(self, resume_seq):
+        """A replica hello whose ``resume_seq`` is not an integer gets
+        ``error code=bad-hello`` before any session exists."""
+        handle = _serve(num_nodes=2)
+        try:
+            host, port = handle.address
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(encode_frame({
+                    "type": "hello", "version": PROTOCOL_VERSION,
+                    "role": "replica", "resume_seq": resume_seq,
+                }))
+                dec = FrameDecoder()
+                frames = []
+                while not frames:
+                    chunk = sock.recv(4096)
+                    assert chunk, "connection dropped with no frame"
+                    frames = dec.feed(chunk)
+                assert frames[0]["type"] == "error"
+                assert frames[0]["code"] == "bad-hello"
+                assert "resume_seq" in frames[0]["message"]
+            with MonitorClient(host, port, num_nodes=2) as client:
+                assert client.stats()["sessions"] == 1
+        finally:
+            handle.stop()
+
     def test_same_interval_watch_answered_with_error_frame(self):
         handle = _serve(num_nodes=1)
         try:

@@ -57,16 +57,19 @@ def _feed(om, trace, steps, chunk, state):
 
 
 def _assert_quadruples_match(context, cold_ex, tags, names):
-    """Cut quadruples + extremal vectors read from the streamed
-    context's cache == the batched fill on a cold offline execution."""
+    """Cut quadruples and the row store's first/last rows read from the
+    streamed context's cache == the batched fill on a cold offline
+    execution."""
     cold = cut_stats(cold_ex, [NonatomicEvent(cold_ex, tags[n]) for n in names])
     for row, name in enumerate(names):
         iv = NonatomicEvent(context.execution, tags[name])
-        quad = context.cuts(iv)
-        first, last = context.extremal(iv)
+        cache = context.cut_cache
+        quad = cache.quadruple(iv)
+        # X's first events are its L proxy's, its last events its U's
+        store, ls, us = cache.family_operands([iv])
         got = {"c1": quad.c1.vector, "c2": quad.c2.vector,
                "c3": quad.c3.vector, "c4": quad.c4.vector,
-               "first": first, "last": last}
+               "first": store.first[ls[0]], "last": store.last[us[0]]}
         for field, vec in got.items():
             np.testing.assert_array_equal(
                 vec, getattr(cold, field)[row], err_msg=f"{name} {field}"

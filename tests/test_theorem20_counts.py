@@ -15,7 +15,7 @@ from repro.core.counting import ComparisonCounter
 from repro.core.linear import LinearEvaluator
 from repro.core.polynomial import PolynomialEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32, Relation
-from repro.core.cuts import cuts_of
+from repro.core.context import AnalysisContext
 
 from .strategies import execution_with_pair
 
@@ -25,7 +25,8 @@ _UNIVERSAL = {Relation.R1, Relation.R1P, Relation.R2, Relation.R3P}
 def _measured(engine_cls, ex, x, y, relation, **kwargs):
     counter = ComparisonCounter()
     engine = engine_cls(ex, counter=counter, **kwargs)
-    cuts_of(x), cuts_of(y)  # pre-warm so only query comparisons count
+    cache = AnalysisContext.of(ex).cut_cache
+    cache.quadruple(x), cache.quadruple(y)  # pre-warm the engine's memo
     result = engine.evaluate(relation, x, y)
     return result, counter.total
 
@@ -63,8 +64,9 @@ class TestLinearCounts:
             # warm proxy cuts so only the query comparisons are counted
             from repro.nonatomic.proxies import proxy_of
 
-            cuts_of(proxy_of(x, spec.proxy_x))
-            cuts_of(proxy_of(y, spec.proxy_y))
+            cache = AnalysisContext.of(ex).cut_cache
+            cache.quadruple(proxy_of(x, spec.proxy_x))
+            cache.quadruple(proxy_of(y, spec.proxy_y))
             before = counter.total
             engine.evaluate_spec(spec, x, y)
             used = counter.total - before
