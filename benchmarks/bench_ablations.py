@@ -14,7 +14,7 @@ from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS
 from repro.nonatomic.proxies import ProxyDefinition
 
-from .conftest import fresh_intervals, make_pair
+from .conftest import make_pair
 
 
 # ----------------------------------------------------------------------
@@ -39,16 +39,23 @@ class TestAblationCutReuse:
 
     def test_without_reuse(self, benchmark, medium_workload):
         ex, pairs = medium_workload
-        ev = LinearEvaluator(ex)
+        rounds: list[int] = []  # cut-cache misses of each timed round
 
         def run():
-            out = []
+            # a new context per pair: no cut computed for one pair, or
+            # in an earlier round, is there to reuse
+            out, misses = [], 0
             for x, y in pairs:
-                fx, fy = fresh_intervals(x), fresh_intervals(y)
-                out.extend(ev.evaluate(rel, fx, fy) for rel in BASE_RELATIONS)
+                ctx = AnalysisContext(ex)
+                ev = LinearEvaluator(ctx)
+                out.extend(ev.evaluate(rel, x, y) for rel in BASE_RELATIONS)
+                misses += ctx.cut_cache.misses
+            rounds.append(misses)
             return out
 
         benchmark(run)
+        assert rounds and rounds[0] > 0
+        assert rounds == [rounds[0]] * len(rounds), rounds
 
 
 # ----------------------------------------------------------------------

@@ -188,13 +188,17 @@ def _load_context(path: str) -> AnalysisContext:
     return AnalysisContext.of(Execution(load(path)))
 
 
+def _format_passes(passes: dict[str, int]) -> str:
+    """``key=count`` for every clock-pass counter, in the order given:
+    a peer running another version may report other keys."""
+    return " ".join(f"{kind}={count}" for kind, count in passes.items())
+
+
 def _print_run_stats(ctx: AnalysisContext) -> None:
     """One diagnostic line: what the run cost."""
-    passes = clock_pass_counts()
     cache = ctx.cut_cache
     print(f"cut cache: {cache.hits} hits / {cache.misses} misses | "
-          f"clock passes: forward={passes['forward']} "
-          f"reverse={passes['reverse']} extend={passes['extend']}")
+          f"clock passes: {_format_passes(clock_pass_counts())}")
     fam = ctx.family_query_stats()
     if fam["fills"] or fam["hits"]:
         print(f"family kernel: {fam['pairs']} pairs x 24 subtests in "
@@ -333,13 +337,12 @@ def _cmd_stream(args) -> int:
                       f"= {v}")
             closed.append(ev.label)
 
-    # zero-copy finalisation from the live table into a full context
+    # finalisation from the live table into a full context: no clock pass
     om.to_context()
-    passes = clock_pass_counts()
     print(f"streamed {trace.total_events} events, {len(closed)} intervals "
           f"closed, {len(om.notifications)} watch notification(s)")
-    print(f"offline clock passes during the run: forward={passes['forward']} "
-          f"reverse={passes['reverse']} extend={passes['extend']}")
+    print("offline clock passes during the run: "
+          f"{_format_passes(clock_pass_counts())}")
     return 0
 
 
@@ -370,7 +373,6 @@ def _print_service_stats(stats: dict) -> None:
         for i, s in enumerate(stats["shards"])
     )
     lat = stats["watch_latency"]
-    passes = stats["clock_passes"]
     print(f"service[{stats['role']}]: {stats['events_applied']} events, "
           f"{stats['closes_applied']} closes, "
           f"{stats['verdicts_emitted']} verdicts, "
@@ -378,8 +380,7 @@ def _print_service_stats(stats: dict) -> None:
           f"node applied/peak-depth: {nodes} | "
           f"watch latency: n={lat['count']} avg={lat['avg_ms']:.2f}ms "
           f"max={lat['max_ms']:.2f}ms | "
-          f"clock passes: forward={passes['forward']} "
-          f"reverse={passes['reverse']} extend={passes['extend']}")
+          f"clock passes: {_format_passes(stats['clock_passes'])}")
 
 
 def _cmd_serve(args) -> int:

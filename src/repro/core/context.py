@@ -13,12 +13,11 @@ intervals constructed twice paid the fold twice.
 * a :class:`CutCache`, the one memo of each nonatomic event's Table-2
   cuts, **keyed by interval identity** (the packed component ids), so
   distinct-but-equal interval objects share one fold;
-* explicit invalidation on trace growth — the cache keys its validity
-  on :attr:`Execution.version <repro.events.poset.Execution.version>`,
-  which :meth:`Execution.extend` bumps, so stale future-side vectors
-  can never be served;
 * the shared ``≪``-subtest verdict cache
   (:meth:`AnalysisContext.verdict_cache`).
+
+An execution is immutable once built, so neither cache ever goes
+stale: a longer trace is a new execution with a new context.
 
 All three relation engines, the high-level
 :class:`~repro.core.evaluator.SynchronizationAnalyzer`, the online
@@ -53,7 +52,6 @@ from .cuts import (
 from .family import FamilyOperands
 
 if TYPE_CHECKING:
-    from ..events.trace import Trace
     from .evaluator import SharedVerdictCache
 
 __all__ = ["AnalysisContext", "CutCache"]
@@ -130,10 +128,8 @@ class CutCache:
     :func:`~repro.nonatomic.proxies.proxy_of` and an interval with the
     same ids are stored apart.
 
-    The cache records the execution :attr:`~Execution.version` it was
-    filled against and drops every entry the moment the execution has
-    grown (:meth:`Execution.extend`), because future-side cuts (C3/C4)
-    change when the future does.
+    Nothing is ever evicted: the execution is immutable, so no entry
+    can go stale.
 
     Attributes
     ----------
@@ -143,20 +139,11 @@ class CutCache:
         Benchmarks and the acceptance tests assert on them.
     """
 
-    # Version-discipline contract enforced by `python -m repro lint`
-    # (REP001/REP005).
-    _REPRO_VERSIONED = {
-        "version": "_version",
-        "caches": ("_cuts", "_rows", "_store", "_size"),
-        "guards": ("invalidate", "_fresh"),
-    }
-
-    __slots__ = ("_execution", "_version", "_cuts", "_rows", "_store",
-                 "_size", "hits", "misses")
+    __slots__ = ("_execution", "_cuts", "_rows", "_store", "_size",
+                 "hits", "misses")
 
     def __init__(self, execution: Execution) -> None:
         self._execution = execution
-        self._version = execution.version
         self._cuts: dict[tuple[_Key, str], Cut] = {}
         # the batched row store: key -> row of _store, whose first
         # _size rows are filled
@@ -174,18 +161,6 @@ class CutCache:
     def __len__(self) -> int:
         """Stored batch rows plus scalar-filled cuts."""
         return len(self._rows) + len(self._cuts)
-
-    def invalidate(self) -> None:
-        """Drop every entry and re-arm against the current version."""
-        self._cuts.clear()
-        self._rows.clear()
-        self._store = None
-        self._size = 0
-        self._version = self._execution.version
-
-    def _fresh(self) -> None:
-        if self._execution.version != self._version:
-            self.invalidate()
 
     def _check_interval(self, x: NonatomicEvent) -> None:
         if x.execution is not self._execution:
@@ -207,7 +182,6 @@ class CutCache:
         if column is None:
             raise ValueError(f"unknown cut: {which!r}")
         self._check_interval(x)
-        self._fresh()
         key = x.key
         cached = self._cuts.get((key, which))
         if cached is not None:
@@ -251,7 +225,6 @@ class CutCache:
         rows stay in the store, so later scalar queries of the proxies
         hit.
         """
-        self._fresh()
         ex = self._execution
         stored = self._rows
         base = self._size
@@ -304,7 +277,6 @@ class CutCache:
         (:func:`~repro.core.cuts._stats_from_extrema`) in blocks of
         :data:`~repro.core.cuts.FILL_BLOCK`, each written straight into
         the store."""
-        self._fresh()
         slot: dict[int, int] = {}
         owners: list[NonatomicEvent] = []
         for x in terms:
@@ -333,7 +305,6 @@ class CutCache:
 
         The first fill allocates exactly; growth doubles and copies the
         filled rows."""
-        self._fresh()
         store = self._store
         if store is not None and size <= len(store):
             return store
@@ -355,8 +326,8 @@ _SHARED: "weakref.WeakKeyDictionary[Execution, AnalysisContext]" = (
 class AnalysisContext:
     """Shared evaluation substrate for one execution.
 
-    Bundles the execution (whose clock structures are built lazily and
-    extended incrementally) with the :class:`CutCache` every consumer
+    Bundles the execution (whose reverse clock structure is built
+    lazily) with the :class:`CutCache` every consumer
     draws from.  Construct one per execution — or let
     :meth:`AnalysisContext.of` hand out the process-wide shared
     instance — and pass it wherever an
@@ -364,10 +335,6 @@ class AnalysisContext:
     engines, :class:`~repro.core.evaluator.SynchronizationAnalyzer`,
     the predicate detectors and the application verifiers all accept
     either.
-
-    The verdict cache needs no version tracking here: the
-    :class:`~repro.core.evaluator.SharedVerdictCache` freshness-checks
-    itself against the execution version on every read.
     """
 
     __slots__ = ("_execution", "_cut_cache", "_verdicts", "__weakref__")
@@ -462,22 +429,6 @@ class AnalysisContext:
             "pairs": vc.pairs_cached, "fills": vc.fills, "evals": vc.evals,
             "cut_pair_evals": vc.cut_pair_evals, "hits": vc.hits,
         }
-
-    # ------------------------------------------------------------------
-    # growth
-    # ------------------------------------------------------------------
-    def extend(self, trace: Trace) -> "AnalysisContext":
-        """Grow the underlying execution (append-only) and invalidate.
-
-        Delegates to :meth:`Execution.extend`; the version bump makes
-        the cut cache drop every memoized vector, so post-growth
-        queries can never see pre-growth future cuts.
-        """
-        self._execution.extend(trace)
-        self._cut_cache.invalidate()
-        if self._verdicts is not None:
-            self._verdicts.invalidate()
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

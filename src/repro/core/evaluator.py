@@ -284,9 +284,8 @@ class SharedVerdictCache:
     appends the resulting ``(pairs, 24)`` verdict matrix to the table
     in one pass, with zero per-pair Python dispatch.  Rows are keyed by
     both intervals' :attr:`~repro.nonatomic.event.NonatomicEvent.packed_ids`,
-    so equal id sets share a row, and to the execution
-    :attr:`~repro.events.poset.Execution.version`; growth drops every
-    verdict, so stale future-side subtests can never be served.
+    so equal id sets share a row.  The execution is immutable, so a
+    row never goes stale and nothing is evicted.
 
     Each row also records whether its pair was found disjoint.  The
     cache is shared by every analyzer of a context, and one built with
@@ -311,20 +310,11 @@ class SharedVerdictCache:
         of one query batch).
     """
 
-    # Version-discipline contract enforced by `python -m repro lint`
-    # (REP001/REP005).
-    _REPRO_VERSIONED = {
-        "version": "_version",
-        "caches": ("_index", "_table", "_disjoint"),
-        "guards": ("invalidate", "_fresh"),
-    }
-
-    __slots__ = ("context", "_version", "_index", "_table", "_disjoint",
+    __slots__ = ("context", "_index", "_table", "_disjoint",
                  "evals", "cut_pair_evals", "hits", "fills")
 
     def __init__(self, context: "Execution | AnalysisContext") -> None:
         self.context = AnalysisContext.of(context)
-        self._version = self.context.execution.version
         # pair key -> table row; the first len(_index) rows are filled
         self._index: dict[tuple[bytes, bytes], int] = {}
         self._table = np.zeros((0, N_SUBTESTS), dtype=np.bool_)
@@ -334,21 +324,9 @@ class SharedVerdictCache:
         self.hits = 0
         self.fills = 0
 
-    def invalidate(self) -> None:
-        """Drop every verdict row; re-arm on current version."""
-        self._index.clear()
-        self._table = np.zeros((0, N_SUBTESTS), dtype=np.bool_)
-        self._disjoint = np.zeros(0, dtype=np.bool_)
-        self._version = self.context.execution.version
-
-    def _fresh(self) -> None:
-        if self.context.execution.version != self._version:
-            self.invalidate()
-
     @property
     def pairs_cached(self) -> int:
         """Ordered pairs with a memoized verdict row."""
-        self._fresh()
         return len(self._index)
 
     def _rows(
@@ -363,7 +341,6 @@ class SharedVerdictCache:
         :class:`ValueError` before anything is filled; a pair is tested
         only if its row does not already record it as disjoint.
         """
-        self._fresh()
         index = self._index
         disjoint = self._disjoint
         found: list[int] = []
@@ -410,7 +387,6 @@ class SharedVerdictCache:
         fill (warm rows come out of the shared cut cache), and
         :func:`~repro.core.family.verdict_matrix` runs once over them.
         """
-        self._fresh()
         row_of: dict[bytes, int] = {}
         intervals: list[NonatomicEvent] = []
         for x, y in pairs:
@@ -452,7 +428,6 @@ class SharedVerdictCache:
         raises :class:`ValueError` (before any fill); a pair whose row
         records it as disjoint is not tested again.
         """
-        self._fresh()
         rows = self._rows(pairs, check_disjoint)
         return self._table[rows]
 
@@ -465,7 +440,6 @@ class SharedVerdictCache:
         pair pays a single-pair fill (batch callers should use
         :meth:`verdicts`).
         """
-        self._fresh()
         r = self._index.get((x.packed_ids, y.packed_ids))
         if r is None:
             r = int(self._rows(((x, y),), False)[0])

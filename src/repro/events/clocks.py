@@ -67,7 +67,6 @@ __all__ = [
     "CyclicTraceError",
     "compute_forward_table",
     "compute_reverse_table",
-    "extend_forward_table",
     "compute_forward_clocks",
     "compute_reverse_clocks",
     "anchor_schedule",
@@ -81,18 +80,18 @@ __all__ = [
 #: components count events on one node, so the range is ample.
 CLOCK_DTYPE = np.int32
 
-#: Number of full/incremental clock passes executed since the last reset
+#: Number of clock passes executed since the last reset
 #: *in this process*, keyed by pass kind.  Purely diagnostic: regression
 #: tests use it to assert that lazy code paths (e.g. the online
 #: monitor's ingestion) never trigger a pass they should not pay for.
 #: See the module docstring for the worker-process contract.
-_PASS_COUNTS: dict[str, int] = {"forward": 0, "reverse": 0, "extend": 0}
+_PASS_COUNTS: dict[str, int] = {"forward": 0, "reverse": 0}
 
 
 def clock_pass_counts(include_pid: bool = False) -> dict[str, int]:
     """A snapshot of this process's pass counters.
 
-    Keys ``forward``/``reverse``/``extend``; with ``include_pid``, also
+    Keys ``forward``/``reverse``; with ``include_pid``, also
     ``pid``, the id of the reporting process.  Counters are per-process
     (see the module docstring), so consumers aggregating across a
     worker pool must collect one snapshot per worker rather than read
@@ -213,21 +212,18 @@ class GrowableClockTable:
 
     :meth:`snapshot` materialises the live contents as a regular
     :class:`ClockTable` — one block copy per node, **zero clock
-    passes** (the ``forward``/``extend`` counters of
-    :func:`clock_pass_counts` do not move) — and memoizes the result
-    keyed by :attr:`version`, so repeated finalisations of an unchanged
-    stream are free.
+    passes** (the ``forward`` counter of :func:`clock_pass_counts` does
+    not move).
     """
 
-    __slots__ = ("_blocks", "_counts", "_version", "_snapshot",
-                 "_snapshot_version")
+    __slots__ = ("_blocks", "_counts", "_version")
 
     # Version-discipline contract enforced by `python -m repro lint`
     # (REP001/REP005).
     _REPRO_VERSIONED = {
         "version": "_version",
         "state": ("_blocks", "_counts"),
-        "caches": ("_snapshot",),
+        "caches": (),
         "guards": (),
     }
 
@@ -242,8 +238,6 @@ class GrowableClockTable:
         ]
         self._counts: list[int] = [0] * num_nodes
         self._version = 0
-        self._snapshot: "ClockTable | None" = None
-        self._snapshot_version = -1
 
     # ------------------------------------------------------------------
     @property
@@ -260,7 +254,9 @@ class GrowableClockTable:
     def version(self) -> int:
         """Monotonic append counter (equals :attr:`total_events`).
 
-        :meth:`snapshot` and downstream finalisation caches key on it.
+        :meth:`OnlineMonitor.to_execution
+        <repro.monitor.online.OnlineMonitor.to_execution>` keys its
+        finalised execution on it.
         """
         return self._version
 
@@ -317,19 +313,12 @@ class GrowableClockTable:
     def snapshot(self) -> ClockTable:
         """The live contents as an immutable :class:`ClockTable`.
 
-        One C-level block copy per node; no clock pass.  Memoized by
-        :attr:`version`: finalising an unchanged stream twice returns
-        the same table object.
+        One C-level block copy per node; no clock pass.
         """
-        if self._snapshot is not None and self._snapshot_version == self._version:
-            return self._snapshot
         data = np.concatenate(
             [self.node_view(i) for i in range(self.num_nodes)], axis=0
         )
-        table = ClockTable(data, self.lengths)
-        self._snapshot = table
-        self._snapshot_version = self._version
-        return table
+        return ClockTable(data, self.lengths)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -341,14 +330,11 @@ class GrowableClockTable:
 def anchor_schedule(
     num_nodes: int,
     cross_deps: Mapping[EventId, tuple[EventId, ...]],
-    start: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, int, tuple[EventId, ...]]]:
     """Yield every *anchor* once its dependencies are done.
 
-    The anchors are the keys ``(node, idx)`` of ``cross_deps`` with
-    ``idx > start[node]`` (events up to ``start[node]`` are done
-    already).  Each is yielded as ``(node, idx, deps)``, a node's in
-    ascending order.  A dependency ``(m, d)`` is done once every anchor
+    The anchors are the keys ``(node, idx)`` of ``cross_deps``.  Each
+    is yielded as ``(node, idx, deps)``, a node's in ascending order.  A dependency ``(m, d)`` is done once every anchor
     of node ``m`` at or before ``d`` has been yielded: the events
     between anchors depend on their local predecessor alone.
 
@@ -360,8 +346,7 @@ def anchor_schedule(
     """
     anchors: list[list[int]] = [[] for _ in range(num_nodes)]
     for node, idx in sorted(cross_deps):
-        if start is None or idx > start[node]:
-            anchors[node].append(idx)
+        anchors[node].append(idx)
     ptr = [0] * num_nodes  # anchors yielded per node
     # waiters[a] = nodes whose next anchor is blocked until anchor a is done
     waiters: dict[EventId, list[int]] = {}
@@ -390,9 +375,7 @@ def anchor_schedule(
         raise CyclicTraceError(f"trace has a causal cycle; events stuck at {stuck[:5]}")
 
 
-def _run_clock_pass(
-    trace: Trace, reverse: bool = False, prior: "ClockTable | None" = None
-) -> ClockTable:
+def _run_clock_pass(trace: Trace, reverse: bool = False) -> ClockTable:
     """Generic vector-clock pass over the columnar matrix.
 
     The work-list visits only the anchors of :func:`anchor_schedule`:
@@ -410,12 +393,6 @@ def _run_clock_pass(
     reverse:
         Run on the time-reversed trace, writing the row of reversed
         index ``j`` of node ``i`` straight to local index ``k_i - j + 1``.
-    prior:
-        Optional :class:`ClockTable` of already-computed timestamp rows
-        (an append-only per-node prefix of the new computation).  Its
-        node blocks are copied in verbatim (one C-level copy each) and
-        only events beyond them are processed — the incremental path
-        used by :func:`extend_forward_table`.
 
     Raises
     ------
@@ -429,26 +406,18 @@ def _run_clock_pass(
     blocks = np.split(data, np.cumsum(lengths[:-1]))
     if reverse:
         blocks = [blk[::-1] for blk in blocks]
-    start = [0] * num_nodes  # rows taken from prior, per node
-    if prior is not None:
-        for i in range(num_nodes):
-            k = start[i] = int(prior.lengths[i])
-            blocks[i][:k] = prior.node_view(i)
     marks: list[list[int]] = [[] for _ in range(num_nodes)]  # anchors done
 
-    schedule = anchor_schedule(num_nodes, message_dependencies(trace, reverse), start)
+    schedule = anchor_schedule(num_nodes, message_dependencies(trace, reverse))
     for node, idx, deps in schedule:
         blk = blocks[node]
         row = blk[idx - 1]
-        prev = marks[node][-1] if marks[node] else start[node]
-        if prev:
-            row[:] = blk[prev - 1]
+        if marks[node]:
+            row[:] = blk[marks[node][-1] - 1]
         for dep_node, dep_idx in deps:
-            base = dep_idx
-            if dep_idx > start[dep_node]:
-                pos = bisect_right(marks[dep_node], dep_idx)
-                base = marks[dep_node][pos - 1] if pos else start[dep_node]
-            if base:
+            pos = bisect_right(marks[dep_node], dep_idx)
+            if pos:
+                base = marks[dep_node][pos - 1]
                 np.maximum(row, blocks[dep_node][base - 1], out=row)
             if row[dep_node] < dep_idx:
                 row[dep_node] = dep_idx
@@ -456,13 +425,12 @@ def _run_clock_pass(
         marks[node].append(idx)
 
     for node, blk in enumerate(blocks):
-        done = start[node]
-        bases = ([done] if done else []) + marks[node]
-        if bases:  # every row from the first base on copies its last base's
+        bases = marks[node]
+        if bases:  # every row from the first anchor on copies its last anchor's
             src = np.asarray(bases, dtype=np.int64)
             src = np.repeat(src, np.diff(src, append=lengths[node] + 1))
             blk[bases[0] - 1:] = blk[src - 1]
-        blk[done:, node] = np.arange(done + 1, lengths[node] + 1, dtype=CLOCK_DTYPE)
+        blk[:, node] = np.arange(1, lengths[node] + 1, dtype=CLOCK_DTYPE)
     return ClockTable(data, lengths)
 
 
@@ -494,28 +462,6 @@ def compute_forward_table(trace: Trace) -> ClockTable:
     """
     _PASS_COUNTS["forward"] += 1
     return _run_clock_pass(trace)
-
-
-def extend_forward_table(trace: Trace, prior: ClockTable) -> ClockTable:
-    """Advance a forward :class:`ClockTable` over an append-only extension.
-
-    ``prior`` holds the timestamps of a prefix of ``trace``; rows for
-    the appended suffix events are computed without re-folding any
-    prefix event, so the cost is proportional to the *new* events only
-    (plus one C-level copy per node block into the larger matrix).
-
-    The caller is responsible for the append-only precondition: per-node
-    event sequences of the prefix trace must be prefixes of ``trace``'s,
-    and no new message may target a prefix event (both are validated by
-    :meth:`repro.events.poset.Execution.extend`).
-
-    Raises
-    ------
-    CyclicTraceError
-        If the extension's happened-before relation is cyclic.
-    """
-    _PASS_COUNTS["extend"] += 1
-    return _run_clock_pass(trace, prior=prior)
 
 
 def compute_reverse_table(trace: Trace) -> ClockTable:

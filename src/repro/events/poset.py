@@ -27,12 +27,11 @@ from .clocks import (
     GrowableClockTable,
     compute_forward_table,
     compute_reverse_table,
-    extend_forward_table,
 )
 from typing import TYPE_CHECKING
 
 from .event import Event, EventId
-from .trace import Trace, TraceError
+from .trace import Trace
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -65,8 +64,8 @@ class Execution:
         Optional precomputed forward timestamps: a columnar
         :class:`~repro.events.clocks.ClockTable` (adopted zero-copy), a
         live :class:`~repro.events.clocks.GrowableClockTable` (its
-        version-keyed :meth:`~repro.events.clocks.GrowableClockTable.snapshot`
-        is adopted), or one ``(k_i, P)`` matrix per node (as produced
+        :meth:`~repro.events.clocks.GrowableClockTable.snapshot` is
+        adopted), or one ``(k_i, P)`` matrix per node (as produced
         by :func:`~repro.events.clocks.compute_forward_clocks`).
         Callers that already maintain the forward structure — e.g. the
         online monitor's streaming ingestion — pass it here to skip
@@ -87,22 +86,16 @@ class Execution:
     exposed via :attr:`forward_table` / :attr:`reverse_table` for the
     batch cut kernels; the per-event/per-node accessors below are views
     into those matrices.
+
+    An execution is immutable once built, so nothing derived from it
+    (cut rows, verdict tables) can go stale.  To analyse a longer
+    trace, build a new execution — or let
+    :meth:`OnlineMonitor.to_execution
+    <repro.monitor.online.OnlineMonitor.to_execution>` build one from
+    its live clock table.
     """
 
-    __slots__ = ("_trace", "_fwd", "_rev", "_lengths", "_version", "__weakref__")
-
-    # Version-discipline contract enforced by `python -m repro lint`
-    # (REP001): growing the substrate must bump `_version` so every
-    # derived cache (CutCache, SharedVerdictCache) can detect
-    # staleness.  `_rev` is reset to
-    # None on growth rather than freshness-checked on read, so it is
-    # deliberately not registered as a cache.
-    _REPRO_VERSIONED = {
-        "version": "_version",
-        "state": ("_trace", "_fwd", "_lengths"),
-        "caches": (),
-        "guards": (),
-    }
+    __slots__ = ("_trace", "_fwd", "_rev", "_lengths", "__weakref__")
 
     def __init__(
         self,
@@ -118,7 +111,6 @@ class Execution:
         self._lengths: tuple[int, ...] = tuple(
             trace.num_real(i) for i in range(trace.num_nodes)
         )
-        self._version = 0
 
     @staticmethod
     def _adopt_forward(
@@ -164,17 +156,6 @@ class Execution:
     def trace(self) -> Trace:
         """The underlying recorded trace."""
         return self._trace
-
-    @property
-    def version(self) -> int:
-        """Monotonic growth counter, bumped by every :meth:`extend`.
-
-        Derived caches (cut quadruples, extremal vectors — see
-        :class:`repro.core.context.CutCache`) key their validity on this
-        value: a version change means future-side structures computed
-        against the shorter trace are stale.
-        """
-        return self._version
 
     @property
     def reverse_ready(self) -> bool:
@@ -378,72 +359,6 @@ class Execution:
             k = self._lengths[i]
             out.update((i, j) for j in range(k - int(rclock[i]) + 1, k + 1))
         return out
-
-    # ------------------------------------------------------------------
-    # append-only growth
-    # ------------------------------------------------------------------
-    def extend(self, trace: Trace) -> "Execution":
-        """Grow this execution in place to an append-only extension.
-
-        ``trace`` must extend the current trace: same node count, every
-        node's current event sequence a prefix of its new one, the
-        current messages a subset of the new ones, and every *new*
-        message received by a *new* event (so no existing timestamp can
-        change).  Forward clocks are advanced incrementally — only the
-        appended events are processed (see
-        :func:`~repro.events.clocks.extend_forward_table`); the reverse
-        structure is discarded and will be rebuilt lazily if queried,
-        since every reverse timestamp can change when the future grows.
-
-        Bumps :attr:`version` so shared caches invalidate; returns
-        ``self`` for chaining.
-
-        Raises
-        ------
-        TraceError
-            If ``trace`` is not an append-only extension.
-        CyclicTraceError
-            If the extension introduces a causal cycle.
-        """
-        old = self._trace
-        if trace.num_nodes != old.num_nodes:
-            raise TraceError(
-                f"extension changes node count: {old.num_nodes} -> "
-                f"{trace.num_nodes}"
-            )
-        for i in range(old.num_nodes):
-            k_old = old.num_real(i)
-            if trace.num_real(i) < k_old or (
-                trace.events_of(i)[:k_old] != old.events_of(i)
-            ):
-                raise TraceError(
-                    f"node {i}: existing events are not a prefix of the "
-                    "extension"
-                )
-        old_messages = set(old.messages)
-        for msg in trace.messages:
-            if msg in old_messages:
-                old_messages.discard(msg)
-                continue
-            node, idx = msg.recv
-            if idx <= old.num_real(node):
-                raise TraceError(
-                    f"new message {msg} targets existing event {msg.recv}; "
-                    "extensions may only deliver to appended events"
-                )
-        if old_messages:
-            raise TraceError(
-                f"extension drops existing message(s): "
-                f"{sorted(old_messages, key=str)[:3]}"
-            )
-        self._fwd = extend_forward_table(trace, self._fwd)
-        self._trace = trace
-        self._lengths = tuple(
-            trace.num_real(i) for i in range(trace.num_nodes)
-        )
-        self._rev = None
-        self._version += 1
-        return self
 
     # ------------------------------------------------------------------
     # interop

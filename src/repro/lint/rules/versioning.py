@@ -1,18 +1,19 @@
 """REP001 / REP005 — cache/version discipline for registered classes.
 
-The analysis layer memoizes derived data (cut quadruples, verdict
-tables, stacked matrices) keyed by ``Execution.version``.  A method
-that mutates tracked state without bumping the version, or that reads a
-memoized field without first validating it against the version, silently
-serves stale physics.  These rules enforce the protocol on every class
-that declares it in a ``_REPRO_VERSIONED`` dict class attribute::
+A class whose state grows in place counts its growth in a version
+attribute, and readers key what they derive from it on that version.
+A method that mutates tracked state without bumping the version, or that
+reads a memoized field without first validating it against the version,
+silently serves stale physics.  These rules enforce the protocol on
+every class that declares it in a ``_REPRO_VERSIONED`` dict class
+attribute — today the streaming monitor's append-only clock table::
 
-    class CutCache:
+    class GrowableClockTable:
         _REPRO_VERSIONED = {
             "version": "_version",
-            "state": (),                       # mutation is a new version
-            "caches": ("_cuts", "_rows"),      # derived, version-checked
-            "guards": ("invalidate", "_fresh"),
+            "state": ("_blocks", "_counts"),   # every append bumps it
+            "caches": (),                      # derived, version-checked
+            "guards": (),
         }
 
 REP001 (version-discipline)

@@ -42,8 +42,8 @@ endpoints in one integer array): ingestion builds no
 checks its handle against those columns (:meth:`OnlineMonitor.receivable`)
 before anything is recorded.  Finalisation
 (:meth:`OnlineMonitor.to_execution`) hands the live table to
-:class:`~repro.events.poset.Execution` via its version-keyed snapshot:
-**zero** forward/extend clock passes, and the reverse pass stays
+:class:`~repro.events.poset.Execution` via its snapshot: **zero**
+forward clock passes, and the reverse pass stays
 unbuilt until a future-cut consumer asks
 (regression-tested via :func:`repro.events.clocks.clock_pass_counts`).
 
@@ -667,15 +667,15 @@ class OnlineMonitor:
 
         The monitor already maintains every forward vector timestamp in
         its growable columnar table, so the execution adopts the
-        table's version-keyed snapshot instead of re-running the
-        forward pass — and the reverse structure stays unbuilt until a
+        table's snapshot instead of re-running the forward pass — and the reverse structure stays unbuilt until a
         future-cut consumer actually asks for it.  Ingestion plus
         finalisation therefore performs **zero** offline clock passes
         (regression-tested via
         :func:`repro.events.clocks.clock_pass_counts`).  The finalised
         execution is memoized by table version: calling again without
         new events returns the same object (and hence the same shared
-        :class:`~repro.core.context.AnalysisContext`).
+        :class:`~repro.core.context.AnalysisContext`); after new events
+        it is a new execution, and the old one keeps its answers.
         """
         version = self._table.version
         if self._finalized is not None and self._finalized[0] == version:
@@ -689,8 +689,9 @@ class OnlineMonitor:
         """Finalise into a shared :class:`~repro.core.context.AnalysisContext`.
 
         The offline hand-off point: the returned context owns the
-        finalised execution (with the monitor's forward clocks adopted
-        zero-copy) and the cut cache every offline engine will share.
+        finalised execution (the monitor's forward clocks copied in,
+        no clock pass) and the cut cache every offline engine will
+        share.  After new events it is a new context.
         """
         from ..core.context import AnalysisContext
 

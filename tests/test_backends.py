@@ -7,8 +7,8 @@ timestamp rows; the scalar cut computation
 (:func:`~repro.core.cuts.cut_vector`) must equal the batched cut-stat
 rows (:func:`~repro.core.cuts.cut_stats`); and — end to end — all 40
 relation verdicts (the 32-family plus the 8 base relations) must equal
-the definition-level engine's, also after :meth:`Execution.extend`
-growth (an extended context against a fresh one on the full trace).
+the definition-level engine's, on a prefix execution and on the full
+one (each against a fresh context on the same trace).
 
 Layering is checked on the import statements: the substrate packages
 (``repro.events``, ``repro.nonatomic``) import nothing from the layers
@@ -144,33 +144,28 @@ class TestVerdictEquivalence:
         prefix = _replay(num_nodes, head)
         full = _replay(num_nodes, head + tail)
         assume(full.total_events > prefix.total_events)
-        grown = AnalysisContext(Execution(prefix))
-        ids = sorted(grown.execution.iter_ids())
-        half = max(1, len(ids) // 2)
-        # pay pre-growth queries so stale caches would be caught
-        _all_verdicts(
-            SynchronizationAnalyzer(grown),
-            grown.interval(ids[:half], name="X"),
-            grown.interval(ids[half:] or ids[:1], name="Y"),
-        )
-        grown.extend(full)
-        fresh = AnalysisContext(Execution(full))
-        ids = sorted(fresh.execution.iter_ids())
-        half = max(1, len(ids) // 2)
-        grown_v, fresh_v = (
-            _all_verdicts(
-                SynchronizationAnalyzer(ctx),
-                ctx.interval(ids[:half], name="X"),
-                ctx.interval(ids[half:], name="Y"),
+        for trace in (prefix, full):
+            ids = sorted(Execution(trace).iter_ids())
+            half = max(1, len(ids) // 2)
+            linear_v, naive_v = (
+                _all_verdicts(
+                    an,
+                    an.interval(ids[:half], name="X"),
+                    an.interval(ids[half:] or ids[:1], name="Y"),
+                )
+                for an in (
+                    SynchronizationAnalyzer(AnalysisContext(Execution(trace))),
+                    SynchronizationAnalyzer(
+                        AnalysisContext(Execution(trace)), engine="naive"
+                    ),
+                )
             )
-            for ctx in (grown, fresh)
-        )
-        assert grown_v == fresh_v
+            assert linear_v == naive_v
 
 
 class TestBatchedFamilyEquivalence:
     """The batched ``(pairs, 24)`` kernel agrees with the scalar path,
-    including after real append-only growth."""
+    on a prefix execution and on the full one."""
 
     @given(st.integers(2, 4), _ops, _ops)
     @settings(max_examples=20, deadline=None)
@@ -180,24 +175,22 @@ class TestBatchedFamilyEquivalence:
         prefix = _replay(num_nodes, head)
         full = _replay(num_nodes, head + tail)
         assume(full.total_events > prefix.total_events)
-        ctx = AnalysisContext(Execution(prefix))
-        an = SynchronizationAnalyzer(ctx)
-        oracle = SynchronizationAnalyzer(ctx, counted=True)
-        assert oracle.verdict_cache is None
-        ids = sorted(ctx.execution.iter_ids())
-        half = max(1, len(ids) // 2)
-        x = ctx.interval(ids[:half], name="X")
-        y = ctx.interval(ids[half:] or ids[:1], name="Y")
-        # pay a pre-growth batched fill so stale rows would be caught
-        an.all_relations_batch([(x, y)])
-        ctx.extend(full)
-        ids = sorted(ctx.execution.iter_ids())
-        half = max(1, len(ids) // 2)
-        x = ctx.interval(ids[:half], name="X")
-        y = ctx.interval(ids[half:], name="Y")
-        fam = an.all_relations_batch([(x, y), (y, x)])
-        for f, (a, b) in zip(fam, [(x, y), (y, x)], strict=True):
-            assert f == {s: oracle.holds(s, a, b) for s in FAMILY32}
+        for trace in (prefix, full):
+            ctx = AnalysisContext(Execution(trace))
+            an = SynchronizationAnalyzer(ctx)
+            oracle = SynchronizationAnalyzer(
+                AnalysisContext(Execution(trace)), counted=True
+            )
+            assert oracle.verdict_cache is None
+            ids = sorted(ctx.execution.iter_ids())
+            half = max(1, len(ids) // 2)
+            x = ctx.interval(ids[:half], name="X")
+            y = ctx.interval(ids[half:] or ids[:1], name="Y")
+            ox = oracle.interval(ids[:half], name="X")
+            oy = oracle.interval(ids[half:] or ids[:1], name="Y")
+            fam = an.all_relations_batch([(x, y), (y, x)])
+            for f, (a, b) in zip(fam, [(ox, oy), (oy, ox)], strict=True):
+                assert f == {s: oracle.holds(s, a, b) for s in FAMILY32}
 
 
 def _imported_modules(path: Path) -> list[tuple[int, str]]:

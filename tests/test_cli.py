@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _print_service_stats, main
 
 
 @pytest.fixture
@@ -76,6 +76,7 @@ class TestRelations:
         out = capsys.readouterr().out
         assert "holding (32/32)" in out  # barrier: everything holds
         assert "strongest: R1'(U,L), R1(U,L)" in out
+        assert "clock passes: forward=1 reverse=1\n" in out
 
     def test_single_spec(self, barrier_trace_file, capsys):
         assert main([
@@ -138,6 +139,30 @@ class TestStream:
         captured = capsys.readouterr()
         assert "--watch needs NAME=CONDITION" in captured.err
         assert "decided" not in captured.out
+
+
+class TestClockPassLines:
+    """Every clock-pass line prints the counters it is given, by key."""
+
+    def test_stream_prints_the_counters(self, barrier_trace_file, capsys):
+        assert main(["stream", barrier_trace_file]) == 0
+        out = capsys.readouterr().out
+        assert "offline clock passes during the run: forward=0 reverse=0\n" in out
+
+    @pytest.mark.parametrize("passes, shown", [
+        ({"forward": 0, "reverse": 0, "extend": 0}, "forward=0 reverse=0 extend=0"),
+        ({"forward": 2}, "forward=2"),
+    ])
+    def test_service_stats_print_a_peers_keys(self, capsys, passes, shown):
+        # a peer running another version may report other counters
+        _print_service_stats({
+            "role": "primary", "events_applied": 3, "closes_applied": 1,
+            "verdicts_emitted": 0, "throttles": 0, "parked": 0,
+            "shards": [{"applied": 3, "queued_peak": 1}],
+            "watch_latency": {"count": 0, "avg_ms": 0.0, "max_ms": 0.0},
+            "clock_passes": passes,
+        })
+        assert capsys.readouterr().out.endswith(f"clock passes: {shown}\n")
 
 
 class TestFigures:

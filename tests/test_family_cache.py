@@ -5,8 +5,7 @@ Accounting properties of
 on one ordered pair costs a bounded number of distinct subtest
 evaluations (24 total, of which 12 are genuine cut-pair ``≪`` tests —
 well under the 16 ordered Table-2 cut pairs), repeat queries are pure
-cache hits, verdicts are dropped when the execution version bumps, and
-configurations whose semantics the factoring does not cover bypass the
+cache hits, and configurations whose semantics the factoring does not cover bypass the
 cache entirely.
 """
 
@@ -32,7 +31,6 @@ from repro.core.family import (
 from repro.core.hierarchy import evaluate_all_pruned, maximal_true
 from repro.core.linear import LinearEvaluator
 from repro.core.relations import BASE_RELATIONS, FAMILY32, SUBTEST_KEYS, Relation
-from repro.events.builder import TraceBuilder
 from repro.events.clocks import CLOCK_DTYPE
 from repro.events.poset import Execution
 from repro.nonatomic.event import NonatomicEvent
@@ -138,49 +136,6 @@ class TestAccounting:
         assert eng.ll_tests / vc.evals >= 2.5, (eng.ll_tests, vc.evals)
 
 
-class TestInvalidation:
-    def test_version_bump_drops_verdicts(self):
-        b = TraceBuilder(2)
-        e0 = b.internal(0)
-        m = b.send(0)
-        r = b.recv(1, m)
-        ex = Execution(b.build())
-        an = SynchronizationAnalyzer(ex)
-        x = an.interval([e0])
-        y = an.interval([r])
-        first = an.all_relations(x, y)
-        vc = an.verdict_cache
-        assert vc.evals == 24
-
-        e1 = b.internal(1)
-        an.context.extend(b.build())
-        y2 = an.interval([r, e1])
-        again = an.all_relations(x, y2)  # refill on the grown execution
-        assert vc.evals == 48  # the old fill was dropped, not reused
-
-        cold = SynchronizationAnalyzer(
-            Execution(b.build()), engine="naive"
-        )
-        cx = cold.interval([e0])
-        assert again == {
-            spec: cold.holds(spec, cx, cold.interval([r, e1]))
-            for spec in FAMILY32
-        }
-        # the pre-growth result set is still internally consistent
-        assert set(first) == set(FAMILY32)
-
-    def test_noop_growth_still_invalidates_conservatively(self):
-        """Even a no-event extension bumps the version: invalidation is
-        keyed on the bump, never on guessing which verdicts survive."""
-        ex, x, y = _pair()
-        an = SynchronizationAnalyzer(ex)
-        before = an.all_relations(x, y)
-        an.context.extend(ex.trace)
-        vc = an.verdict_cache
-        assert an.all_relations(x, y) == before  # refilled, identical
-        assert vc.evals == 48
-
-
 class TestBatchedKernel:
     """The one-pass ``(pairs, 24)`` fill behind the ``*_batch`` APIs."""
 
@@ -228,16 +183,6 @@ class TestBatchedKernel:
             cached.base_relations_batch([(x, y)])
         assert scalar.strongest_batch([(x, y)]) == \
             cached.strongest_batch([(x, y)])
-
-    def test_batch_refills_after_extend(self):
-        ex, x, y = _pair()
-        an = SynchronizationAnalyzer(ex)
-        before = an.all_relations_batch([(x, y)])[0]
-        an.context.extend(ex.trace)  # no-op growth still bumps version
-        vc = an.verdict_cache
-        assert vc.pairs_cached == 0
-        assert an.all_relations_batch([(x, y)])[0] == before
-        assert vc.evals == 48  # refilled: the old row was dropped, not reused
 
     def test_verdict_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -435,8 +380,7 @@ _ORACLE = dict(counted=True)
 
 class TestVectorizedOracleEquivalence:
     """Hypothesis: the vectorized ``(pairs, 24)`` verdict matrix is
-    bit-identical to scalar per-pair evaluation over all 40 specs,
-    including across ``extend()`` invalidation."""
+    bit-identical to scalar per-pair evaluation over all 40 specs."""
 
     @settings(max_examples=15, deadline=None)
     @given(exy=execution_with_pair(max_nodes=4, max_ops=25))
@@ -454,10 +398,6 @@ class TestVectorizedOracleEquivalence:
         for (a, b), f, bs in zip([(x, y), (y, x)], fam, base, strict=True):
             assert f == {s: oracle.holds(s, a, b) for s in FAMILY32}
             assert bs == {r: oracle.holds(r, a, b) for r in BASE_RELATIONS}
-        # growth invalidation: the refilled rows must still agree
-        ctx.extend(ctx.execution.trace)
-        assert cached.verdict_cache.pairs_cached == 0
-        assert cached.all_relations_batch([(x, y)])[0] == fam[0]
 
 
 class TestBypass:

@@ -111,7 +111,7 @@ def test_columns_match_event_built_trace(recording):
     ex = mon.to_execution()
     rows = {eid: ex.clock(eid).tolist() for eid in ex.iter_ids()}
     assert ex.trace == ref
-    assert clock_pass_counts() == {"forward": 0, "reverse": 0, "extend": 0}
+    assert clock_pass_counts() == {"forward": 0, "reverse": 0}
     oracle = Execution(ref)
     assert rows == {eid: oracle.clock(eid).tolist() for eid in oracle.iter_ids()}
 

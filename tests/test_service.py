@@ -621,7 +621,7 @@ class TestLiveService:
             assert stats["events_applied"] == trace.total_events
             assert stats["parked"] == 0
             assert stats["clock_passes"] == {
-                "forward": 0, "reverse": 0, "extend": 0,
+                "forward": 0, "reverse": 0,
             }
         finally:
             handle.stop()
@@ -796,7 +796,7 @@ class TestLiveService:
         finally:
             handle.stop()
         assert stats["clock_passes"] == {
-            "forward": 0, "reverse": 0, "extend": 0,
+            "forward": 0, "reverse": 0,
         }
         assert stats["events_applied"] == trace.total_events
         expected = _offline_verdicts(trace, watches)
@@ -1148,7 +1148,7 @@ class TestServiceOfflineEquivalence:
         finally:
             handle.stop()
         assert stats["clock_passes"] == {
-            "forward": 0, "reverse": 0, "extend": 0,
+            "forward": 0, "reverse": 0,
         }
         assert live == _offline_verdicts(trace, watches)
 
@@ -1393,7 +1393,7 @@ class TestServiceCli:
             assert rc == 0
             assert "verdict #1 'order'" in out
             assert "service[primary]:" in out
-            assert "clock passes: forward=0 reverse=0 extend=0" in out
+            assert "clock passes: forward=0 reverse=0" in out
         finally:
             handle.stop()
 

@@ -7,10 +7,10 @@ closed mid-stream, verdicts served from incrementally maintained cuts,
 finalisation adopting the live clock table zero-copy — yields the same
 verdicts and the same cut quadruples as an
 :class:`~repro.events.poset.Execution` built from scratch on the full
-trace.  This must survive growth: extending an already-queried
-:class:`~repro.core.context.AnalysisContext` with the stream's next
-phase invalidates the cut and verdict caches and the refilled values
-again match a cold build.
+trace.  This must survive growth: once the stream's next phase is
+fed, :meth:`~repro.monitor.online.OnlineMonitor.to_context` hands out a
+new context whose values again match a cold build, while the context
+already queried keeps answering for the prefix it was built on.
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ class TestStreamedEqualsColdOffline:
         self, seed, nodes, k, chunk
     ):
         """Phase 1 streams and is queried (filling the cut + verdict
-        caches); phase 2 extends the same context; every refilled value
-        matches a cold build of the full trace."""
+        caches); after phase 2 the monitor hands out a new context whose
+        every value matches a cold build of the full trace, and the
+        phase-1 context still gives its phase-1 answers."""
         trace = random_trace(nodes, events_per_node=k, msg_prob=0.4,
                              seed=seed)
         order = causal_schedule(trace)
@@ -159,30 +160,29 @@ class TestStreamedEqualsColdOffline:
         assert an.verdict_cache is not None and an.verdict_cache.evals > 0
 
         _feed(om, trace, order[cut:], chunk, state)
-        full_ex = om.to_execution()
-        assert full_ex.trace.total_events == len(order)
-        context.extend(full_ex.trace)  # CutCache + verdict invalidation
+        grown = om.to_context()
+        assert grown is not context
+        assert grown.execution.trace.total_events == len(order)
+        # the phase-1 context still answers for the prefix
+        assert context.execution.trace.total_events == cut
+        assert an.all_relations(x1, y1) == before
 
-        cold_ex = Execution(full_ex.trace)
+        cold_ex = Execution(grown.execution.trace)
         cold = SynchronizationAnalyzer(cold_ex, check_disjoint=False)
-        x = NonatomicEvent(context.execution, tags[phase1[0]])
-        y = NonatomicEvent(context.execution, tags[phase1[1]])
+        grown_an = SynchronizationAnalyzer(grown, check_disjoint=False)
+        x = NonatomicEvent(grown.execution, tags[phase1[0]])
+        y = NonatomicEvent(grown.execution, tags[phase1[1]])
         cx = NonatomicEvent(cold_ex, tags[phase1[0]])
         cy = NonatomicEvent(cold_ex, tags[phase1[1]])
-        after = an.all_relations(x, y)
-        assert after == cold.all_relations(cx, cy)
-        # the phase-1 answers were computed on the prefix; re-asking on
-        # the grown execution may legitimately differ (future-dependent
-        # conditions), but never because stale verdicts were served:
-        del before
-        _assert_quadruples_match(context, cold_ex, tags, closed)
+        assert grown_an.all_relations(x, y) == cold.all_relations(cx, cy)
+        _assert_quadruples_match(grown, cold_ex, tags, closed)
 
 
 class TestStreamingClockPasses:
     def test_per_close_verdicts_run_no_offline_clock_pass(self):
         """Ingest, a ``holds`` after every close and the zero-copy
         finalisation all run on the live clock table: no forward
-        rebuild, no extend copy, and the past-only per-close queries
+        rebuild, and the past-only per-close queries
         never build the reverse table.  Only the full-family
         finalisation pays for it, with exactly one reverse pass."""
         trace = random_trace(8, events_per_node=60, msg_prob=0.3, seed=31)
@@ -197,7 +197,7 @@ class TestStreamingClockPasses:
             if before and len(closed) > before:
                 om.holds("R2", closed[-2], closed[-1])
         assert len(closed) == 80
-        assert clock_pass_counts() == {"forward": 0, "reverse": 0, "extend": 0}
+        assert clock_pass_counts() == {"forward": 0, "reverse": 0}
 
         om.to_execution().reverse_table
-        assert clock_pass_counts() == {"forward": 0, "reverse": 1, "extend": 0}
+        assert clock_pass_counts() == {"forward": 0, "reverse": 1}
