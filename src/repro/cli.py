@@ -33,7 +33,7 @@ from .core.relations import FAMILY32
 from .events.clocks import clock_pass_counts, reset_clock_pass_counts
 from .events.poset import Execution
 from .events.serialization import load, save
-from .events.trace import causal_schedule
+from .events.trace import Trace, TraceError, causal_schedule
 from .lint.cli import add_lint_arguments, run_lint
 from .monitor.checker import ConditionChecker
 from .nonatomic.selection import by_label
@@ -182,10 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_trace(path: str) -> Trace:
+    """The trace in ``path``; a malformed file's error names the file."""
+    try:
+        return load(path)
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from exc
+
+
 def _load_context(path: str) -> AnalysisContext:
     """Load a trace into the shared analysis context — the one place
     the CLI builds timestamps and cuts."""
-    return AnalysisContext.of(Execution(load(path)))
+    return AnalysisContext.of(Execution(_load_trace(path)))
 
 
 def _format_passes(passes: dict[str, int]) -> str:
@@ -290,7 +298,7 @@ def _cmd_stream(args) -> int:
     """
     from .monitor.online import OnlineMonitor
 
-    trace = load(args.trace)
+    trace = _load_trace(args.trace)
     remaining: dict = {}
     for ev in trace.iter_events():
         if ev.label is not None:
@@ -458,7 +466,7 @@ def _cmd_client(args) -> int:
     shard, num_shards = int(shard_txt), int(total_txt)
     host, port = _parse_hostport(args.connect)
     watches = _parse_watches(args.watch)
-    trace = load(args.trace)
+    trace = _load_trace(args.trace)
     if watches and not any(
         ev.label is not None for ev in trace.iter_events()
     ):

@@ -20,6 +20,15 @@ Payloads are serialised only when JSON-representable.  Both directions
 go through the trace's per-node columns
 (:meth:`~repro.events.trace.Trace.node_columns`), so neither builds an
 :class:`~repro.events.event.Event`.
+
+:func:`loads` and :func:`load` decode one node at a time: the top-level
+object is walked value by value with the stdlib scanner, and each
+node's record list becomes that node's columns before the next one is
+parsed, so the parse scratch alive at any moment is one node's records
+(or the message records not yet converted), never the whole record
+tree.  Any input that walk does not accept is decoded again by
+``json.loads`` and :func:`trace_from_dict`, which decide the result or
+the error.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 # repro: hot
 
 import json
+import re
 from typing import Any
 
 from .event import EventKind
@@ -103,21 +113,31 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
     The per-node kind, label, time and payload columns are filled
     straight from the records and each column is checked once, as a
     set of values or of types; no :class:`~repro.events.event.Event`
-    is built (see :class:`~repro.events.trace.Trace`).  Counts and
-    message endpoints must be ``int`` (not ``bool``), labels strings or
-    null, times numbers or null; payloads are free-form.
+    is built (see :class:`~repro.events.trace.Trace`).  The version is
+    the ``int`` 1; counts and message endpoints must be ``int`` (not
+    ``bool``), labels strings or null, times numbers or null; payloads
+    are free-form.
 
     Raises
     ------
     TraceError
         If the payload is malformed or uses an unknown schema version.
     """
+    raw_events = _checked_header(data)
+    return Trace.from_columns(
+        [_node_columns(node, records) for node, records in enumerate(raw_events)],
+        list(map(_message, data["messages"])),
+    )
+
+
+def _checked_header(data: Any) -> list[Any]:
+    """The ``events`` list of a payload whose header is well formed."""
     if not isinstance(data, dict):
         raise TraceError(
             f"trace payload must be a JSON object, got {type(data).__name__}"
         )
     version = data.get("version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"unsupported trace schema version: {version!r} "
             f"(this reader speaks version {SCHEMA_VERSION})"
@@ -136,10 +156,7 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
         raise TraceError(
             f"num_nodes={num_nodes} but {len(raw_events)} event lists present"
         )
-    return Trace.from_columns(
-        [_node_columns(node, records) for node, records in enumerate(raw_events)],
-        list(map(_message, raw_messages)),
-    )
+    return raw_events
 
 
 def _node_columns(node: int, records: Any) -> NodeColumns:
@@ -188,20 +205,28 @@ def dumps(trace: Trace, **json_kwargs: Any) -> str:
 
 
 def loads(text: str | bytes, *, max_bytes: int | None = None) -> Trace:
-    """Deserialise a trace from a JSON string.
+    """Deserialise a trace from a JSON string, one node at a time.
 
-    The parsed records go straight into the trace's per-node columns
-    (:func:`trace_from_dict`); no :class:`~repro.events.event.Event` is
-    built until a caller reads events through
+    The top-level object is walked value by value; each node's record
+    list is parsed and turned into that node's columns before the next
+    node's is parsed, so the parse scratch alive at any moment is one
+    node's records (or the message records not yet converted), not the
+    whole record tree.  No :class:`~repro.events.event.Event` is built
+    until a caller reads events through
     :meth:`~repro.events.trace.Trace.events_of`,
     :meth:`~repro.events.trace.Trace.event` or
     :meth:`~repro.events.trace.Trace.iter_events`, and then once per
-    node.
+    node.  The result, or the error, is the one
+    ``trace_from_dict(json.loads(text))`` gives: the walk keeps the
+    last of repeated keys as ``json`` does, and an input it refuses
+    (not one JSON object, or not a valid trace) is decoded again that
+    way.
 
     Parameters
     ----------
     text:
-        The JSON document (``str`` or UTF-8 ``bytes``).
+        The JSON document (``str``, or ``bytes`` in an encoding that
+        ``json.loads`` detects).
     max_bytes:
         Optional size guard: payloads whose UTF-8 size exceeds this
         many bytes are rejected with :class:`PayloadTooLargeError`
@@ -236,6 +261,10 @@ def loads(text: str | bytes, *, max_bytes: int | None = None) -> Trace:
                 f"{max_bytes}-byte limit"
             )
     try:
+        return _decode_by_node(text)
+    except Exception:  # the reference path below decides every failure
+        pass
+    try:
         data = json.loads(text)
     except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         raise TraceError(f"malformed trace payload: {exc}") from exc
@@ -249,6 +278,83 @@ def save(trace: Trace, path: str, **json_kwargs: Any) -> None:
 
 
 def load(path: str) -> Trace:
-    """Read a trace previously written by :func:`save`."""
-    with open(path, encoding="utf-8") as fh:
-        return trace_from_dict(json.load(fh))
+    """Read a trace previously written by :func:`save`.
+
+    The file's bytes go through :func:`loads`, so the decode runs one
+    node at a time and a file that is not JSON or not UTF-8 raises
+    :class:`~repro.events.trace.TraceError`.
+    """
+    with open(path, "rb") as fh:
+        return loads(fh.read())
+
+
+#: RFC 8259 whitespace, as ``json`` skips it.
+_WS = re.compile(r"[ \t\n\r]*")
+_value = json.JSONDecoder().raw_decode
+
+
+def _decode_by_node(text: str | bytes) -> Trace:
+    """The trace of a well-formed payload, decoded one node at a time.
+
+    Each top-level value goes through the stdlib scanner on its own;
+    an ``events`` list is scanned one node's record list at a time and
+    each becomes its :class:`NodeColumns` at once; message records are
+    freed as they become :class:`Message` tuples.  Raises on anything
+    else (the caller then decodes through ``json.loads``).
+    """
+    if not isinstance(text, str):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    ws = _WS.match
+    pos = ws(text, 0).end()
+    if text[pos] != "{":
+        raise ValueError("not an object")
+    data: dict[str, Any] = {}
+    pos = ws(text, pos + 1).end()
+    sep = text[pos]
+    if sep == "}":
+        pos += 1
+    while sep != "}":
+        key, pos = _value(text, pos)
+        if type(key) is not str:
+            raise ValueError("not a key")
+        pos = ws(text, pos).end()
+        if text[pos] != ":":
+            raise ValueError("no colon")
+        pos = ws(text, pos + 1).end()
+        if key == "events" and text[pos] == "[":
+            data[key], pos = _events_by_node(text, pos)
+        else:
+            data[key], pos = _value(text, pos)
+        pos = ws(text, pos).end()
+        sep = text[pos]
+        if sep not in ",}":
+            raise ValueError("no comma")
+        pos = ws(text, pos + 1).end()
+    if ws(text, pos).end() != len(text):
+        raise ValueError("extra data")
+    columns = _checked_header(data)
+    raw_messages = data["messages"]
+    raw_messages.reverse()  # popped in order, each record freed once converted
+    return Trace.from_columns(
+        columns, [_message(raw_messages.pop()) for _ in range(len(raw_messages))]
+    )
+
+
+def _events_by_node(text: str, pos: int) -> tuple[list[NodeColumns], int]:
+    """Node columns of the ``events`` list at ``text[pos]`` and its end."""
+    ws = _WS.match
+    columns: list[NodeColumns] = []
+    pos = ws(text, pos + 1).end()
+    sep = text[pos]
+    if sep == "]":
+        pos += 1
+    while sep != "]":
+        records, pos = _value(text, pos)
+        columns.append(_node_columns(len(columns), records))
+        del records  # free this node's records before the next node parses
+        pos = ws(text, pos).end()
+        sep = text[pos]
+        if sep not in ",]":
+            raise ValueError("no comma")
+        pos = ws(text, pos + 1).end()
+    return columns, pos

@@ -50,6 +50,20 @@ class TestInfo:
         assert main(["info", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["info"], ["stream"], ["client", "--connect", "127.0.0.1:9"],
+    ])
+    def test_malformed_file_error_names_the_file(
+        self, barrier_trace_file, tmp_path, capsys, command
+    ):
+        # every command that reads a trace file reports which one is bad
+        path = tmp_path / "truncated.json"
+        with open(barrier_trace_file, "rb") as fh:
+            path.write_bytes(fh.read()[:64])
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed trace payload: ")
+
 
 class TestRender:
     def test_plain(self, barrier_trace_file, capsys):

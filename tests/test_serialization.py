@@ -1,7 +1,11 @@
 """Tests for trace JSON (de)serialisation."""
 
 import dataclasses
+import gc
 import json
+import os
+import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +113,15 @@ class TestMalformedInput:
     def test_bad_version(self):
         with pytest.raises(TraceError, match="version"):
             trace_from_dict({"version": 99})
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_the_int_one(self, version):
+        # True == 1 == 1.0, but only the int 1 names this schema
+        data = {"version": version, "num_nodes": 0, "events": [], "messages": []}
+        with pytest.raises(SchemaVersionError, match="version"):
+            trace_from_dict(data)
+        with pytest.raises(SchemaVersionError, match="version"):
+            loads(json.dumps(data))
 
     def test_missing_fields(self):
         with pytest.raises(TraceError, match="malformed"):
@@ -394,3 +407,113 @@ class TestColumnarLoad:
         other = _relabel(tr, [], [{"k": 1}] * 6)
         assert other == tr and hash(other) == hash(tr)
         assert other.node_columns(0) != tr.node_columns(0)
+
+
+def _reference(text):
+    """What ``loads`` gives by decoding the whole document at once."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise TraceError(f"malformed trace payload: {exc}") from exc
+    return trace_from_dict(data)
+
+
+def _outcome(decode, arg):
+    """The decoded trace with its payloads and messages, or the error."""
+    try:
+        tr = decode(arg)
+    except Exception as exc:  # compared by type and text below
+        return type(exc), str(exc)
+    return tr, tr.messages, [tr.node_columns(i) for i in range(tr.num_nodes)]
+
+
+#: (indent, item separator, key separator) of a rendered document.
+_LAYOUTS = [
+    (None, ", ", ": "), (None, ",", ":"), (2, ",", ": "), ("\t", " ,\r\n", " :\t"),
+]
+
+#: Fragments that assemble into near-JSON: mostly malformed, sometimes a trace.
+_TOKENS = [
+    "{", "}", "[", "]", ",", ":", " ", "\n", '"version"', '"num_nodes"',
+    '"events"', '"messages"', "1", "0", "1.0", "true", "null", "[]", "[[]]",
+    '{"kind": "send"}', '"x"', "\ufeff", "\t", "\x0c",
+]
+
+
+@st.composite
+def trace_documents(draw):
+    """Trace JSON as ``loads`` may meet it: any layout, key order or
+    repeated ``events`` key, a BOM, trailing data, a cut or lost
+    character, as ``str`` or encoded ``bytes``."""
+    tr = draw(traces())
+    if draw(st.booleans()):
+        tr = _relabel(tr, draw(st.lists(st.sampled_from([None, "a", "€"]), max_size=20)),
+                      draw(st.lists(st.none() | st.integers(), max_size=20)))
+    data = trace_to_dict(tr)
+    data["version"] = draw(st.sampled_from([1, 1, 1, 1.0, True, 2]))
+    pairs = draw(st.permutations(list(data.items())))
+    if draw(st.booleans()):  # a repeated key: the last one wins
+        other = draw(st.sampled_from([data["events"], [], [[{"kind": "quantum"}]], 3]))
+        pairs.insert(draw(st.integers(0, len(pairs))), ("events", other))
+    indent, item, key = draw(st.sampled_from(_LAYOUTS))
+    text = "{" + item.join(
+        json.dumps(k) + key + json.dumps(v, indent=indent, separators=(item, key))
+        for k, v in pairs
+    ) + "}"
+    text = (draw(st.sampled_from(["", " \n", "\ufeff"])) + text
+            + draw(st.sampled_from(["", "\r\n\t", " 0", "{}"])))
+    edit = draw(st.sampled_from(["none", "none", "truncate", "delete"]))
+    if edit != "none":
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + (text[at + 1:] if edit == "delete" else "")
+    encoding = draw(st.sampled_from([None, None, "utf-8", "utf-8-sig", "utf-16", "utf-32"]))
+    return text if encoding is None else text.encode(encoding)
+
+
+class TestNodeAtATimeDecode:
+    """``loads`` decodes one node at a time and answers as ``json.loads`` +
+    ``trace_from_dict`` would, for every input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=trace_documents())
+    def test_documents_match_the_reference(self, doc):
+        assert _outcome(loads, doc) == _outcome(_reference, doc)
+        fd, path = tempfile.mkstemp(suffix=".json")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(doc if isinstance(doc, bytes) else doc.encode("utf-8"))
+            raw = doc if isinstance(doc, bytes) else doc.encode("utf-8")
+            assert _outcome(load, path) == _outcome(loads, raw)
+        finally:
+            os.unlink(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.text() | st.binary()
+           | st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join))
+    def test_arbitrary_input_matches_the_reference(self, doc):
+        assert _outcome(loads, doc) == _outcome(_reference, doc)
+
+    def test_file_that_is_not_json_or_utf8_is_trace_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for raw in (dumps(random_trace(2, events_per_node=3, seed=0))[:20].encode(),
+                    b'{"version": 1, "x": "\xff"}'):
+            path.write_bytes(raw)
+            with pytest.raises(TraceError, match="malformed trace payload"):
+                load(str(path))
+
+    def test_parse_scratch_is_one_node(self):
+        # tracemalloc counts Python allocations, so the bound is deterministic
+        text = dumps(random_trace(32, events_per_node=500, seed=0))
+
+        def scratch(decode):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                trace = decode(text)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert trace.total_events == 32 * 500
+            return peak - retained
+
+        assert scratch(loads) <= 0.25 * scratch(_reference)
